@@ -6,15 +6,14 @@
 // statistics the Bureau reported — blocks solved exactly, persons
 // reconstructed, putative and confirmed re-identifications.
 //
-// A second "SAT backend duel" leg pits the DPLL baseline against the CDCL
-// engine on the same census encodings, in the style of bench_recon_lp's
-// LP backend duel. The duel set mixes exact-table blocks (both backends
-// solve them by propagation) with noise-perturbed infeasible blocks whose
-// tables demand more persons in one age bucket than the sex-by-age rows
-// can supply. Refuting those requires learning from conflicts: CDCL
-// derives the contradiction in a few thousand decisions while
-// chronological DPLL wanders until its decision budget runs out. The
-// duel's shape checks are the performance contract of the CDCL engine.
+// A second leg runs the SAT engine (CDCL) on a fixed block set under a
+// shared decision budget. The set mixes exact-table blocks (solved by
+// propagation) with noise-perturbed infeasible blocks whose tables demand
+// more persons in one age bucket than the sex-by-age rows can supply.
+// Refuting those requires learning from conflicts: CDCL derives the
+// contradiction in a few thousand decisions, where a chronological search
+// runs out of budget (EXPERIMENTS.md, "SAT engine"). Deciding every block
+// within the budget is the performance contract of the engine.
 
 #include <cstdio>
 #include <string>
@@ -34,9 +33,9 @@ struct PipelineOutcome {
   ReidentificationReport reid;
 };
 
-// Shared decision budget for every duel block. CDCL refutes the largest
-// perturbed block in ~7.5k decisions (deterministic), so 10k is safe
-// headroom; DPLL burns the full budget on every perturbed block.
+// Shared decision budget for every budget-leg block. CDCL refutes the
+// largest perturbed block in ~7.5k decisions (deterministic), so 10k is
+// safe headroom.
 constexpr size_t kDuelBudget = 10000;
 constexpr size_t kDuelPerturbedSizes[] = {4, 5, 6};
 
@@ -71,7 +70,7 @@ bool PerturbOverloadedBucket(BlockTables& t, int64_t delta) {
   return moved == delta;
 }
 
-// Per-block duel outcome: decided SAT, decided UNSAT, or budget exhausted.
+// Per-block outcome: decided SAT, decided UNSAT, or budget exhausted.
 enum class DuelOutcome { kSat, kUnsat, kExhausted, kError };
 
 struct SatDuelLeg {
@@ -84,15 +83,14 @@ struct SatDuelLeg {
   double wall_seconds = 0.0;
 };
 
-SatDuelLeg RunSatDuelLeg(const std::string& backend,
-                         const std::vector<BlockTables>& duel_tables) {
+SatDuelLeg RunSatDuelLeg(const std::vector<BlockTables>& duel_tables) {
   SatDuelLeg leg;
   bench::WallTimer timer;
   for (const BlockTables& t : duel_tables) {
     // Per-block solve latency lands in the bench.main_loop histogram —
     // the per-block solve-time distribution, not just one aggregate.
     auto r = bench::TimedIteration(
-        [&] { return ReconstructBlockSat(t, kDuelBudget, backend); });
+        [&] { return ReconstructBlockSat(t, kDuelBudget); });
     if (!r.ok()) {
       leg.outcomes.push_back(DuelOutcome::kError);
       leg.block_decisions.push_back(0);
@@ -220,37 +218,32 @@ int Run(int argc, char** argv) {
   }
   table.Print();
 
-  // Solver cross-validation: both SAT back-ends (DPLL and CDCL, over the
-  // same sequential-counter cardinality encodings) must agree with the CSP
+  // Solver cross-validation: the SAT engine (CDCL over the
+  // sequential-counter cardinality encodings) must agree with the CSP
   // engine blockwise.
   size_t sat_checked = 0;
   size_t sat_agree = 0;
-  for (const std::string& backend : {std::string("dpll"),
-                                     std::string("cdcl")}) {
-    for (size_t b = 0; b < std::min<size_t>(pop.blocks.size(), 40); ++b) {
-      auto sat = ReconstructBlockSat(exact[b], /*max_decisions=*/500000,
-                                     backend);
-      if (!sat.ok()) continue;
-      ++sat_checked;
-      // Agreement = SAT finds a solution exactly when CSP did, and its
-      // solution satisfies the same exact tables (checked inside the test
-      // suite; here: satisfiability + size).
-      if (sat->satisfiable &&
-          sat->reconstructed.size() == pop.blocks[b].persons.size()) {
-        ++sat_agree;
-      }
+  for (size_t b = 0; b < std::min<size_t>(pop.blocks.size(), 40); ++b) {
+    auto sat = ReconstructBlockSat(exact[b], /*max_decisions=*/500000);
+    if (!sat.ok()) continue;
+    ++sat_checked;
+    // Agreement = SAT finds a solution exactly when CSP did, and its
+    // solution satisfies the same exact tables (checked inside the test
+    // suite; here: satisfiability + size).
+    if (sat->satisfiable &&
+        sat->reconstructed.size() == pop.blocks[b].persons.size()) {
+      ++sat_agree;
     }
   }
   std::printf(
-      "\nSAT back-end cross-check: %zu/%zu block solves reconstructed "
-      "consistently by the cardinality-encoding pipeline (dpll + cdcl).\n",
+      "\nSAT cross-check: %zu/%zu block solves reconstructed consistently "
+      "by the cardinality-encoding pipeline.\n",
       sat_agree, sat_checked);
 
-  // ---- SAT backend duel: chronological DPLL vs conflict-driven CDCL. ----
-  // Duel set: a handful of exact-table blocks (propagation-complete, both
-  // backends decide them in a few decisions) plus one perturbed infeasible
-  // block per escalating size. Same decision budget for every block and
-  // both backends.
+  // ---- SAT budget leg: CDCL under a fixed decision budget. ----
+  // Block set: a handful of exact-table blocks (propagation-complete,
+  // decided in a few decisions) plus one perturbed infeasible block per
+  // escalating size. Same decision budget for every block.
   std::vector<BlockTables> duel_tables;
   std::vector<std::string> duel_labels;
   for (size_t b = 0; b < std::min<size_t>(pop.blocks.size(), 4); ++b) {
@@ -272,39 +265,21 @@ int Run(int argc, char** argv) {
     duel_labels.push_back(
         StrFormat("perturbed block (%zu persons, infeasible)", size));
   }
-  SatDuelLeg dpll = RunSatDuelLeg("dpll", duel_tables);
-  SatDuelLeg cdcl = RunSatDuelLeg("cdcl", duel_tables);
+  SatDuelLeg cdcl = RunSatDuelLeg(duel_tables);
 
-  std::printf("\n-- SAT backend duel (decision budget %zu per block) --\n",
+  std::printf("\n-- SAT budget leg (decision budget %zu per block) --\n",
               kDuelBudget);
-  TextTable duel({"block", "dpll", "dpll dec", "cdcl", "cdcl dec"});
-  bool duel_status_agrees = true;
-  size_t dpll_solved_cdcl_too = 0;
+  TextTable duel({"block", "cdcl", "cdcl dec"});
   for (size_t i = 0; i < duel_tables.size(); ++i) {
-    duel.AddRow({duel_labels[i], OutcomeName(dpll.outcomes[i]),
-                 StrFormat("%zu", dpll.block_decisions[i]),
-                 OutcomeName(cdcl.outcomes[i]),
+    duel.AddRow({duel_labels[i], OutcomeName(cdcl.outcomes[i]),
                  StrFormat("%zu", cdcl.block_decisions[i])});
-    const bool dpll_decided = dpll.outcomes[i] == DuelOutcome::kSat ||
-                              dpll.outcomes[i] == DuelOutcome::kUnsat;
-    const bool cdcl_decided = cdcl.outcomes[i] == DuelOutcome::kSat ||
-                              cdcl.outcomes[i] == DuelOutcome::kUnsat;
-    if (dpll_decided && cdcl_decided &&
-        dpll.outcomes[i] != cdcl.outcomes[i]) {
-      duel_status_agrees = false;
-    }
-    if (dpll_decided && cdcl_decided) ++dpll_solved_cdcl_too;
   }
   duel.AddRow({"aggregate",
-               StrFormat("%zu/%zu solved", dpll.solved, duel_tables.size()),
-               StrFormat("%zu", dpll.decisions),
                StrFormat("%zu/%zu solved", cdcl.solved, duel_tables.size()),
                StrFormat("%zu", cdcl.decisions)});
   duel.Print();
-  std::printf(
-      "duel wall clock: dpll %.2fs (%zu conflicts), cdcl %.2fs "
-      "(%zu conflicts)\n",
-      dpll.wall_seconds, dpll.conflicts, cdcl.wall_seconds, cdcl.conflicts);
+  std::printf("budget leg wall clock: cdcl %.2fs (%zu conflicts)\n",
+              cdcl.wall_seconds, cdcl.conflicts);
 
   bench::ReportSpeedup("census reconstruction + linkage, 150 blocks",
                        serial_s, parallel_s, par.threads);
@@ -331,20 +306,10 @@ int Run(int argc, char** argv) {
   checks.CheckGreater(dp_confirmed[0] + 0.02, dp_confirmed[1],
                       "looser eps leaks at least as much as tighter eps");
   checks.Check(sat_checked > 0 && sat_agree == sat_checked,
-               "both SAT back-ends agree with the CSP engine on every "
+               "the SAT engine agrees with the CSP engine on every "
                "checked block");
   checks.Check(cdcl.exhausted == 0,
                "CDCL decides every duel block within the budget");
-  checks.CheckGreater(static_cast<double>(dpll.exhausted), 0.5,
-                      "DPLL exhausts its decision budget on at least one "
-                      "duel block size");
-  checks.Check(dpll_solved_cdcl_too == dpll.solved,
-               "CDCL solves every duel block the DPLL baseline solves");
-  checks.CheckGreater(static_cast<double>(dpll.decisions),
-                      static_cast<double>(cdcl.decisions),
-                      "CDCL spends strictly fewer decisions in aggregate");
-  checks.Check(duel_status_agrees,
-               "backends agree on satisfiability wherever both decide");
   return bench::FinishBench(ctx, "E9", checks, par.get());
 }
 

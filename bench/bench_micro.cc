@@ -96,33 +96,29 @@ LpProblem BuildL1FitLp(size_t n, uint64_t seed) {
   return lp;
 }
 
-// Head-to-head number behind --lp-backend: the same LP solved cold by
-// the named backend.
-void BM_LpSolveBackend(benchmark::State& state, const char* backend_name) {
+// The same L1-fit LP solved cold.
+void BM_LpSolveCold(benchmark::State& state) {
   LpProblem lp = BuildL1FitLp(static_cast<size_t>(state.range(0)), 6);
-  Result<std::unique_ptr<LpBackend>> backend = MakeLpBackend(backend_name);
   for (auto _ : state) {
-    auto sol = lp.SolveWith(**backend, LpSolveOptions{});
+    auto sol = lp.Solve();
     benchmark::DoNotOptimize(sol);
   }
 }
-BENCHMARK_CAPTURE(BM_LpSolveBackend, dense, "dense")->Arg(24)->Arg(48);
-BENCHMARK_CAPTURE(BM_LpSolveBackend, sparse, "sparse")->Arg(24)->Arg(48);
+BENCHMARK(BM_LpSolveCold)->Arg(24)->Arg(48);
 
 // Warm restart of an already-optimal basis: the floor of a warm-started
 // re-solve (factorize + price, zero pivots).
 void BM_LpSolveSparseWarm(benchmark::State& state) {
   LpProblem lp = BuildL1FitLp(static_cast<size_t>(state.range(0)), 6);
-  Result<std::unique_ptr<LpBackend>> backend = MakeLpBackend("sparse");
   LpBasis basis;
   LpSolveOptions seed_options;
   seed_options.final_basis = &basis;
-  auto seed_solve = lp.SolveWith(**backend, seed_options);
+  auto seed_solve = lp.Solve(seed_options);
   benchmark::DoNotOptimize(seed_solve);
   LpSolveOptions warm;
   warm.warm_start = &basis;
   for (auto _ : state) {
-    auto sol = lp.SolveWith(**backend, warm);
+    auto sol = lp.Solve(warm);
     benchmark::DoNotOptimize(sol);
   }
 }
@@ -178,15 +174,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--json" || arg == "--trace" || arg == "--log-level" ||
-        arg == "--lp-backend" || arg == "--sat-backend" ||
         arg == "--solver-watchdog-ms") {
       if (i + 1 < argc) ++i;  // skip the path operand
       continue;
     }
     if (arg.rfind("--json=", 0) == 0 || arg.rfind("--trace=", 0) == 0 ||
         arg.rfind("--log-level=", 0) == 0 ||
-        arg.rfind("--lp-backend=", 0) == 0 ||
-        arg.rfind("--sat-backend=", 0) == 0 ||
         arg.rfind("--solver-watchdog-ms=", 0) == 0) {
       continue;
     }

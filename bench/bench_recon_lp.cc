@@ -4,41 +4,31 @@
 // crossover from near-perfect to failed reconstruction sits at
 // alpha/sqrt(n) of order 1.
 //
-// The accuracy series runs on the process-default LP backend (sparse
-// revised simplex unless --lp-backend overrides) with the warm-start
-// basis threaded across same-shaped decode LPs. A second "backend duel"
-// leg then replays one trial of the full grid on each backend by name and
-// compares pivot-work counters, wall clock, and LP objectives — the
-// dense tableau is the differential oracle, and the duel's shape checks
-// are the performance contract of the sparse engine (>= 10x less pivot
-// work, strictly faster, same objectives).
+// The LP decodes run on the sparse revised simplex with the warm-start
+// basis threaded across same-shaped decode LPs.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/metrics.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "recon/attacks.h"
 #include "recon/oracle.h"
-#include "solver/lp_backend.h"
+#include "solver/lp.h"
 
 namespace pso {
 namespace {
 
-// The E2 grid: both legs iterate exactly these points so the duel solves
-// the same LP instances the accuracy series does.
+// The E2 grid.
 constexpr size_t kNs[] = {32, 64};
 constexpr double kCs[] = {0.0, 0.25, 0.5, 1.0, 2.0, 4.0};
 
 // One LP decode at grid point (n, c, trial): same seeding for the oracle
-// and query stream on every call, so repeated runs (and the two duel
-// backends) see bit-identical LP instances.
+// and query stream on every call, so repeated runs see bit-identical LP
+// instances.
 struct DecodePoint {
   double accuracy = 0.0;
-  double residual = 0.0;
   bool ok = false;
 };
 
@@ -55,49 +45,14 @@ DecodePoint LpDecodeAt(size_t n, double c, size_t trial,
     if (!r.ok()) return out;
     out.ok = true;
     out.accuracy = recon::FractionAgree(r->estimate, secret);
-    out.residual = r->decoder_residual;
   } else {
     recon::BoundedNoiseOracle oracle(secret, alpha, 31 + trial);
     auto r = recon::LpReconstruct(oracle, queries, rng, options);
     if (!r.ok()) return out;
     out.ok = true;
     out.accuracy = recon::FractionAgree(r->estimate, secret);
-    out.residual = r->decoder_residual;
   }
   return out;
-}
-
-// Replays one trial of the grid on the named backend, threading a
-// warm-start basis across the same-shaped decodes of each n. Returns
-// aggregate pivot work, pivot count, wall clock, and per-point residuals.
-struct DuelLeg {
-  uint64_t pivot_work = 0;
-  uint64_t pivots = 0;
-  double wall_seconds = 0.0;
-  std::vector<double> residuals;
-  bool ok = true;
-};
-
-DuelLeg RunDuelLeg(const std::string& backend) {
-  DuelLeg leg;
-  const uint64_t work_before = metrics::GetCounter("lp.pivot_work").value();
-  const uint64_t pivots_before = metrics::GetCounter("lp.pivots").value();
-  bench::WallTimer timer;
-  for (size_t n : kNs) {
-    LpBasis basis;  // reset per n: the decode LP shape changes with n
-    recon::LpDecodeOptions options;
-    options.backend = backend;
-    options.basis = &basis;
-    for (double c : kCs) {
-      DecodePoint p = LpDecodeAt(n, c, /*trial=*/0, options);
-      leg.ok = leg.ok && p.ok;
-      leg.residuals.push_back(p.residual);
-    }
-  }
-  leg.wall_seconds = timer.Seconds();
-  leg.pivot_work = metrics::GetCounter("lp.pivot_work").value() - work_before;
-  leg.pivots = metrics::GetCounter("lp.pivots").value() - pivots_before;
-  return leg;
 }
 
 int Run(int argc, char** argv) {
@@ -167,34 +122,6 @@ int Run(int argc, char** argv) {
   }
   table.Print();
 
-  // ---- Backend duel: dense tableau vs sparse revised simplex. ----
-  DuelLeg dense = RunDuelLeg("dense");
-  DuelLeg sparse = RunDuelLeg("sparse");
-  const double work_ratio =
-      sparse.pivot_work > 0
-          ? static_cast<double>(dense.pivot_work) /
-                static_cast<double>(sparse.pivot_work)
-          : 0.0;
-  double residual_gap = 0.0;
-  for (size_t i = 0; i < dense.residuals.size(); ++i) {
-    const double scale = std::max(1.0, std::fabs(dense.residuals[i]));
-    residual_gap = std::max(
-        residual_gap,
-        std::fabs(dense.residuals[i] - sparse.residuals[i]) / scale);
-  }
-  std::printf("\n-- backend duel (one trial of the grid per backend) --\n");
-  TextTable duel({"backend", "pivots", "pivot work", "wall (s)"});
-  duel.AddRow({"dense", StrFormat("%llu", (unsigned long long)dense.pivots),
-               StrFormat("%llu", (unsigned long long)dense.pivot_work),
-               StrFormat("%.3f", dense.wall_seconds)});
-  duel.AddRow({"sparse", StrFormat("%llu", (unsigned long long)sparse.pivots),
-               StrFormat("%llu", (unsigned long long)sparse.pivot_work),
-               StrFormat("%.3f", sparse.wall_seconds)});
-  duel.Print();
-  std::printf("pivot-work ratio (dense/sparse): %.2fx   max objective "
-              "disagreement: %.3g\n",
-              work_ratio, residual_gap);
-
   bench::ShapeChecks checks;
   checks.CheckBetween(lp_small_noise, 0.93, 1.0,
                       "LP decoding at alpha = 0.25*sqrt(n), n=64");
@@ -204,13 +131,6 @@ int Run(int argc, char** argv) {
                       "LP decoding collapses at alpha = 4*sqrt(n)");
   checks.CheckGreater(lp_small_noise, lp_big_noise,
                       "crossover in c = alpha/sqrt(n) exists");
-  checks.Check(dense.ok && sparse.ok, "both backends solved every duel LP");
-  checks.CheckGreater(work_ratio, 10.0,
-                      "sparse revised simplex does >=10x less pivot work");
-  checks.CheckGreater(dense.wall_seconds, sparse.wall_seconds,
-                      "sparse is strictly faster on wall clock");
-  checks.CheckBetween(residual_gap, 0.0, 1e-6,
-                      "backends agree on every LP objective");
   return bench::FinishBench(ctx, "E2", checks);
 }
 

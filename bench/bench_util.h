@@ -29,8 +29,6 @@
 #include "common/progress.h"
 #include "common/str_util.h"
 #include "common/trace.h"
-#include "solver/lp_backend.h"
-#include "solver/sat_backend.h"
 #include "tools/flags.h"
 
 namespace pso::bench {
@@ -148,15 +146,12 @@ struct BenchContext {
   std::string json_path;   ///< Empty when --json was not given.
   std::string trace_path;  ///< Empty when --trace was not given.
   size_t threads = 1;       ///< Resolved --threads value.
-  std::string lp_backend;   ///< Resolved --lp-backend (process default).
-  std::string sat_backend;  ///< Resolved --sat-backend (process default).
   int64_t watchdog_ms = 0;  ///< Resolved --solver-watchdog-ms (0 = off).
   WallTimer timer;          ///< Wall clock for the whole run.
 };
 
 /// Parses the standard harness flags (--json <path>, --threads N,
 /// --trace <path>, --log-level {debug,info,warn,error},
-/// --lp-backend {dense,sparse}, --sat-backend {dpll,cdcl},
 /// --solver-watchdog-ms N), starts the run stopwatch, arms the stall
 /// watchdog when requested, and — when --trace was given — enables the
 /// global trace collector. Unknown or malformed flags print usage to
@@ -169,8 +164,6 @@ inline BenchContext MakeBenchContext(const std::string& bench_name, int argc,
       {"threads", tools::FlagSpec::Type::kInt},
       {"trace", tools::FlagSpec::Type::kString},
       {"log-level", tools::FlagSpec::Type::kString},
-      {"lp-backend", tools::FlagSpec::Type::kString},
-      {"sat-backend", tools::FlagSpec::Type::kString},
       {"solver-watchdog-ms", tools::FlagSpec::Type::kInt},
   };
   std::vector<std::string> errors;
@@ -189,28 +182,9 @@ inline BenchContext MakeBenchContext(const std::string& bench_name, int argc,
     std::fprintf(stderr,
                  "usage: %s [--json FILE] [--threads N] [--trace FILE] "
                  "[--log-level debug|info|warn|error] "
-                 "[--lp-backend dense|sparse] [--sat-backend dpll|cdcl] "
                  "[--solver-watchdog-ms N]\n",
                  bench_name.c_str());
     std::exit(2);
-  }
-  const std::string backend = flags.GetString("lp-backend", "");
-  if (!backend.empty()) {
-    Status set = SetDefaultLpBackend(backend);
-    if (!set.ok()) {
-      std::fprintf(stderr, "%s: %s\n", bench_name.c_str(),
-                   set.ToString().c_str());
-      std::exit(2);
-    }
-  }
-  const std::string sat_backend = flags.GetString("sat-backend", "");
-  if (!sat_backend.empty()) {
-    Status set = SetDefaultSatBackend(sat_backend);
-    if (!set.ok()) {
-      std::fprintf(stderr, "%s: %s\n", bench_name.c_str(),
-                   set.ToString().c_str());
-      std::exit(2);
-    }
   }
   const std::string level_name = flags.GetString("log-level", "");
   if (!level_name.empty()) {
@@ -229,8 +203,6 @@ inline BenchContext MakeBenchContext(const std::string& bench_name, int argc,
   ctx.json_path = flags.GetString("json", "");
   ctx.trace_path = flags.GetString("trace", "");
   ctx.threads = flags.GetThreads();
-  ctx.lp_backend = DefaultLpBackendName();
-  ctx.sat_backend = DefaultSatBackendName();
   ctx.watchdog_ms = flags.GetInt("solver-watchdog-ms", 0);
   if (ctx.watchdog_ms > 0) {
     progress::Watchdog::Global().Start(ctx.watchdog_ms);

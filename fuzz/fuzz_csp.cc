@@ -6,18 +6,17 @@
 // poisoned instance must report build_status() != OK and enumerate
 // nothing with complete == false; a clean instance must only emit
 // non-decreasing, constraint-satisfying solutions, and a SAT
-// cross-encoding of it must agree on satisfiability on BOTH registered
-// backends.
+// cross-encoding of it must agree on satisfiability on CDCL and on its
+// DPLL oracle.
 
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "fuzz_util.h"
+#include "oracles/oracles.h"
 #include "solver/csp.h"
 #include "solver/sat.h"
-#include "solver/sat_backend.h"
 
 namespace {
 
@@ -31,8 +30,8 @@ struct FuzzCount {
 // boolean per (variable, value), exactly-one rows, an auxiliary "matches
 // constraint" literal per variable, cardinality bounds over the
 // auxiliaries. Returns -1 UNSAT, 1 SAT, 0 undecided.
-int CspViaSat(const char* backend, size_t num_vars, size_t domain,
-              const std::vector<FuzzCount>& counts) {
+int CspViaSat(pso::oracles::SatSolveFn solve, size_t num_vars,
+              size_t domain, const std::vector<FuzzCount>& counts) {
   pso::SatSolver solver(static_cast<uint32_t>(num_vars * domain));
   auto x = [&](size_t var, size_t val) {
     return pso::MakeLit(static_cast<uint32_t>(var * domain + val), true);
@@ -67,12 +66,9 @@ int CspViaSat(const char* backend, size_t num_vars, size_t domain,
       solver.AddAtLeastK(ys, static_cast<size_t>(count.lo));
     }
   }
-  pso::Result<std::unique_ptr<pso::SatBackend>> engine =
-      pso::MakeSatBackend(backend);
-  if (!engine.ok()) std::abort();
   pso::SatSolveOptions options;
   options.max_decisions = 50000;
-  pso::Result<pso::SatSolution> sol = solver.SolveWith(**engine, options);
+  pso::Result<pso::SatSolution> sol = solve(solver, options);
   if (!sol.ok()) {
     if (sol.status().code() != pso::StatusCode::kResourceExhausted) {
       std::abort();
@@ -124,13 +120,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   (void)csp.IsSatisfiable(/*max_nodes=*/20000);
 
-  // Cross-backend differential: when the enumeration above was
+  // Cross-engine differential: when the enumeration above was
   // exhaustive, its satisfiability verdict is ground truth for the SAT
-  // encoding, and the two SAT backends must also agree with each other.
+  // encoding, and the two SAT engines must also agree with each other.
   if (stats.complete) {
     const int truth = solutions.empty() ? -1 : 1;
-    const int dpll = CspViaSat("dpll", num_vars, domain, recorded);
-    const int cdcl = CspViaSat("cdcl", num_vars, domain, recorded);
+    const int dpll = CspViaSat(&pso::oracles::Dpll, num_vars, domain,
+                               recorded);
+    const int cdcl = CspViaSat(&pso::oracles::Cdcl, num_vars, domain,
+                               recorded);
     if (dpll != 0 && dpll != truth) std::abort();
     if (cdcl != 0 && cdcl != truth) std::abort();
   }

@@ -3,17 +3,17 @@
 // Any byte string must either decode or fail with a Status — never
 // crash or over-allocate. Accepted instances must re-encode to a
 // decodable payload, build a clean LpProblem, and (when small) survive a
-// solve on EVERY registered LP backend with any Status outcome — and the
-// backends must agree on that outcome: the dense tableau and the sparse
-// revised simplex returning different statuses for the same decodable
-// instance is a solver bug, not an input property.
+// solve on the sparse revised simplex and on its dense-tableau oracle
+// with any Status outcome — and the two must agree on that outcome:
+// different statuses for the same decodable instance is a solver bug,
+// not an input property.
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <string>
 
+#include "oracles/oracles.h"
 #include "solver/lp.h"
 #include "solver/lp_io.h"
 
@@ -32,13 +32,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (decoded->variables.size() <= 12 && decoded->rows.size() <= 24) {
     pso::StatusCode codes[2];
     double objectives[2] = {0.0, 0.0};
-    const char* backends[2] = {"dense", "sparse"};
     for (int b = 0; b < 2; ++b) {
-      pso::Result<std::unique_ptr<pso::LpBackend>> backend =
-          pso::MakeLpBackend(backends[b]);
-      if (!backend.ok()) std::abort();  // built-ins always resolve
       pso::Result<pso::LpSolution> sol =
-          lp.SolveWith(**backend, pso::LpSolveOptions{});
+          pso::oracles::kLpEngines[b].solve(lp, pso::LpSolveOptions{});
       codes[b] = sol.ok() ? pso::StatusCode::kOk : sol.status().code();
       if (sol.ok()) {
         objectives[b] = sol->objective;

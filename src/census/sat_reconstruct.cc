@@ -1,7 +1,6 @@
 #include "census/sat_reconstruct.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 
 #include "common/check.h"
@@ -34,29 +33,35 @@ std::vector<size_t> FeasibleValues(const BlockTables& t) {
 
 }  // namespace
 
-Result<SatReconstruction> ReconstructBlockSat(const BlockTables& tables,
-                                              size_t max_decisions,
-                                              const std::string& backend) {
-  const size_t n = static_cast<size_t>(tables.total);
-  trace::Span block_span("census.sat_block");
-  if (block_span.active()) {
-    block_span.Arg("persons", std::to_string(n));
-  }
-  SatReconstruction out;
-  if (n == 0) {
-    out.satisfiable = true;
-    return out;
-  }
-
-  std::vector<size_t> candidates = FeasibleValues(tables);
-  if (candidates.empty()) {
-    out.satisfiable = false;
-    return out;
-  }
+std::vector<Record> BlockCnf::Decode(
+    const std::vector<bool>& assignment) const {
   const size_t m = candidates.size();
+  std::vector<Record> records;
+  records.reserve(persons);
+  for (size_t p = 0; p < persons; ++p) {
+    for (size_t c = 0; c < m; ++c) {
+      if (assignment[p * m + c]) {
+        records.push_back(DecodePerson(candidates[c]));
+        break;
+      }
+    }
+  }
+  return records;
+}
+
+BlockCnf EncodeBlockSat(const BlockTables& tables) {
+  BlockCnf cnf;
+  const size_t n = static_cast<size_t>(tables.total);
+  cnf.persons = n;
+  if (n == 0) return cnf;
+  cnf.candidates = FeasibleValues(tables);
+  const std::vector<size_t>& candidates = cnf.candidates;
+  const size_t m = candidates.size();
+  if (m == 0) return cnf;
 
   // y[p][c]: person p takes candidate c.
-  SatSolver solver(static_cast<uint32_t>(n * m));
+  cnf.solver = SatSolver(static_cast<uint32_t>(n * m));
+  SatSolver& solver = cnf.solver;
   auto y = [m](size_t p, size_t c) {
     return MakeLit(static_cast<uint32_t>(p * m + c), true);
   };
@@ -178,15 +183,29 @@ Result<SatReconstruction> ReconstructBlockSat(const BlockTables& tables,
         match_mask([med](const Record& r) { return r[kAge] >= med; }),
         static_cast<int64_t>(n / 2 + 1));
   }
+  return cnf;
+}
 
-  Result<SatSolution> solved = [&]() -> Result<SatSolution> {
-    if (backend.empty()) return solver.Solve(max_decisions);
-    Result<std::unique_ptr<SatBackend>> engine = MakeSatBackend(backend);
-    if (!engine.ok()) return engine.status();
-    SatSolveOptions options;
-    options.max_decisions = max_decisions;
-    return solver.SolveWith(**engine, options);
-  }();
+Result<SatReconstruction> ReconstructBlockSat(const BlockTables& tables,
+                                              size_t max_decisions) {
+  const size_t n = static_cast<size_t>(tables.total);
+  trace::Span block_span("census.sat_block");
+  if (block_span.active()) {
+    block_span.Arg("persons", std::to_string(n));
+  }
+  SatReconstruction out;
+  if (n == 0) {
+    out.satisfiable = true;
+    return out;
+  }
+
+  BlockCnf cnf = EncodeBlockSat(tables);
+  if (cnf.candidates.empty()) {
+    out.satisfiable = false;
+    return out;
+  }
+  const SatSolver& solver = cnf.solver;
+  Result<SatSolution> solved = solver.Solve(max_decisions);
   if (!solved.ok()) {
     if (solved.status().code() == StatusCode::kResourceExhausted) {
       // Budget ran out: a first-class outcome, not an error. The solver
@@ -204,16 +223,7 @@ Result<SatReconstruction> ReconstructBlockSat(const BlockTables& tables,
   out.decisions = solved->decisions;
   out.conflicts = solved->conflicts;
   out.variables = solver.num_vars();
-  if (solved->satisfiable) {
-    for (size_t p = 0; p < n; ++p) {
-      for (size_t c = 0; c < m; ++c) {
-        if (solved->assignment[p * m + c]) {
-          out.reconstructed.push_back(DecodePerson(candidates[c]));
-          break;
-        }
-      }
-    }
-  }
+  if (solved->satisfiable) out.reconstructed = cnf.Decode(solved->assignment);
   return out;
 }
 

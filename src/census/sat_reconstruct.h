@@ -13,11 +13,11 @@
 #ifndef PSO_CENSUS_SAT_RECONSTRUCT_H_
 #define PSO_CENSUS_SAT_RECONSTRUCT_H_
 
-#include <string>
 #include <vector>
 
 #include "census/tabulator.h"
 #include "common/result.h"
+#include "solver/sat.h"
 
 namespace pso::census {
 
@@ -35,14 +35,28 @@ struct SatReconstruction {
   size_t variables = 0;               ///< Total SAT variables (incl. aux).
 };
 
-/// Encodes `tables` as CNF and solves it. `max_decisions` bounds the
-/// search (0 = unlimited); when it runs out the call still succeeds, with
-/// `budget_exhausted` set on the result. `backend` names a registered
-/// SatBackend ("dpll", "cdcl"); empty uses the process default
-/// (DefaultSatBackendName(), steered by --sat-backend).
+/// The CNF encoding of one block, with what is needed to read a model
+/// back as records: variable p * candidates.size() + c says person p
+/// takes the person value candidates[c].
+struct BlockCnf {
+  SatSolver solver{0};
+  std::vector<size_t> candidates;  ///< Person values the tables allow.
+  size_t persons = 0;
+
+  /// One record per person from a satisfying assignment.
+  std::vector<Record> Decode(const std::vector<bool>& assignment) const;
+};
+
+/// Encodes `tables` as CNF. An empty block has no variables; a block
+/// whose zero cells rule out every person value has no candidates (it is
+/// unsatisfiable without a search).
+BlockCnf EncodeBlockSat(const BlockTables& tables);
+
+/// Encodes `tables` as CNF and decides it with the CDCL engine.
+/// `max_decisions` bounds the search (0 = unlimited); when it runs out
+/// the call still succeeds, with `budget_exhausted` set on the result.
 [[nodiscard]] Result<SatReconstruction> ReconstructBlockSat(
-    const BlockTables& tables, size_t max_decisions = 0,
-    const std::string& backend = "");
+    const BlockTables& tables, size_t max_decisions = 0);
 
 }  // namespace pso::census
 

@@ -43,7 +43,7 @@ enum class LockRank : int8_t {
   kLog = 3,        ///< log sink core.
   kProgress = 4,   ///< progress::Watchdog (may log under its lock).
   kBudget = 5,     ///< dp::BudgetLedger.
-  kService = 6,    ///< Service / process-config registries. Outermost.
+  kService = 6,    ///< Service-layer locks (none today). Outermost.
 };
 
 /// Human-readable rank name for verifier witnesses and docs.

@@ -35,6 +35,22 @@ QuerySet DrawRandomQueries(SubsetSumOracle& oracle, size_t count, Rng& rng) {
   return qs;
 }
 
+// The shape both recorded-transcript decoders require: one answer per
+// query, every query an indicator vector of length n.
+Status CheckTranscriptShape(size_t n, const std::vector<SubsetQuery>& queries,
+                            const std::vector<double>& answers) {
+  if (answers.size() != queries.size()) {
+    return Status::InvalidArgument(
+        "transcript shape mismatch: queries != answers");
+  }
+  for (const SubsetQuery& q : queries) {
+    if (q.size() != n) {
+      return Status::InvalidArgument("transcript query length != n");
+    }
+  }
+  return Status::Ok();
+}
+
 std::vector<uint8_t> RoundAtHalf(const std::vector<double>& x) {
   std::vector<uint8_t> bits(x.size());
   for (size_t i = 0; i < x.size(); ++i) bits[i] = x[i] >= 0.5 ? 1 : 0;
@@ -147,16 +163,9 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
                                         const std::vector<SubsetQuery>& queries,
                                         const std::vector<double>& answers,
                                         const LpDecodeOptions& options) {
+  Status shape = CheckTranscriptShape(n, queries, answers);
+  if (!shape.ok()) return shape;
   const size_t num_queries = queries.size();
-  if (answers.size() != num_queries) {
-    return Status::InvalidArgument(
-        "transcript shape mismatch: queries != answers");
-  }
-  for (const SubsetQuery& q : queries) {
-    if (q.size() != n) {
-      return Status::InvalidArgument("transcript query length != n");
-    }
-  }
   metrics::GetCounter("recon.lp_decodes").Add(1);
   metrics::GetCounter("recon.queries").Add(num_queries);
   trace::Span decode_span("recon.lp_decode");
@@ -184,16 +193,12 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
     lp.AddConstraint(row, Relation::kEqual, answers[j]);
   }
 
-  const std::string backend_name =
-      options.backend.empty() ? DefaultLpBackendName() : options.backend;
-  Result<std::unique_ptr<LpBackend>> backend = MakeLpBackend(backend_name);
-  if (!backend.ok()) return backend.status();
   LpSolveOptions solve_options;
   if (options.basis != nullptr) {
     if (!options.basis->empty()) solve_options.warm_start = options.basis;
     solve_options.final_basis = options.basis;
   }
-  Result<LpSolution> solved = lp.SolveWith(**backend, solve_options);
+  Result<LpSolution> solved = lp.Solve(solve_options);
   if (!solved.ok()) return solved.status();
 
   Reconstruction out;
@@ -208,19 +213,18 @@ Reconstruction LeastSquaresReconstruct(SubsetSumOracle& oracle,
                                        size_t num_queries, Rng& rng,
                                        size_t iterations) {
   QuerySet qs = DrawRandomQueries(oracle, num_queries, rng);
+  // Self-drawn queries always have the decoder's shape, so value() holds.
   return LeastSquaresDecodeRecorded(oracle.n(), qs.queries, qs.answers,
-                                    iterations);
+                                    iterations)
+      .value();
 }
 
-Reconstruction LeastSquaresDecodeRecorded(
+Result<Reconstruction> LeastSquaresDecodeRecorded(
     size_t n, const std::vector<SubsetQuery>& queries,
     const std::vector<double>& answers, size_t iterations) {
+  Status shape = CheckTranscriptShape(n, queries, answers);
+  if (!shape.ok()) return shape;
   const size_t num_queries = queries.size();
-  PSO_CHECK_MSG(answers.size() == num_queries,
-                "transcript shape mismatch: queries != answers");
-  for (const SubsetQuery& q : queries) {
-    PSO_CHECK_MSG(q.size() == n, "transcript query length != n");
-  }
   metrics::GetCounter("recon.lsq_decodes").Add(1);
   metrics::GetCounter("recon.queries").Add(num_queries);
   metrics::ScopedSpan span("recon.lsq_decode");

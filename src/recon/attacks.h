@@ -13,7 +13,6 @@
 #ifndef PSO_RECON_ATTACKS_H_
 #define PSO_RECON_ATTACKS_H_
 
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -45,11 +44,8 @@ Reconstruction ExhaustiveReconstruct(SubsetSumOracle& oracle, double alpha,
                                      ThreadPool* pool = nullptr);
 
 /// Tuning knobs for LpReconstruct. Defaults reproduce the plain call:
-/// the process-default LP backend, cold-started.
+/// a cold-started solve.
 struct LpDecodeOptions {
-  /// Backend registry name ("dense", "sparse", ...); empty uses the
-  /// process default (DefaultLpBackendName / --lp-backend).
-  std::string backend;
   /// Borrowed basis slot threaded across repeated decodes. When non-null:
   /// a non-empty basis warm-starts the solve (decode LPs of one
   /// experiment share n and query count, hence shape), and the final
@@ -65,8 +61,8 @@ struct LpDecodeOptions {
 [[nodiscard]] Result<Reconstruction> LpReconstruct(SubsetSumOracle& oracle,
                                      size_t num_queries, Rng& rng);
 
-/// As above with an explicit backend choice and optional warm-start basis
-/// carried across calls (see LpDecodeOptions).
+/// As above with an optional warm-start basis carried across calls (see
+/// LpDecodeOptions).
 [[nodiscard]] Result<Reconstruction> LpReconstruct(
     SubsetSumOracle& oracle, size_t num_queries, Rng& rng,
     const LpDecodeOptions& options);
@@ -84,15 +80,16 @@ Reconstruction LeastSquaresReconstruct(SubsetSumOracle& oracle,
 /// Nissim "Linear Program Reconstruction in Practice" loop) and the same
 /// residual-splitting L1 program is solved over them. `queries[j]` must
 /// all be indicator vectors of length `n`; `answers[j]` is the value the
-/// service released for query j.
+/// service released for query j; any other shape is InvalidArgument.
 [[nodiscard]] Result<Reconstruction> LpDecodeRecorded(
     size_t n, const std::vector<SubsetQuery>& queries,
     const std::vector<double>& answers,
     const LpDecodeOptions& options = LpDecodeOptions{});
 
 /// Least-squares decoding over a recorded transcript (see
-/// LpDecodeRecorded); scales to larger n than the LP on this substrate.
-Reconstruction LeastSquaresDecodeRecorded(
+/// LpDecodeRecorded, including its InvalidArgument shape check); scales
+/// to larger n than the LP on this substrate.
+[[nodiscard]] Result<Reconstruction> LeastSquaresDecodeRecorded(
     size_t n, const std::vector<SubsetQuery>& queries,
     const std::vector<double>& answers, size_t iterations = 400);
 

@@ -15,6 +15,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -152,9 +153,11 @@ void QueryServer::RequestShutdown() {
 void QueryServer::HandleConnection(int fd) {
   PSO_TRACE_SPAN("service.connection");
   const size_t max_batch = service_->options().max_batch;
+  const size_t max_line = MaxRequestLineLength(service_->n());
   std::string buffer;
   char chunk[4096];
   bool alive = true;
+  bool overlong = false;
   while (alive) {
     const ssize_t got = ::read(fd, chunk, sizeof(chunk));
     if (got < 0) {
@@ -169,20 +172,25 @@ void QueryServer::HandleConnection(int fd) {
     }
     if (got == 0) break;
     buffer.append(chunk, static_cast<size_t>(got));
-    // Peel off every complete line; a partial tail stays buffered.
-    std::vector<std::string> ready;
+    // Peel off every complete line and parse it once; a partial tail
+    // stays buffered. nullopt marks an INFO probe, the one non-Q request.
+    std::vector<std::optional<Result<WireQuery>>> ready;
     size_t start = 0;
     for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
-      ready.push_back(buffer.substr(start, nl - start));
+      const std::string line = buffer.substr(start, nl - start);
+      if (line == "INFO") {
+        ready.emplace_back();
+      } else {
+        ready.emplace_back(ParseQueryLine(line));
+      }
       start = nl + 1;
     }
     buffer.erase(0, start);
     std::string out;
     size_t i = 0;
     while (i < ready.size()) {
-      const std::string& line = ready[i];
-      if (line == "INFO") {
+      if (!ready[i].has_value()) {
         ServiceInfo info;
         info.n = service_->n();
         info.eps_per_query = service_->options().eps_per_query;
@@ -193,7 +201,7 @@ void QueryServer::HandleConnection(int fd) {
         ++i;
         continue;
       }
-      Result<WireQuery> parsed = ParseQueryLine(line);
+      Result<WireQuery>& parsed = *ready[i];
       if (!parsed.ok()) {
         out += FormatAnswerLine(0, Result<double>(parsed.status()));
         out += '\n';
@@ -206,11 +214,12 @@ void QueryServer::HandleConnection(int fd) {
       std::vector<recon::SubsetQuery> batch;
       batch.push_back(std::move(parsed->query));
       size_t j = i + 1;
-      while (j < ready.size() && batch.size() < max_batch) {
-        Result<WireQuery> follow = ParseQueryLine(ready[j]);
-        if (!follow.ok() || follow->client != client) break;
-        batch.push_back(std::move(follow->query));
-        ++j;
+      for (; j < ready.size() && batch.size() < max_batch; ++j) {
+        std::optional<Result<WireQuery>>& next = ready[j];
+        if (!next.has_value() || !next->ok() || (*next)->client != client) {
+          break;
+        }
+        batch.push_back(std::move((*next)->query));
       }
       // Lock audit (see common/lock_rank.h): the handler holds no mutex
       // here, so AnswerBatch starts the ranked chain itself — budget
@@ -223,7 +232,29 @@ void QueryServer::HandleConnection(int fd) {
       }
       i = j;
     }
+    // A client that never ends its line must not grow the buffer without
+    // bound: refuse the line once and hang up.
+    if (buffer.size() > max_line) {
+      out += FormatAnswerLine(
+          0, Result<double>(Status::InvalidArgument(StrFormat(
+                 "request line exceeds %zu bytes", max_line))));
+      out += '\n';
+      overlong = true;
+      alive = false;
+    }
     if (!out.empty() && !SendAll(fd, out)) alive = false;
+  }
+  if (overlong) {
+    // Lingering close: send FIN after the refusal, then discard what the
+    // client already sent (bounded), so close() does not reset the
+    // connection before the client has read the E line.
+    ::shutdown(fd, SHUT_WR);
+    for (size_t drained = 0; drained <= max_line;) {
+      const ssize_t got = ::read(fd, chunk, sizeof(chunk));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) break;
+      drained += static_cast<size_t>(got);
+    }
   }
   ::close(fd);
 }

@@ -62,6 +62,11 @@ std::string FormatQueryLine(uint64_t client,
   return line;
 }
 
+size_t MaxRequestLineLength(size_t n) {
+  constexpr size_t kMaxClientIdDigits = 20;  // UINT64_MAX
+  return 2 + kMaxClientIdDigits + 1 + n;     // "Q " id " " bits
+}
+
 Result<WireQuery> ParseQueryLine(const std::string& line) {
   std::vector<std::string> parts = Split(line, ' ');
   if (parts.size() != 3 || parts[0] != "Q") {

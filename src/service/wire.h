@@ -52,6 +52,12 @@ std::string FormatQueryLine(uint64_t client, const recon::SubsetQuery& query);
 /// Parses a `Q` line. kInvalidArgument on anything malformed.
 [[nodiscard]] Result<WireQuery> ParseQueryLine(const std::string& line);
 
+/// The longest request line (without its newline) a service over
+/// `n`-record queries accepts: a `Q <client> <bits>` line whose client id
+/// has all 20 digits of a uint64 (INFO is shorter). The server answers a
+/// longer unterminated line with one `E` line and closes the connection.
+size_t MaxRequestLineLength(size_t n);
+
 /// Formats the response line for one query outcome (no trailing newline):
 /// an `A` line for an OK value, an `E` line otherwise.
 std::string FormatAnswerLine(uint64_t client, const Result<double>& outcome);

@@ -10,7 +10,6 @@
 #include "common/progress.h"
 #include "common/str_util.h"
 #include "common/trace.h"
-#include "solver/sat_backend.h"
 #include "solver/sat_internal.h"
 
 namespace pso {
@@ -132,7 +131,7 @@ class VsidsHeap {
   std::vector<uint32_t> heap_;
 };
 
-// All per-solve state; the backend object itself stays stateless.
+// All per-solve state.
 class CdclSearch {
  public:
   CdclSearch(const SatInstance& inst, const SatSolveOptions& options)
@@ -160,8 +159,8 @@ class CdclSearch {
 
     // Load the instance: units enqueue at the root, larger clauses get
     // their first two literals watched. Activities seed from occurrence
-    // counts — the same static order DPLL branches on — so the search
-    // starts informed and VSIDS refines from conflicts.
+    // counts, so the search starts informed and VSIDS refines from
+    // conflicts.
     for (const std::vector<Lit>& c : inst_.clauses) {
       for (Lit l : c) activity_[LitVar(l)] += 1.0;
       if (c.size() == 1) {
@@ -608,35 +607,24 @@ class CdclSearch {
   VsidsHeap* bump_heap_ = nullptr;
 };
 
-class CdclBackend final : public SatBackend {
- public:
-  const char* name() const override { return "cdcl"; }
-
-  Result<SatSolution> Solve(const SatInstance& inst,
-                            const SatSolveOptions& options) const override {
-    CdclSearch search(inst, options);
-
-    trace::Span solve_span("sat.solve");
-    std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
-    if (solve_span.active()) {
-      solve_span.Arg("backend", "cdcl");
-      solve_span.Arg("vars", std::to_string(inst.num_vars));
-      solve_span.Arg("clauses", std::to_string(inst.clauses.size()));
-      step_ring =
-          std::make_unique<trace::RingBuffer<SatStep>>(kSatStepTraceCapacity);
-      search.step_ring = step_ring.get();
-    }
-
-    sat_internal::MetricsPublisher publish{&search.stats, "sat.cdcl.solves",
-                                           /*cdcl=*/true};
-    return search.Run();
-  }
-};
-
 }  // namespace
 
-std::unique_ptr<SatBackend> MakeCdclSatBackend() {
-  return std::make_unique<CdclBackend>();
+Result<SatSolution> SolveCdcl(const SatInstance& inst,
+                              const SatSolveOptions& options) {
+  CdclSearch search(inst, options);
+
+  trace::Span solve_span("sat.solve");
+  std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
+  if (solve_span.active()) {
+    solve_span.Arg("vars", std::to_string(inst.num_vars));
+    solve_span.Arg("clauses", std::to_string(inst.clauses.size()));
+    step_ring =
+        std::make_unique<trace::RingBuffer<SatStep>>(kSatStepTraceCapacity);
+    search.step_ring = step_ring.get();
+  }
+
+  sat_internal::MetricsPublisher publish{&search.stats, /*cdcl=*/true};
+  return search.Run();
 }
 
 }  // namespace pso

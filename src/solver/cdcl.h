@@ -1,6 +1,5 @@
-// Conflict-driven clause learning SAT engine (the "cdcl" backend).
-//
-// The census-scale successor to the chronological DPLL in sat.cc:
+// Conflict-driven clause learning SAT engine: the search behind
+// SatSolver::Solve.
 //  * two-watched-literal unit propagation (lazy watch repair, no
 //    occurrence scans on satisfied clauses);
 //  * first-UIP conflict analysis producing one learned clause per
@@ -24,7 +23,16 @@
 
 #include <cstddef>
 
+#include "common/result.h"
+#include "solver/sat.h"
+
 namespace pso {
+
+/// Decides `instance` (SatSolver builds well-formed ones; prefer
+/// SatSolver::Solve). Returns kResourceExhausted when
+/// options.max_decisions ran out before an answer.
+[[nodiscard]] Result<SatSolution> SolveCdcl(const SatInstance& instance,
+                                            const SatSolveOptions& options);
 
 /// Multiplicative VSIDS decay: activities shrink by this factor per
 /// conflict (implemented as a growing bump increment plus rescaling).

@@ -3,7 +3,7 @@
 // DIMACS CNF is the lingua franca of the SAT world: the census
 // reconstruction pipeline can dump its cardinality encodings for external
 // solvers, and external instances (or fuzzer-generated ones) can be fed
-// to our DPLL engine. The parser treats its input as untrusted: every
+// to our CDCL engine. The parser treats its input as untrusted: every
 // malformed header, out-of-range literal, or truncated clause is an
 // InvalidArgument status, never an abort.
 //

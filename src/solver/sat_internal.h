@@ -1,6 +1,7 @@
-// Internals shared by the SAT backends (dpll in sat.cc, cdcl in
-// cdcl.cc): the tri-state assignment cell, the per-solve trace budget,
-// and the scope guard publishing search counters on every exit path.
+// Internals shared by SAT search implementations (the CDCL engine here,
+// and the reference engines the tests compare it against): the
+// tri-state assignment cell, the per-solve trace budget, and the scope
+// guard publishing search counters on every exit path.
 
 #ifndef PSO_SOLVER_SAT_INTERNAL_H_
 #define PSO_SOLVER_SAT_INTERNAL_H_
@@ -9,7 +10,7 @@
 #include <cstdint>
 
 #include "common/metrics.h"
-#include "solver/sat_backend.h"
+#include "solver/sat.h"
 
 namespace pso::sat_internal {
 
@@ -20,7 +21,7 @@ enum class Assign : int8_t { kUnset = -1, kFalse = 0, kTrue = 1 };
 /// trace timeline; the step ring keeps recording past this.
 inline constexpr size_t kMaxSatInstants = 256;
 
-/// Search totals a backend accumulates during one solve. The totals are
+/// Search totals an engine accumulates during one solve. The totals are
 /// input-deterministic, so the metric registry's sums stay reproducible.
 struct SearchStats {
   size_t decisions = 0;
@@ -43,19 +44,16 @@ struct SearchStats {
 };
 
 /// Publishes one solve's counters on destruction (every exit path,
-/// including kResourceExhausted). `backend_solves_counter` is the
-/// per-backend name, e.g. "sat.dpll.solves"; the CDCL-only counters are
-/// published only when `cdcl` is set, so DPLL solves do not materialize
-/// them in the registry.
+/// including kResourceExhausted). The clause-learning counters are
+/// published only when `cdcl` is set, so a search without learning does
+/// not materialize them in the registry.
 struct MetricsPublisher {
   const SearchStats* stats;
-  const char* backend_solves_counter;
   bool cdcl = false;
   metrics::ScopedSpan span{"sat.solve"};
 
   ~MetricsPublisher() {
     metrics::GetCounter("sat.solves").Add(1);
-    metrics::GetCounter(backend_solves_counter).Add(1);
     metrics::GetCounter("sat.decisions").Add(stats->decisions);
     metrics::GetCounter("sat.propagations").Add(stats->propagations);
     metrics::GetCounter("sat.backtracks").Add(stats->backtracks);

@@ -3,8 +3,8 @@
 // SparseMatrix is a read-only CSC (compressed sparse column) matrix built
 // once from triplets: reconstruction constraint matrices are overwhelmingly
 // sparse (each query touches few records), so the solver never materializes
-// a dense tableau. Duplicate (row, col) triplets are summed, matching the
-// dense tableau's `At(r, c) += coeff` builder semantics; exact zeros
+// a full matrix. Duplicate (row, col) triplets are summed (a row listing
+// one variable twice means the sum of the coefficients); exact zeros
 // produced by cancellation are kept (the simplex tolerances treat them as
 // zero anyway, and dropping them would make nnz counts data-dependent in
 // surprising ways).

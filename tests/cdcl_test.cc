@@ -1,29 +1,21 @@
 // Unit tests for the CDCL engine (solver/cdcl.h): first-UIP learning
 // with backjump-to-root on learned units, restart determinism, edge-case
 // instances, incremental NewVariable encoding, and the CDCL-only
-// counters. Functional agreement with DPLL is covered by sat_test,
-// proptest_solver_test, and the fuzz harnesses; this file pins the
-// engine's own mechanics.
+// counters. Functional agreement with the DPLL oracle is covered by
+// sat_test, proptest_solver_test, and the fuzz harnesses; this file pins
+// the engine's own mechanics. SatSolver::Solve runs CDCL.
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "solver/cdcl.h"
 #include "solver/sat.h"
-#include "solver/sat_backend.h"
 
 namespace pso {
 namespace {
-
-Result<SatSolution> SolveCdcl(SatSolver& s, size_t max_decisions = 0) {
-  auto backend = MakeSatBackend("cdcl");
-  SatSolveOptions options;
-  options.max_decisions = max_decisions;
-  return s.SolveWith(**backend, options);
-}
 
 // Pigeonhole instance: `pigeons` into `holes`, UNSAT when pigeons >
 // holes. Conflict-rich, so it exercises learning and restarts.
@@ -54,7 +46,7 @@ TEST(CdclTest, LearnedUnitBackjumpsToRoot) {
   SatSolver s(2);
   s.AddBinary(MakeLit(0, false), MakeLit(1, true));
   s.AddBinary(MakeLit(0, false), MakeLit(1, false));
-  auto sol = SolveCdcl(s);
+  auto sol = s.Solve();
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->satisfiable);
   EXPECT_FALSE(sol->assignment[0]);
@@ -66,7 +58,7 @@ TEST(CdclTest, LearnedUnitBackjumpsToRoot) {
 
 TEST(CdclTest, LearnsClausesOnUnsatInstance) {
   SatSolver s = Pigeonhole(4, 3);
-  auto sol = SolveCdcl(s);
+  auto sol = s.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_FALSE(sol->satisfiable);
   EXPECT_GT(sol->conflicts, 0u);
@@ -79,7 +71,7 @@ TEST(CdclTest, LearnsClausesOnUnsatInstance) {
 TEST(CdclTest, BackjumpLevelsCounterAdvances) {
   const uint64_t before = metrics::GetCounter("sat.backjump_levels").value();
   SatSolver s = Pigeonhole(5, 4);
-  auto sol = SolveCdcl(s);
+  auto sol = s.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_FALSE(sol->satisfiable);
   // Every conflict backjumps at least one level, so the aggregate must
@@ -95,7 +87,7 @@ TEST(CdclTest, RestartsAreDeterministic) {
   SatSolution second;
   for (SatSolution* out : {&first, &second}) {
     SatSolver s = Pigeonhole(7, 6);
-    auto sol = SolveCdcl(s);
+    auto sol = s.Solve();
     ASSERT_TRUE(sol.ok());
     *out = *sol;
   }
@@ -110,7 +102,7 @@ TEST(CdclTest, RestartsAreDeterministic) {
 
 TEST(CdclTest, EmptyFormula) {
   SatSolver s(4);
-  auto sol = SolveCdcl(s);
+  auto sol = s.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol->satisfiable);
   EXPECT_EQ(sol->decisions, 4u);  // every free variable needs a decision
@@ -121,7 +113,7 @@ TEST(CdclTest, UnitOnlyFormulaSolvesWithoutDecisions) {
   s.AddUnit(MakeLit(0, true));
   s.AddUnit(MakeLit(1, false));
   s.AddUnit(MakeLit(2, true));
-  auto sol = SolveCdcl(s);
+  auto sol = s.Solve();
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->satisfiable);
   EXPECT_TRUE(sol->assignment[0]);
@@ -133,7 +125,7 @@ TEST(CdclTest, UnitOnlyFormulaSolvesWithoutDecisions) {
 TEST(CdclTest, TriviallyUnsatInstance) {
   SatSolver s(2);
   s.AddClause({});
-  auto sol = SolveCdcl(s);
+  auto sol = s.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_FALSE(sol->satisfiable);
   EXPECT_EQ(sol->decisions, 0u);
@@ -144,7 +136,7 @@ TEST(CdclTest, ContradictoryUnitsDetectedAtRoot) {
   SatSolver s(1);
   s.AddUnit(MakeLit(0, true));
   s.AddUnit(MakeLit(0, false));
-  auto sol = SolveCdcl(s);
+  auto sol = s.Solve();
   ASSERT_TRUE(sol.ok());
   EXPECT_FALSE(sol->satisfiable);
   EXPECT_EQ(sol->decisions, 0u);
@@ -159,7 +151,7 @@ TEST(CdclTest, NewVariableMidEncoding) {
   ASSERT_EQ(aux, 2u);
   s.AddBinary(MakeLit(aux, true), MakeLit(0, false));
   s.AddUnit(MakeLit(aux, false));  // forces x0 false, hence x1 true
-  auto sol = SolveCdcl(s);
+  auto sol = s.Solve();
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->satisfiable);
   ASSERT_EQ(sol->assignment.size(), 3u);
@@ -170,20 +162,10 @@ TEST(CdclTest, NewVariableMidEncoding) {
 
 TEST(CdclTest, DecisionBudgetMentionsEngine) {
   SatSolver s = Pigeonhole(9, 8);
-  auto sol = SolveCdcl(s, /*max_decisions=*/3);
+  auto sol = s.Solve(/*max_decisions=*/3);
   ASSERT_FALSE(sol.ok());
   EXPECT_EQ(sol.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(sol.status().ToString().find("cdcl"), std::string::npos);
-}
-
-TEST(CdclTest, SolveCountersSplitByBackend) {
-  const uint64_t cdcl_before = metrics::GetCounter("sat.cdcl.solves").value();
-  const uint64_t dpll_before = metrics::GetCounter("sat.dpll.solves").value();
-  SatSolver s(1);
-  s.AddUnit(MakeLit(0, true));
-  ASSERT_TRUE(SolveCdcl(s).ok());
-  EXPECT_EQ(metrics::GetCounter("sat.cdcl.solves").value(), cdcl_before + 1);
-  EXPECT_EQ(metrics::GetCounter("sat.dpll.solves").value(), dpll_before);
 }
 
 }  // namespace

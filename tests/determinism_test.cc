@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "data/generators.h"
 #include "membership/membership.h"
+#include "oracles/oracles.h"
 #include "pso/adversaries.h"
 #include "pso/game.h"
 #include "pso/interactive.h"
@@ -161,8 +162,8 @@ TEST(DeterminismTest, MembershipExperimentIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------
-// LP backend determinism: the revised simplex keeps no global mutable
-// state, so the same instance must produce bit-identical pivot counts and
+// LP engine determinism: neither simplex keeps global mutable state, so
+// the same instance must produce bit-identical pivot counts and
 // solution vectors whether solved serially, concurrently on a pool, or
 // repeatedly from a warm-start basis.
 // ---------------------------------------------------------------------
@@ -189,11 +190,9 @@ LpProblem SeededDecodeLp(uint64_t seed, size_t n, size_t q) {
 }
 
 TEST(DeterminismTest, LpBackendsIdenticalAcrossThreadCounts) {
-  for (const char* backend_name : {"dense", "sparse"}) {
-    Result<std::unique_ptr<LpBackend>> backend = MakeLpBackend(backend_name);
-    ASSERT_TRUE(backend.ok());
+  for (const oracles::LpEngine& engine : oracles::kLpEngines) {
     LpProblem lp = SeededDecodeLp(/*seed=*/0x17D5, /*n=*/12, /*q=*/40);
-    Result<LpSolution> serial = lp.SolveWith(**backend, LpSolveOptions{});
+    Result<LpSolution> serial = engine.solve(lp, LpSolveOptions{});
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
     // The same solve replayed concurrently on every pool (the per-solve
@@ -211,29 +210,27 @@ TEST(DeterminismTest, LpBackendsIdenticalAcrossThreadCounts) {
           pool.get(), kReplays,
           [&](size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) {
-              replays[i] = lp.SolveWith(**backend, LpSolveOptions{});
+              replays[i] = engine.solve(lp, LpSolveOptions{});
             }
           },
           /*chunk_size=*/1);
       for (const Result<LpSolution>& r : replays) {
-        ASSERT_TRUE(r.ok()) << backend_name;
-        EXPECT_EQ(r->iterations, serial->iterations) << backend_name;
-        EXPECT_EQ(r->values, serial->values) << backend_name;
-        EXPECT_EQ(r->objective, serial->objective) << backend_name;
+        ASSERT_TRUE(r.ok()) << engine.name;
+        EXPECT_EQ(r->iterations, serial->iterations) << engine.name;
+        EXPECT_EQ(r->values, serial->values) << engine.name;
+        EXPECT_EQ(r->objective, serial->objective) << engine.name;
       }
     }
   }
 }
 
 TEST(DeterminismTest, WarmStartedSolvesReplayBitIdentically) {
-  Result<std::unique_ptr<LpBackend>> sparse = MakeLpBackend("sparse");
-  ASSERT_TRUE(sparse.ok());
   LpProblem lp = SeededDecodeLp(/*seed=*/0xBA5E, /*n=*/10, /*q=*/30);
 
   LpBasis basis;
   LpSolveOptions seed_options;
   seed_options.final_basis = &basis;
-  Result<LpSolution> cold = lp.SolveWith(**sparse, seed_options);
+  Result<LpSolution> cold = lp.Solve(seed_options);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   ASSERT_FALSE(basis.empty());
 
@@ -243,10 +240,10 @@ TEST(DeterminismTest, WarmStartedSolvesReplayBitIdentically) {
   LpSolveOptions warm_options;
   warm_options.warm_start = &basis;
   warm_options.final_basis = &basis;
-  Result<LpSolution> first = lp.SolveWith(**sparse, warm_options);
+  Result<LpSolution> first = lp.Solve(warm_options);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   for (int replay = 0; replay < 3; ++replay) {
-    Result<LpSolution> again = lp.SolveWith(**sparse, warm_options);
+    Result<LpSolution> again = lp.Solve(warm_options);
     ASSERT_TRUE(again.ok()) << again.status().ToString();
     EXPECT_EQ(again->iterations, first->iterations) << "replay " << replay;
     EXPECT_EQ(again->values, first->values) << "replay " << replay;

@@ -1,7 +1,7 @@
-// The "dense" backend: the original dense two-phase tableau simplex.
+// The dense two-phase tableau simplex: the differential oracle for the
+// sparse revised simplex.
 //
-// Kept verbatim as a differential oracle for the sparse revised simplex:
-// internally variables are shifted to x' >= 0, upper bounds become rows,
+// Internally variables are shifted to x' >= 0, upper bounds become rows,
 // and a two-phase tableau simplex (Dantzig pricing with a Bland's-rule
 // fallback after degenerate streaks) runs to optimality. Warm starts are
 // not supported — the tableau has no reusable factorization — so
@@ -17,7 +17,7 @@
 #include "common/metrics.h"
 #include "common/str_util.h"
 #include "common/trace.h"
-#include "solver/lp_backend.h"
+#include "oracles/oracles.h"
 #include "solver/lp_internal.h"
 
 namespace pso {
@@ -127,7 +127,7 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
     size_t leaving_var = basis[leave];
     t.Pivot(leave, enter);
     // A Gauss pivot touches every tableau cell: that is the dense
-    // backend's FLOPs-equivalent unit of pivot work.
+    // solver's FLOPs-equivalent unit of pivot work.
     *pivot_work += (t.rows() + 1) * (t.cols() + 1);
     basis[leave] = enter;
     // The tableau stores the negated running objective in the corner
@@ -139,24 +139,13 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
   return false;
 }
 
-class DenseLpBackend final : public LpBackend {
- public:
-  const char* name() const override { return "dense"; }
-
-  Result<LpSolution> Solve(const LpInstance& model,
-                           const LpSolveOptions& options) const override;
-};
-
-Result<LpSolution> DenseLpBackend::Solve(const LpInstance& model,
-                                         const LpSolveOptions& options) const {
-  (void)options;  // No factorization to reuse: warm starts are ignored.
+Result<LpSolution> SolveTableau(const LpInstance& model) {
   lp_internal::SolveScope scope;
   trace::Span solve_span("lp.solve");
   // Introspection ring: one per solve, shared by both phases, collected
   // only while tracing is on (the default path allocates nothing).
   std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
   if (solve_span.active()) {
-    solve_span.Arg("backend", "dense");
     solve_span.Arg("vars", std::to_string(model.variables.size()));
     solve_span.Arg("constraints", std::to_string(model.rows.size()));
     pivot_ring =
@@ -267,7 +256,6 @@ Result<LpSolution> DenseLpBackend::Solve(const LpInstance& model,
     }
   }
   num_art = art_at - art_begin;
-  metrics::GetCounter("lp.dense.solves").Add(1);
   metrics::GetCounter("lp.tableau_rows").Add(m);
   metrics::GetCounter("lp.tableau_cols").Add(cols);
 
@@ -398,8 +386,14 @@ Result<LpSolution> DenseLpBackend::Solve(const LpInstance& model,
 
 }  // namespace
 
-std::unique_ptr<LpBackend> MakeDenseLpBackend() {
-  return std::make_unique<DenseLpBackend>();
+namespace oracles {
+
+Result<LpSolution> DenseSimplex(const LpProblem& lp,
+                                const LpSolveOptions& options) {
+  (void)options;  // No factorization to reuse: warm starts are ignored.
+  if (!lp.build_status().ok()) return lp.build_status();
+  return SolveTableau(lp.instance());
 }
 
+}  // namespace oracles
 }  // namespace pso

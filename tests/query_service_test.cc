@@ -1,8 +1,16 @@
 // Tests for the query service stack: budget ledger semantics (including
 // the two-racers-one-epsilon ordering), transcript replay determinism at
-// any thread count, the wire protocol, and a loopback socket smoke test.
+// any thread count, the wire protocol, and loopback socket tests.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,6 +37,68 @@ using service::QueryOutcome;
 using service::QueryService;
 using service::QueryServiceOptions;
 using service::Transcript;
+using service::TranscriptEntry;
+
+// A raw loopback connection for tests that need byte-level control of
+// what reaches the server (several clients in one write, unterminated
+// lines). Closes on destruction.
+class RawConnection {
+ public:
+  explicit RawConnection(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    if (fd_ >= 0 && ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                              sizeof(addr)) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  bool ok() const { return fd_ >= 0; }
+
+  // Sends all of `data` in one send() call.
+  bool Write(const std::string& data) {
+    return ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(data.size());
+  }
+
+  // Reads until the server closes the connection, `want_lines` newlines
+  // have arrived (0 = no limit), or `timeout_ms` passes. Sets *eof when
+  // the server closed cleanly.
+  std::string Read(size_t want_lines, int timeout_ms, bool* eof) {
+    std::string got;
+    *eof = false;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    for (;;) {
+      if (want_lines > 0 &&
+          static_cast<size_t>(std::count(got.begin(), got.end(), '\n')) >=
+              want_lines) {
+        return got;
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return got;
+      pollfd pfd{fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) return got;
+      char chunk[4096];
+      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+      if (n == 0) *eof = true;
+      if (n <= 0) return got;
+      got.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+};
 
 TEST(BudgetLedgerTest, ChargesUntilExhausted) {
   dp::BudgetLedger ledger(1.0);
@@ -280,6 +350,26 @@ TEST(QueryServiceTest, DecodeEmptyTranscriptFailsCleanly) {
   EXPECT_EQ(rec.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// A hand-built transcript whose query is shorter than n is a shape
+// error: both decoders return InvalidArgument instead of aborting.
+TEST(QueryServiceTest, MalformedTranscriptIsInvalidArgumentOnBothDecoders) {
+  Transcript bad;
+  bad.n = 8;
+  bad.num_clients = 1;
+  bad.queries_per_client = 1;
+  TranscriptEntry entry;
+  entry.query = {1, 0, 1};  // length 3 != n
+  entry.answer = 2.0;
+  entry.answered = true;
+  bad.entries.push_back(entry);
+  for (Decoder decoder : {Decoder::kLp, Decoder::kLeastSquares}) {
+    Result<recon::Reconstruction> rec =
+        service::DecodeTranscript(bad, decoder);
+    ASSERT_FALSE(rec.ok());
+    EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(WireTest, QueryLineRoundTrips) {
   recon::SubsetQuery q = {1, 0, 0, 1, 1};
   std::string line = service::FormatQueryLine(12, q);
@@ -291,6 +381,13 @@ TEST(WireTest, QueryLineRoundTrips) {
   EXPECT_FALSE(service::ParseQueryLine("Q 12").ok());
   EXPECT_FALSE(service::ParseQueryLine("Q x 101").ok());
   EXPECT_FALSE(service::ParseQueryLine("Q 1 102").ok());
+}
+
+TEST(WireTest, LongestValidQueryLineFitsTheCap) {
+  // The widest client id with qs-scale 16384-record queries.
+  recon::SubsetQuery q(16384, 1);
+  EXPECT_EQ(service::FormatQueryLine(UINT64_MAX, q).size(),
+            service::MaxRequestLineLength(q.size()));
 }
 
 TEST(WireTest, AnswerLineRoundTripsExactly) {
@@ -381,6 +478,27 @@ TEST(QueryServerTest, SocketTranscriptMatchesInProcess) {
       });
   ASSERT_TRUE(via_socket.ok()) << via_socket.status().ToString();
 
+  // Two clients' batches in one write: the server splits the buffered
+  // lines into per-client batches, and every answer must still match the
+  // in-process service query for query.
+  std::vector<std::pair<uint64_t, recon::SubsetQuery>> mixed;
+  Rng mixed_rng(29);
+  for (uint64_t client : {100, 100, 101, 101, 101, 100}) {
+    mixed.emplace_back(client, recon::RandomBits(16, mixed_rng));
+  }
+  std::string mixed_reply;
+  {
+    RawConnection conn(port);
+    ASSERT_TRUE(conn.ok());
+    std::string request;
+    for (const auto& [client, query] : mixed) {
+      request += service::FormatQueryLine(client, query) + "\n";
+    }
+    ASSERT_TRUE(conn.Write(request));
+    bool eof = false;
+    mixed_reply = conn.Read(mixed.size(), /*timeout_ms=*/5000, &eof);
+  }
+
   server.RequestShutdown();
   accept_group.Wait();
 
@@ -404,6 +522,53 @@ TEST(QueryServerTest, SocketTranscriptMatchesInProcess) {
     }
   }
   EXPECT_GT(via_socket->rejected(), 0u);
+
+  std::string expected;
+  for (const auto& [client, query] : mixed) {
+    expected +=
+        service::FormatAnswerLine(client, inproc_svc.Answer(client, query)) +
+        "\n";
+  }
+  EXPECT_EQ(mixed_reply, expected);
+}
+
+// A client that never sends a newline cannot grow the server's buffer
+// past one request line: it gets one E line, then EOF, within a second.
+TEST(QueryServerTest, UnterminatedLineIsRefusedAndClosed) {
+  Rng rng(3);
+  QueryService svc(recon::RandomBits(16, rng), QueryServiceOptions{});
+  ThreadPool handlers(1);
+  service::QueryServerOptions sopts;
+  sopts.pool = &handlers;
+  service::QueryServer server(&svc, sopts);
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+  ThreadPool accept_thread(1);
+  TaskGroup accept_group(&accept_thread);
+  accept_group.Submit([&server] { server.Run(); });
+
+  std::string reply;
+  bool eof = false;
+  {
+    RawConnection conn(server.port());
+    EXPECT_TRUE(conn.ok());
+    EXPECT_TRUE(conn.ok() && conn.Write(std::string(svc.n() + 4096, '1')));
+    if (conn.ok()) {
+      reply = conn.Read(/*want_lines=*/0, /*timeout_ms=*/1000, &eof);
+    }
+  }
+  server.RequestShutdown();
+  accept_group.Wait();
+
+  EXPECT_TRUE(eof) << "the server kept the connection open";
+  ASSERT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  Result<Result<double>> parsed =
+      service::ParseAnswerLine(reply.substr(0, reply.size() - 1));
+  ASSERT_TRUE(parsed.ok()) << reply;
+  ASSERT_FALSE(parsed->ok());
+  EXPECT_EQ(parsed->status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "census/reconstruct.h"
 #include "census/sat_reconstruct.h"
+#include "oracles/oracles.h"
 #include "solver/sat.h"
 
 namespace pso::census {
@@ -147,44 +148,37 @@ TEST(SatReconstructTest, BudgetExhaustionIsFirstClassOutcome) {
   // reconstruction reports budget_exhausted = true and stays ok().
   Population pop = SmallPopulation(23, 1, 5, 5);
   BlockTables t = Tabulate(pop.blocks[0]);
-  for (const std::string& backend : {std::string("dpll"),
-                                     std::string("cdcl")}) {
-    auto sat = ReconstructBlockSat(t, /*max_decisions=*/1, backend);
-    ASSERT_TRUE(sat.ok()) << sat.status().ToString();
-    if (sat->budget_exhausted) {
-      EXPECT_TRUE(sat->reconstructed.empty());
-      EXPECT_EQ(sat->decisions, 1u);
-    } else {
-      // Solved within one decision (all units): a complete solution.
-      EXPECT_TRUE(sat->satisfiable);
-    }
+  auto sat = ReconstructBlockSat(t, /*max_decisions=*/1);
+  ASSERT_TRUE(sat.ok()) << sat.status().ToString();
+  if (sat->budget_exhausted) {
+    EXPECT_TRUE(sat->reconstructed.empty());
+    EXPECT_EQ(sat->decisions, 1u);
+  } else {
+    // Solved within one decision (all units): a complete solution.
+    EXPECT_TRUE(sat->satisfiable);
   }
 }
 
 TEST(SatReconstructTest, BackendsAgreeBlockwise) {
-  // Both registered engines must produce table-consistent solutions and
+  // CDCL and its DPLL oracle must produce table-consistent solutions and
   // identical satisfiability on the same census encodings.
   Population pop = SmallPopulation(24, 6, 2, 5);
+  SatSolveOptions options;
+  options.max_decisions = 500000;
   for (const Block& b : pop.blocks) {
     BlockTables t = Tabulate(b);
-    auto dpll = ReconstructBlockSat(t, 500000, "dpll");
-    auto cdcl = ReconstructBlockSat(t, 500000, "cdcl");
-    ASSERT_TRUE(dpll.ok());
+    BlockCnf cnf = EncodeBlockSat(t);
+    ASSERT_FALSE(cnf.candidates.empty());
+    auto dpll = oracles::Dpll(cnf.solver, options);
+    auto cdcl = ReconstructBlockSat(t, options.max_decisions);
+    ASSERT_TRUE(dpll.ok()) << dpll.status().ToString();
     ASSERT_TRUE(cdcl.ok());
-    ASSERT_FALSE(dpll->budget_exhausted);
     ASSERT_FALSE(cdcl->budget_exhausted);
     EXPECT_EQ(dpll->satisfiable, cdcl->satisfiable);
-    EXPECT_TRUE(ConsistentWithTables(dpll->reconstructed, t));
+    ASSERT_TRUE(dpll->satisfiable);
+    EXPECT_TRUE(ConsistentWithTables(cnf.Decode(dpll->assignment), t));
     EXPECT_TRUE(ConsistentWithTables(cdcl->reconstructed, t));
   }
-}
-
-TEST(SatReconstructTest, UnknownBackendRejected) {
-  Population pop = SmallPopulation(25, 1, 2, 2);
-  BlockTables t = Tabulate(pop.blocks[0]);
-  auto sat = ReconstructBlockSat(t, 1000, "no-such-engine");
-  ASSERT_FALSE(sat.ok());
-  EXPECT_EQ(sat.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
