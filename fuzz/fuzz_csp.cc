@@ -2,17 +2,20 @@
 // (solver/csp.h).
 //
 // Bytes drive instance construction, including deliberately malformed
-// pieces (zero domains, wrong mask arity, inverted count windows). A
-// poisoned instance must report build_status() != OK and enumerate
-// nothing with complete == false; a clean instance must only emit
-// non-decreasing, constraint-satisfying solutions, and a SAT
-// cross-encoding of it must agree on satisfiability on CDCL and on its
-// DPLL oracle.
+// pieces (zero domains, wrong mask arity, inverted count windows). Some
+// domains end just before, at or just after a 64-bit word of the packed
+// masks, or span three words. A poisoned instance must report
+// build_status() != OK and enumerate nothing with complete == false; a
+// clean instance must only emit non-decreasing, constraint-satisfying
+// solutions, and a SAT cross-encoding of it must agree on satisfiability
+// on CDCL and on its DPLL oracle.
 
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <vector>
 
+#include "common/bit_vector.h"
 #include "fuzz_util.h"
 #include "oracles/oracles.h"
 #include "solver/csp.h"
@@ -20,8 +23,11 @@
 
 namespace {
 
+// Domain sizes to draw from: tiny ones, and ones around word boundaries.
+constexpr size_t kDomains[] = {0, 1, 2, 3, 4, 63, 64, 65, 129};
+
 struct FuzzCount {
-  std::vector<bool> mask;
+  pso::BitVector mask;
   int64_t lo = 0;
   int64_t hi = 0;
 };
@@ -52,7 +58,7 @@ int CspViaSat(pso::oracles::SatSolveFn solve, size_t num_vars,
       pso::Lit y = pso::MakeLit(solver.NewVariable(), true);
       std::vector<pso::Lit> forward{pso::LitNegate(y)};
       for (size_t v = 0; v < domain; ++v) {
-        if (!count.mask[v]) continue;
+        if (!count.mask.Test(v)) continue;
         forward.push_back(x(i, v));
         solver.AddBinary(pso::LitNegate(x(i, v)), y);
       }
@@ -84,7 +90,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   pso::fuzz::ByteReader r(data, size);
 
   size_t num_vars = r.Below(6);
-  size_t domain = r.Below(5);  // 0 is a legal-to-request, poisoned domain
+  // 0 is a legal-to-request, poisoned domain.
+  size_t domain = kDomains[r.Below(std::size(kDomains))];
   pso::CountCsp csp(num_vars, domain);
 
   std::vector<FuzzCount> recorded;
@@ -93,8 +100,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     // Mask length intentionally independent of the domain size so arity
     // mismatches get exercised.
     size_t mask_len = r.Bool() ? domain : r.Below(7);
-    std::vector<bool> mask;
-    for (size_t i = 0; i < mask_len; ++i) mask.push_back(r.Bool());
+    pso::BitVector mask(mask_len);
+    for (size_t i = 0; i < mask_len; ++i) {
+      if (r.Bool()) mask.Set(i);
+    }
     int64_t lo = r.Range(-2, 6);
     int64_t hi = r.Range(-2, 6);
     recorded.push_back(FuzzCount{mask, lo, hi});

@@ -1,11 +1,11 @@
 #include "census/reconstruct.h"
 
 #include <algorithm>
-#include <functional>
 #include <iterator>
 #include <map>
 #include <string>
 
+#include "census/cells.h"
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
@@ -15,22 +15,47 @@ namespace pso::census {
 
 namespace {
 
-// Adds "count of persons matching `match` lies in [c - slack, c + slack]"
-// (clamped at 0).
-void AddTableConstraint(CountCsp& csp, std::vector<bool> match, int64_t c,
-                        int64_t slack) {
-  int64_t lo = std::max<int64_t>(0, c - slack);
-  int64_t hi = c + slack;
-  csp.AddCountConstraint(std::move(match), lo, hi);
+// One constraint per cell of a count family: "count of persons matching
+// cells[i] lies in [counts[i] - slack, counts[i] + slack]" (clamped at 0).
+void AddTableFamily(CountCsp& csp, const std::vector<BitVector>& cells,
+                    const std::vector<int64_t>& counts, int64_t slack) {
+  PSO_CHECK(counts.size() == cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    csp.AddCountConstraint(cells[i], std::max<int64_t>(0, counts[i] - slack),
+                           counts[i] + slack);
+  }
 }
 
-std::vector<bool> MaskWhere(
-    const std::function<bool(const Record&)>& pred) {
-  std::vector<bool> mask(kPersonDomain, false);
-  for (size_t v = 0; v < kPersonDomain; ++v) {
-    mask[v] = pred(DecodePerson(v));
+// The block's tables as count constraints over the person domain.
+void EncodeBlock(const BlockTables& tables, size_t n, CountCsp& csp) {
+  PSO_TRACE_SPAN("census.encode");
+  const CellMasks& cells = CensusCells();
+  const int64_t slack = tables.noise_slack;
+  AddTableFamily(csp, cells.by_age, tables.by_age, slack);
+  AddTableFamily(csp, cells.by_sex_age_bucket, tables.by_sex_age_bucket,
+                 slack);
+  // Sex by age bucket iterated by race (P12A-I) and by Hispanic origin
+  // (P12H-style).
+  AddTableFamily(csp, cells.by_race_sex_age_bucket,
+                 tables.by_race_sex_age_bucket, slack);
+  AddTableFamily(csp, cells.by_hispanic_sex_age_bucket,
+                 tables.by_hispanic_sex_age_bucket, slack);
+  AddTableFamily(csp, cells.by_race, tables.by_race, slack);
+  AddTableFamily(csp, cells.by_hispanic, tables.by_hispanic, slack);
+  // Median age: at least ceil(n/2) persons at or below it, and at least
+  // floor(n/2)+1 at or above it (lower median). A noisy (DP) median only
+  // supports the widened version of these bounds.
+  if (tables.median_age.has_value()) {
+    const int64_t m = *tables.median_age;
+    int64_t at_most =
+        std::max<int64_t>(0, static_cast<int64_t>((n + 1) / 2) - slack);
+    csp.AddCountConstraint(cells.AgeAtMost(m), at_most,
+                           static_cast<int64_t>(n));
+    int64_t at_least =
+        std::max<int64_t>(0, static_cast<int64_t>(n / 2 + 1) - slack);
+    csp.AddCountConstraint(cells.AgeAtLeast(m), at_least,
+                           static_cast<int64_t>(n));
   }
-  return mask;
 }
 
 }  // namespace
@@ -44,98 +69,13 @@ BlockReconstruction ReconstructBlock(const BlockTables& tables,
   out.block_size = truth.size();
 
   if (n == 0) {
-    out.unique = truth.size() == 0;
+    out.unique = truth.empty();
     out.solutions_found = 1;
     return out;
   }
 
   CountCsp csp(n, kPersonDomain);
-  const int64_t slack = tables.noise_slack;
-
-  // Single year of age.
-  for (int64_t age = 0; age <= kMaxAge; ++age) {
-    AddTableConstraint(
-        csp, MaskWhere([age](const Record& r) { return r[kAge] == age; }),
-        tables.by_age[static_cast<size_t>(age)], slack);
-  }
-  // Sex by age bucket.
-  for (int64_t sex = 0; sex < 2; ++sex) {
-    for (size_t bucket = 0; bucket < kAgeBuckets; ++bucket) {
-      AddTableConstraint(
-          csp,
-          MaskWhere([sex, bucket](const Record& r) {
-            return r[kSex] == sex &&
-                   static_cast<size_t>(r[kAge]) / 5 == bucket;
-          }),
-          tables.by_sex_age_bucket[static_cast<size_t>(sex) * kAgeBuckets +
-                                   bucket],
-          slack);
-    }
-  }
-  // Sex by age bucket iterated by race (P12A-I).
-  for (int64_t race = 0; race < 6; ++race) {
-    for (int64_t sex = 0; sex < 2; ++sex) {
-      for (size_t bucket = 0; bucket < kAgeBuckets; ++bucket) {
-        AddTableConstraint(
-            csp,
-            MaskWhere([race, sex, bucket](const Record& r) {
-              return r[kRace] == race && r[kSex] == sex &&
-                     static_cast<size_t>(r[kAge]) / 5 == bucket;
-            }),
-            tables.by_race_sex_age_bucket
-                [(static_cast<size_t>(race) * 2 + static_cast<size_t>(sex)) *
-                     kAgeBuckets +
-                 bucket],
-            slack);
-      }
-    }
-  }
-  // Sex by age bucket iterated by Hispanic origin (P12H-style).
-  for (int64_t hisp = 0; hisp < 2; ++hisp) {
-    for (int64_t sex = 0; sex < 2; ++sex) {
-      for (size_t bucket = 0; bucket < kAgeBuckets; ++bucket) {
-        AddTableConstraint(
-            csp,
-            MaskWhere([hisp, sex, bucket](const Record& r) {
-              return r[kHispanic] == hisp && r[kSex] == sex &&
-                     static_cast<size_t>(r[kAge]) / 5 == bucket;
-            }),
-            tables.by_hispanic_sex_age_bucket
-                [(static_cast<size_t>(hisp) * 2 + static_cast<size_t>(sex)) *
-                     kAgeBuckets +
-                 bucket],
-            slack);
-      }
-    }
-  }
-  // Race.
-  for (int64_t race = 0; race < 6; ++race) {
-    AddTableConstraint(
-        csp, MaskWhere([race](const Record& r) { return r[kRace] == race; }),
-        tables.by_race[static_cast<size_t>(race)], slack);
-  }
-  // Hispanic origin.
-  for (int64_t h = 0; h < 2; ++h) {
-    AddTableConstraint(
-        csp, MaskWhere([h](const Record& r) { return r[kHispanic] == h; }),
-        tables.by_hispanic[static_cast<size_t>(h)], slack);
-  }
-  // Median age: at least ceil(n/2) persons at or below it, and at least
-  // floor(n/2)+1 at or above it (lower median). A noisy (DP) median only
-  // supports the widened version of these bounds.
-  if (tables.median_age.has_value()) {
-    int64_t m = *tables.median_age;
-    int64_t at_most =
-        std::max<int64_t>(0, static_cast<int64_t>((n + 1) / 2) - slack);
-    csp.AddCountConstraint(
-        MaskWhere([m](const Record& r) { return r[kAge] <= m; }), at_most,
-        static_cast<int64_t>(n));
-    int64_t at_least =
-        std::max<int64_t>(0, static_cast<int64_t>(n / 2 + 1) - slack);
-    csp.AddCountConstraint(
-        MaskWhere([m](const Record& r) { return r[kAge] >= m; }), at_least,
-        static_cast<int64_t>(n));
-  }
+  EncodeBlock(tables, n, csp);
 
   CspStats stats;
   std::vector<std::vector<size_t>> solutions =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "census/cells.h"
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -13,20 +14,25 @@ namespace pso::census {
 namespace {
 
 // Candidate person-values consistent with the zero cells of the tables
-// (mirrors the CSP engine's candidate filter).
-std::vector<size_t> FeasibleValues(const BlockTables& t) {
+// (mirrors the CSP engine's candidate filter, over the age, sex by age
+// bucket, race and Hispanic families).
+std::vector<size_t> FeasibleValues(const BlockTables& t,
+                                   const CellMasks& cells) {
+  BitVector blocked(kPersonDomain);
+  const auto block_zero_cells = [&](const std::vector<BitVector>& masks,
+                                    const std::vector<int64_t>& counts) {
+    PSO_CHECK(counts.size() == masks.size());
+    for (size_t i = 0; i < masks.size(); ++i) {
+      if (counts[i] + t.noise_slack <= 0) blocked |= masks[i];
+    }
+  };
+  block_zero_cells(cells.by_age, t.by_age);
+  block_zero_cells(cells.by_sex_age_bucket, t.by_sex_age_bucket);
+  block_zero_cells(cells.by_race, t.by_race);
+  block_zero_cells(cells.by_hispanic, t.by_hispanic);
   std::vector<size_t> candidates;
-  const int64_t slack = t.noise_slack;
   for (size_t v = 0; v < kPersonDomain; ++v) {
-    Record r = DecodePerson(v);
-    size_t age = static_cast<size_t>(r[kAge]);
-    size_t sex = static_cast<size_t>(r[kSex]);
-    size_t bucket = age / 5;
-    bool ok = t.by_age[age] + slack > 0 &&
-              t.by_sex_age_bucket[sex * kAgeBuckets + bucket] + slack > 0 &&
-              t.by_race[static_cast<size_t>(r[kRace])] + slack > 0 &&
-              t.by_hispanic[static_cast<size_t>(r[kHispanic])] + slack > 0;
-    if (ok) candidates.push_back(v);
+    if (!blocked.Test(v)) candidates.push_back(v);
   }
   return candidates;
 }
@@ -54,7 +60,8 @@ BlockCnf EncodeBlockSat(const BlockTables& tables) {
   const size_t n = static_cast<size_t>(tables.total);
   cnf.persons = n;
   if (n == 0) return cnf;
-  cnf.candidates = FeasibleValues(tables);
+  const CellMasks& cells = CensusCells();
+  cnf.candidates = FeasibleValues(tables, cells);
   const std::vector<size_t>& candidates = cnf.candidates;
   const size_t m = candidates.size();
   if (m == 0) return cnf;
@@ -77,15 +84,23 @@ BlockCnf EncodeBlockSat(const BlockTables& tables) {
   // Cheaper approximation: order only via the first candidate... For the
   // small blocks here the cardinality constraints prune enough; skip.
 
-  // Cardinality constraint helper: count over persons of membership in a
-  // candidate subset.
-  auto add_count = [&](const std::vector<bool>& match, int64_t count) {
-    std::vector<Lit> lits;
-    for (size_t p = 0; p < n; ++p) {
-      for (size_t c = 0; c < m; ++c) {
-        if (match[c]) lits.push_back(y(p, c));
-      }
+  // { y[p][c] : candidates[c] in `cell` }, person-major.
+  auto cell_lits = [&](const BitVector& cell) {
+    std::vector<size_t> hits;
+    for (size_t c = 0; c < m; ++c) {
+      if (cell.Test(candidates[c])) hits.push_back(c);
     }
+    std::vector<Lit> lits;
+    lits.reserve(n * hits.size());
+    for (size_t p = 0; p < n; ++p) {
+      for (size_t c : hits) lits.push_back(y(p, c));
+    }
+    return lits;
+  };
+  // Cardinality constraint: the count of persons in the cell lies in the
+  // table's window.
+  auto add_count = [&](const BitVector& cell, int64_t count) {
+    const std::vector<Lit> lits = cell_lits(cell);
     int64_t lo = std::max<int64_t>(0, count - tables.noise_slack);
     int64_t hi = count + tables.noise_slack;
     if (lits.empty()) {
@@ -99,76 +114,36 @@ BlockCnf EncodeBlockSat(const BlockTables& tables) {
                        static_cast<size_t>(
                            std::min<int64_t>(lo, (int64_t)lits.size())));
   };
-  auto match_mask = [&](auto&& pred) {
-    std::vector<bool> mask(m, false);
-    for (size_t c = 0; c < m; ++c) {
-      mask[c] = pred(DecodePerson(candidates[c]));
-    }
-    return mask;
+  auto add_cells = [&](const std::vector<BitVector>& masks,
+                       const std::vector<int64_t>& counts, size_t begin,
+                       size_t end) {
+    PSO_CHECK(counts.size() == masks.size() && end <= masks.size());
+    for (size_t i = begin; i < end; ++i) add_count(masks[i], counts[i]);
   };
 
-  for (int64_t age = 0; age <= kMaxAge; ++age) {
-    add_count(match_mask([age](const Record& r) { return r[kAge] == age; }),
-              tables.by_age[static_cast<size_t>(age)]);
+  add_cells(cells.by_age, tables.by_age, 0, cells.by_age.size());
+  add_cells(cells.by_sex_age_bucket, tables.by_sex_age_bucket, 0,
+            cells.by_sex_age_bucket.size());
+  // Each race total, then that race's sex by age bucket cells.
+  const size_t sex_age_cells = 2 * kAgeBuckets;
+  for (size_t race = 0; race < 6; ++race) {
+    add_cells(cells.by_race, tables.by_race, race, race + 1);
+    add_cells(cells.by_race_sex_age_bucket, tables.by_race_sex_age_bucket,
+              race * sex_age_cells, (race + 1) * sex_age_cells);
   }
-  for (int64_t sex = 0; sex < 2; ++sex) {
-    for (size_t bucket = 0; bucket < kAgeBuckets; ++bucket) {
-      add_count(match_mask([sex, bucket](const Record& r) {
-                  return r[kSex] == sex &&
-                         static_cast<size_t>(r[kAge]) / 5 == bucket;
-                }),
-                tables.by_sex_age_bucket[static_cast<size_t>(sex) *
-                                             kAgeBuckets +
-                                         bucket]);
-    }
-  }
-  for (int64_t race = 0; race < 6; ++race) {
-    add_count(
-        match_mask([race](const Record& r) { return r[kRace] == race; }),
-        tables.by_race[static_cast<size_t>(race)]);
-    for (int64_t sex = 0; sex < 2; ++sex) {
-      for (size_t bucket = 0; bucket < kAgeBuckets; ++bucket) {
-        add_count(match_mask([race, sex, bucket](const Record& r) {
-                    return r[kRace] == race && r[kSex] == sex &&
-                           static_cast<size_t>(r[kAge]) / 5 == bucket;
-                  }),
-                  tables.by_race_sex_age_bucket
-                      [(static_cast<size_t>(race) * 2 +
-                        static_cast<size_t>(sex)) *
-                           kAgeBuckets +
-                       bucket]);
-      }
-    }
-  }
-  for (int64_t h = 0; h < 2; ++h) {
-    add_count(
-        match_mask([h](const Record& r) { return r[kHispanic] == h; }),
-        tables.by_hispanic[static_cast<size_t>(h)]);
-    for (int64_t sex = 0; sex < 2; ++sex) {
-      for (size_t bucket = 0; bucket < kAgeBuckets; ++bucket) {
-        add_count(match_mask([h, sex, bucket](const Record& r) {
-                    return r[kHispanic] == h && r[kSex] == sex &&
-                           static_cast<size_t>(r[kAge]) / 5 == bucket;
-                  }),
-                  tables.by_hispanic_sex_age_bucket
-                      [(static_cast<size_t>(h) * 2 +
-                        static_cast<size_t>(sex)) *
-                           kAgeBuckets +
-                       bucket]);
-      }
-    }
+  // Likewise for Hispanic origin.
+  for (size_t h = 0; h < 2; ++h) {
+    add_cells(cells.by_hispanic, tables.by_hispanic, h, h + 1);
+    add_cells(cells.by_hispanic_sex_age_bucket,
+              tables.by_hispanic_sex_age_bucket, h * sex_age_cells,
+              (h + 1) * sex_age_cells);
   }
 
   // Median age (lower median), same widened one-sided bounds as the CSP.
   if (tables.median_age.has_value()) {
-    int64_t med = *tables.median_age;
-    auto add_at_least = [&](const std::vector<bool>& match, int64_t lo) {
-      std::vector<Lit> lits;
-      for (size_t p = 0; p < n; ++p) {
-        for (size_t c = 0; c < m; ++c) {
-          if (match[c]) lits.push_back(y(p, c));
-        }
-      }
+    const int64_t med = *tables.median_age;
+    auto add_at_least = [&](const BitVector& cell, int64_t lo) {
+      const std::vector<Lit> lits = cell_lits(cell);
       lo = std::max<int64_t>(0, lo - tables.noise_slack);
       if (static_cast<size_t>(lo) > lits.size()) {
         solver.AddClause({});  // unsatisfiable bound
@@ -176,12 +151,8 @@ BlockCnf EncodeBlockSat(const BlockTables& tables) {
       }
       solver.AddAtLeastK(lits, static_cast<size_t>(lo));
     };
-    add_at_least(
-        match_mask([med](const Record& r) { return r[kAge] <= med; }),
-        static_cast<int64_t>((n + 1) / 2));
-    add_at_least(
-        match_mask([med](const Record& r) { return r[kAge] >= med; }),
-        static_cast<int64_t>(n / 2 + 1));
+    add_at_least(cells.AgeAtMost(med), static_cast<int64_t>((n + 1) / 2));
+    add_at_least(cells.AgeAtLeast(med), static_cast<int64_t>(n / 2 + 1));
   }
   return cnf;
 }

@@ -1,6 +1,10 @@
 #include "solver/csp.h"
 
+#include <limits>
+
+#include "common/metrics.h"
 #include "common/str_util.h"
+#include "common/trace.h"
 
 namespace pso {
 
@@ -11,66 +15,76 @@ CountCsp::CountCsp(size_t num_vars, size_t domain_size)
   }
 }
 
-void CountCsp::AddCountConstraint(std::vector<bool> match, int64_t lo,
-                                  int64_t hi) {
+void CountCsp::AddCountConstraint(BitVector match, int64_t lo, int64_t hi) {
   // Poison instead of abort: callers probing with untrusted instances
   // (fuzzers, decoded tables) observe the error through build_status().
   if (build_status_.ok()) {
     if (match.size() != domain_size_) {
       build_status_ = Status::InvalidArgument(
           StrFormat("constraint %zu: mask has %zu entries, domain has %zu",
-                    constraints_.size(), match.size(), domain_size_));
+                    masks_.size(), match.size(), domain_size_));
     } else if (lo < 0 || lo > hi) {
       build_status_ = Status::InvalidArgument(StrFormat(
           "constraint %zu: malformed count window [%lld, %lld]",
-          constraints_.size(), (long long)lo, (long long)hi));
+          masks_.size(), (long long)lo, (long long)hi));
     }
   }
   if (!build_status_.ok()) return;
-  constraints_.push_back(Constraint{std::move(match), lo, hi});
+  masks_.push_back(std::move(match));
+  windows_.push_back(Window{lo, hi});
 }
 
 std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
                                                      size_t max_nodes,
                                                      CspStats* stats) const {
+  PSO_TRACE_SPAN("csp.enumerate");
   CspStats local;
   std::vector<std::vector<size_t>> solutions;
+  const auto finish = [&] {
+    metrics::GetCounter("csp.enumerations").Add(1);
+    metrics::GetCounter("csp.nodes").Add(local.nodes);
+    if (stats != nullptr) *stats = local;
+  };
   // A poisoned instance has no meaningful answer: report an incomplete,
   // empty search so callers checking build_status() can hard-fail.
   if (!build_status_.ok()) {
     local.complete = false;
-    if (stats != nullptr) *stats = local;
+    finish();
     return solutions;
   }
+  const size_t num_constraints = windows_.size();
 
   // Candidate filter: a value matching any hi == 0 constraint can never be
   // used. For census-style instances (exact zero cells for absent ages)
   // this shrinks the domain by orders of magnitude.
-  std::vector<size_t> candidates;
-  candidates.reserve(domain_size_);
-  for (size_t v = 0; v < domain_size_; ++v) {
-    bool feasible = true;
-    for (const Constraint& c : constraints_) {
-      if (c.match[v] && c.hi == 0) {
-        feasible = false;
-        break;
-      }
-    }
-    if (feasible) candidates.push_back(v);
+  BitVector blocked(domain_size_);
+  for (size_t c = 0; c < num_constraints; ++c) {
+    if (windows_[c].hi == 0) blocked |= masks_[c];
   }
-  // Per-candidate list of the constraints it matches (for O(#affected)
-  // incremental updates instead of scanning every constraint per child).
+  constexpr size_t kBlocked = std::numeric_limits<size_t>::max();
+  std::vector<size_t> candidates;
+  std::vector<size_t> candidate_index(domain_size_, kBlocked);
+  for (size_t v = 0; v < domain_size_; ++v) {
+    if (blocked.Test(v)) continue;
+    candidate_index[v] = candidates.size();
+    candidates.push_back(v);
+  }
+  // Per-candidate list of the constraints it matches, in increasing
+  // constraint order (for O(#affected) incremental updates instead of
+  // scanning every constraint per child). Built by walking each mask's
+  // set bits once: the transpose of the constraint x value incidence.
   std::vector<std::vector<size_t>> affected(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    for (size_t c = 0; c < constraints_.size(); ++c) {
-      if (constraints_[c].match[candidates[ci]]) affected[ci].push_back(c);
-    }
+  for (size_t c = 0; c < num_constraints; ++c) {
+    masks_[c].ForEachSet([&](size_t v) {
+      const size_t ci = candidate_index[v];
+      if (ci != kBlocked) affected[ci].push_back(c);
+    });
   }
 
   std::vector<size_t> assignment;
   assignment.reserve(num_vars_);
   // matched[c]: how many assigned variables currently match constraint c.
-  std::vector<int64_t> matched(constraints_.size(), 0);
+  std::vector<int64_t> matched(num_constraints, 0);
 
   // Recursive search over non-decreasing candidate-index sequences
   // (symmetry breaking: variables are interchangeable).
@@ -85,9 +99,9 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
     const int64_t remaining = static_cast<int64_t>(num_vars_ - depth);
     // Feasibility pruning: the final count for constraint c lies in
     // [matched, matched + remaining]; a miss of [lo, hi] kills the branch.
-    for (size_t c = 0; c < constraints_.size(); ++c) {
-      if (matched[c] > constraints_[c].hi ||
-          matched[c] + remaining < constraints_[c].lo) {
+    for (size_t c = 0; c < num_constraints; ++c) {
+      if (matched[c] > windows_[c].hi ||
+          matched[c] + remaining < windows_[c].lo) {
         return true;
       }
     }
@@ -104,7 +118,7 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
       // value must not overshoot any hi.
       bool overshoot = false;
       for (size_t c : affected[ci]) {
-        if (matched[c] + 1 > constraints_[c].hi) {
+        if (matched[c] + 1 > windows_[c].hi) {
           overshoot = true;
           break;
         }
@@ -125,7 +139,7 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
     // Stopped because the solution cap was reached: not exhaustive.
     local.complete = false;
   }
-  if (stats != nullptr) *stats = local;
+  finish();
   return solutions;
 }
 

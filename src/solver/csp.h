@@ -10,8 +10,9 @@
 // Model: `num_vars` interchangeable variables (persons) over one shared
 // abstract domain of `domain_size` values (full attribute combinations).
 // Every constraint counts, over all variables, the values matching a
-// boolean mask, and requires the count to land in [lo, hi] ([c, c] for
-// exact tables; widened intervals encode noisy/DP tables and medians).
+// mask (a packed BitVector over the domain), and requires the count to
+// land in [lo, hi] ([c, c] for exact tables; widened intervals encode
+// noisy/DP tables and medians).
 //
 // Variables being interchangeable, the solver breaks permutation symmetry
 // by enumerating non-decreasing value sequences; solutions are multisets.
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bit_vector.h"
 #include "common/result.h"
 
 namespace pso {
@@ -55,20 +57,21 @@ class CountCsp {
   /// malformed instance; then the first violation, as InvalidArgument.
   const Status& build_status() const { return build_status_; }
 
-  /// Requires: #{ vars assigned value v : match[v] } in [lo, hi].
-  /// `match` must have domain_size entries and 0 <= lo <= hi; violations
+  /// Requires: #{ vars assigned value v : match.Test(v) } in [lo, hi].
+  /// `match` must have domain_size bits and 0 <= lo <= hi; violations
   /// poison build_status().
-  void AddCountConstraint(std::vector<bool> match, int64_t lo, int64_t hi);
+  void AddCountConstraint(BitVector match, int64_t lo, int64_t hi);
 
   /// Exact form: count == c.
-  void AddExactCountConstraint(std::vector<bool> match, int64_t c) {
+  void AddExactCountConstraint(BitVector match, int64_t c) {
     AddCountConstraint(std::move(match), c, c);
   }
 
   /// Enumerates solutions (each a non-decreasing vector of value indices,
   /// one per variable). Stops after `max_solutions` solutions or
   /// `max_nodes` search nodes; `stats` reports whether the search was
-  /// exhaustive.
+  /// exhaustive. Adds 1 to the `csp.enumerations` counter and the node
+  /// count to `csp.nodes`.
   std::vector<std::vector<size_t>> Enumerate(size_t max_solutions,
                                              size_t max_nodes,
                                              CspStats* stats) const;
@@ -77,8 +80,7 @@ class CountCsp {
   bool IsSatisfiable(size_t max_nodes = 1000000) const;
 
  private:
-  struct Constraint {
-    std::vector<bool> match;
+  struct Window {
     int64_t lo;
     int64_t hi;
   };
@@ -86,7 +88,10 @@ class CountCsp {
   size_t num_vars_;
   size_t domain_size_;
   Status build_status_;
-  std::vector<Constraint> constraints_;
+  // Constraint c is masks_[c] with count window windows_[c]; the windows
+  // are kept apart so the per-node feasibility scan reads only them.
+  std::vector<BitVector> masks_;
+  std::vector<Window> windows_;
 };
 
 }  // namespace pso

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "census/reidentify.h"
+#include "common/metrics.h"
 
 namespace pso::census {
 namespace {
@@ -129,6 +130,150 @@ TEST(ReconstructTest, DpTablesDegradeReconstruction) {
             dp_report.block_unique_fraction());
   EXPECT_GT(exact_report.person_exact_fraction(),
             dp_report.person_exact_fraction());
+}
+
+// Records as their person-domain values, for compact comparison.
+std::vector<size_t> Encoded(const std::vector<Record>& records) {
+  std::vector<size_t> values;
+  for (const Record& r : records) values.push_back(EncodePerson(r));
+  return values;
+}
+
+TEST(ReconstructTest, OutOfRangeMedianIsClamped) {
+  // A hand-built median below 0 or above kMaxAge: "at most m" is empty
+  // below 0 and everything above kMaxAge, and "at least m" the reverse.
+  // Expected values were recorded with per-value predicate masks, which
+  // are defined for any median.
+  Population pop = SmallPopulation(5, 20, 2, 7);
+  const Block& b = pop.blocks[0];
+  ASSERT_EQ(b.persons.size(), 2u);
+  ReconstructOptions slacked;
+  slacked.max_solutions = 8;
+  slacked.max_nodes = 20000;
+  for (int64_t median : {int64_t{-1}, int64_t{150}}) {
+    SCOPED_TRACE(median);
+    BlockTables t = Tabulate(b);
+    t.median_age = median;
+    // Exact tables: ceil(n/2) persons cannot be aged at most -1, nor
+    // floor(n/2)+1 at least 150.
+    BlockReconstruction exact = ReconstructBlock(t, b.persons);
+    EXPECT_EQ(exact.block_id, 0u);
+    EXPECT_EQ(exact.block_size, 2u);
+    EXPECT_EQ(exact.solutions_found, 0u);
+    EXPECT_FALSE(exact.unique);
+    EXPECT_TRUE(exact.exhausted);
+    EXPECT_TRUE(exact.reconstructed.empty());
+    EXPECT_EQ(exact.exact_matches, 0u);
+    EXPECT_FALSE(exact.truth_found);
+
+    // Slack 1 lowers the median bounds to 0 and 1.
+    t.noise_slack = 1;
+    BlockReconstruction loose = ReconstructBlock(t, b.persons, slacked);
+    EXPECT_EQ(loose.block_id, 0u);
+    EXPECT_EQ(loose.block_size, 2u);
+    EXPECT_FALSE(loose.unique);
+    EXPECT_FALSE(loose.exhausted);
+    EXPECT_EQ(loose.exact_matches, 0u);
+    EXPECT_FALSE(loose.truth_found);
+    if (median < 0) {
+      EXPECT_EQ(loose.solutions_found, 8u);
+      EXPECT_EQ(Encoded(loose.reconstructed), (std::vector<size_t>{0, 36}));
+    } else {
+      EXPECT_EQ(loose.solutions_found, 0u);
+      EXPECT_TRUE(loose.reconstructed.empty());
+    }
+  }
+}
+
+// One block's pinned outcome, in field order
+// {solutions_found, exhausted, unique, exact_matches, truth_found}.
+struct BlockPin {
+  size_t solutions_found;
+  bool exhausted;
+  bool unique;
+  size_t exact_matches;
+  bool truth_found;
+};
+
+void ExpectPinned(const std::vector<BlockReconstruction>& got,
+                  const std::vector<BlockPin>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t b = 0; b < got.size(); ++b) {
+    SCOPED_TRACE(b);
+    EXPECT_EQ(got[b].solutions_found, want[b].solutions_found);
+    EXPECT_EQ(got[b].exhausted, want[b].exhausted);
+    EXPECT_EQ(got[b].unique, want[b].unique);
+    EXPECT_EQ(got[b].exact_matches, want[b].exact_matches);
+    EXPECT_EQ(got[b].truth_found, want[b].truth_found);
+  }
+}
+
+TEST(ReconstructTest, PopulationOutcomesArePinned) {
+  // 60 blocks of 2..9 persons, exact and eps = 2 DP tables, with the E9
+  // search budgets. Every value was recorded before the cell masks were
+  // precomputed and packed; the search must not have changed.
+  PopulationOptions options;
+  options.num_blocks = 60;
+  options.min_block_size = 2;
+  options.max_block_size = 9;
+  Rng rng(2021);
+  Population pop = GeneratePopulation(options, rng);
+  std::vector<BlockTables> exact;
+  std::vector<BlockTables> dp;
+  Rng dp_rng(2022);
+  for (const Block& b : pop.blocks) {
+    exact.push_back(Tabulate(b));
+    dp.push_back(TabulateDp(b, /*eps=*/2.0, dp_rng));
+  }
+  ReconstructOptions exact_options;
+  exact_options.max_solutions = 64;
+  exact_options.max_nodes = 500000;
+  ReconstructOptions dp_options;
+  dp_options.max_solutions = 16;
+  dp_options.max_nodes = 150000;
+
+  metrics::Counter& nodes = metrics::GetCounter("csp.nodes");
+  const uint64_t nodes_before = nodes.value();
+  std::vector<BlockReconstruction> exact_blocks;
+  std::vector<BlockReconstruction> dp_blocks;
+  ReconstructPopulation(pop, exact, exact_options, &exact_blocks);
+  ReconstructPopulation(pop, dp, dp_options, &dp_blocks);
+  EXPECT_EQ(nodes.value() - nodes_before, 2623387u);
+
+  ExpectPinned(exact_blocks, {
+      {2, 1, 0, 2, 1}, {2, 1, 0, 7, 1}, {1, 1, 1, 5, 1}, {2, 1, 0, 5, 1},
+      {4, 1, 0, 5, 1}, {1, 1, 1, 8, 1}, {1, 1, 1, 7, 1}, {1, 1, 1, 4, 1},
+      {2, 1, 0, 9, 1}, {1, 1, 1, 6, 1}, {1, 1, 1, 2, 1}, {1, 1, 1, 4, 1},
+      {1, 1, 1, 3, 1}, {2, 1, 0, 5, 1}, {1, 1, 1, 8, 1}, {16, 1, 0, 7, 1},
+      {1, 1, 1, 6, 1}, {1, 1, 1, 2, 1}, {1, 1, 1, 4, 1}, {2, 1, 0, 4, 1},
+      {1, 1, 1, 2, 1}, {1, 1, 1, 5, 1}, {2, 1, 0, 4, 1}, {1, 1, 1, 2, 1},
+      {12, 1, 0, 6, 1}, {6, 1, 0, 5, 1}, {1, 1, 1, 5, 1}, {2, 1, 0, 2, 1},
+      {4, 1, 0, 6, 1}, {1, 1, 1, 9, 1}, {2, 1, 0, 7, 1}, {1, 1, 1, 5, 1},
+      {3, 1, 0, 5, 1}, {1, 1, 1, 3, 1}, {4, 1, 0, 3, 1}, {1, 1, 1, 3, 1},
+      {1, 1, 1, 6, 1}, {2, 1, 0, 7, 1}, {6, 1, 0, 6, 1}, {2, 1, 0, 6, 1},
+      {1, 1, 1, 5, 1}, {4, 1, 0, 7, 1}, {4, 1, 0, 5, 1}, {2, 1, 0, 6, 1},
+      {2, 1, 0, 4, 1}, {2, 1, 0, 7, 1}, {1, 1, 1, 8, 1}, {1, 1, 1, 4, 1},
+      {1, 1, 1, 6, 1}, {1, 1, 1, 4, 1}, {1, 1, 1, 7, 1}, {1, 1, 1, 6, 1},
+      {2, 1, 0, 3, 1}, {1, 1, 1, 6, 1}, {2, 1, 0, 6, 1}, {1, 1, 1, 6, 1},
+      {1, 1, 1, 3, 1}, {1, 1, 1, 4, 1}, {1, 1, 1, 6, 1}, {2, 1, 0, 3, 1},
+  });
+  ExpectPinned(dp_blocks, {
+      {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0}, {1, 1, 0, 0, 0}, {1, 1, 0, 0, 0},
+      {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 0, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 1, 0, 0, 0}, {1, 1, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 0, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 1, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 1, 0, 0, 0}, {1, 1, 0, 0, 0},
+      {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 1, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 1, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}, {1, 1, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 0, 0, 0, 0}, {0, 1, 0, 0, 0}, {1, 1, 0, 0, 0}, {0, 1, 0, 0, 0},
+      {0, 1, 0, 0, 0}, {1, 1, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0},
+      {0, 1, 0, 0, 0}, {0, 0, 0, 0, 0}, {1, 1, 0, 0, 0}, {0, 1, 0, 0, 0},
+  });
 }
 
 TEST(CommercialTest, CoverageAndErrors) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "csp_brute_force.h"
 #include "solver/csp.h"
 
 namespace pso {
@@ -84,7 +88,9 @@ TEST(CspTest, PruningCutsSearch) {
   // A constraint violated at depth 1 should keep node count tiny compared
   // to the full tree.
   CountCsp csp(4, 10);
-  csp.AddExactCountConstraint(std::vector<bool>(10, true), 0);  // impossible
+  csp.AddExactCountConstraint(
+      {true, true, true, true, true, true, true, true, true, true},
+      0);  // impossible
   CspStats stats;
   auto sols = csp.Enumerate(10, 1000000, &stats);
   EXPECT_TRUE(sols.empty());
@@ -109,12 +115,14 @@ TEST_P(CspVerifyTest, SolutionsSatisfyConstraints) {
   const size_t domain = 5;
   CountCsp csp(vars, domain);
   // Deterministic pseudo-random constraints from the seed.
-  std::vector<std::vector<bool>> masks;
+  std::vector<BitVector> masks;
   std::vector<std::pair<int64_t, int64_t>> bounds;
   for (int c = 0; c < 3; ++c) {
-    std::vector<bool> mask(domain);
+    BitVector mask(domain);
     for (size_t v = 0; v < domain; ++v) {
-      mask[v] = ((seed * 7 + c * 13 + static_cast<int>(v) * 31) % 3) == 0;
+      if ((seed * 7 + c * 13 + static_cast<int>(v) * 31) % 3 == 0) {
+        mask.Set(v);
+      }
     }
     int64_t lo = c % 2;
     int64_t hi = lo + 2;
@@ -127,7 +135,7 @@ TEST_P(CspVerifyTest, SolutionsSatisfyConstraints) {
   for (const auto& sol : sols) {
     for (size_t c = 0; c < masks.size(); ++c) {
       int64_t count = 0;
-      for (size_t v : sol) count += masks[c][v] ? 1 : 0;
+      for (size_t v : sol) count += masks[c].Test(v) ? 1 : 0;
       EXPECT_GE(count, bounds[c].first);
       EXPECT_LE(count, bounds[c].second);
     }
@@ -135,6 +143,76 @@ TEST_P(CspVerifyTest, SolutionsSatisfyConstraints) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CspVerifyTest, ::testing::Range(0, 10));
+
+// Packed masks at 64-bit word boundaries: domains ending just before, at
+// and just after a word, and one spanning three words. Solution counts
+// come from the brute-force oracle; node counts are pinned, since the
+// search must not depend on how masks are stored.
+struct WordEdgeCase {
+  size_t domain;
+  bool zero_window;  ///< Add the hi == 0 constraint on the last word.
+  size_t solutions;
+  size_t nodes;
+};
+
+class CspWordEdgeTest : public ::testing::TestWithParam<WordEdgeCase> {};
+
+TEST_P(CspWordEdgeTest, MatchesBruteForce) {
+  const WordEdgeCase& param = GetParam();
+  const size_t d = param.domain;
+  CspCase c{/*num_vars=*/3, d, {}};
+  const auto mask = [d](std::initializer_list<size_t> bits) {
+    BitVector m(d);
+    for (size_t v : bits) {
+      if (v < d) m.Set(v);
+    }
+    return m;
+  };
+  // Bits 63, 64 and the last bit.
+  c.counts.push_back({mask({63, 64, d - 1}), 1, 2});
+  // Every third value, so the mask fills every word.
+  BitVector thirds(d);
+  for (size_t v = 0; v < d; v += 3) thirds.Set(v);
+  c.counts.push_back({thirds, 0, 1});
+  c.counts.push_back({mask({0, 64, d - 2}), 1, 3});
+  // A zero window hitting only the partial last word (none when the
+  // domain fills its last word). When that word holds just the last bit,
+  // the variant without it is what keeps the last bit a live candidate.
+  const size_t last_word_start = (d - 1) / 64 * 64;
+  const size_t zero_bit = std::max(last_word_start, d - 2);
+  const bool blocked = param.zero_window && d % 64 != 0;
+  if (blocked) c.counts.push_back({mask({zero_bit}), 0, 0});
+
+  CountCsp csp(c.num_vars, d);
+  for (const CspCase::Count& count : c.counts) {
+    csp.AddCountConstraint(count.match, count.lo, count.hi);
+  }
+  ASSERT_TRUE(csp.build_status().ok());
+  CspStats stats;
+  auto sols = csp.Enumerate(/*max_solutions=*/1000000,
+                            /*max_nodes=*/10000000, &stats);
+  EXPECT_TRUE(stats.complete);
+  EXPECT_EQ(sols.size(), BruteForceCspSolutions(c));
+  EXPECT_EQ(sols.size(), param.solutions);
+  EXPECT_EQ(stats.nodes, param.nodes);
+  for (const auto& sol : sols) {
+    for (size_t v : sol) EXPECT_FALSE(blocked && v == zero_bit);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Domains, CspWordEdgeTest,
+    ::testing::Values(WordEdgeCase{63, true, 41, 32206},
+                      WordEdgeCase{64, true, 42, 35002},
+                      WordEdgeCase{65, true, 903, 35002},
+                      WordEdgeCase{129, true, 7392, 270597},
+                      WordEdgeCase{63, false, 104, 34055},
+                      WordEdgeCase{65, false, 2793, 36958},
+                      WordEdgeCase{129, false, 7730, 278161}),
+    [](const auto& info) {
+      return "Domain" + std::to_string(info.param.domain) +
+             (info.param.zero_window ? "ZeroWindow" : "");
+    });
 
 }  // namespace
 }  // namespace pso

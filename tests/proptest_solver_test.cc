@@ -20,6 +20,7 @@
 
 #include "common/rng.h"
 #include "common/str_util.h"
+#include "csp_brute_force.h"
 #include "oracles/oracles.h"
 #include "proptest.h"
 #include "solver/csp.h"
@@ -339,17 +340,6 @@ TEST(SatDifferentialTest, BackendsMatchExhaustiveSearchAndEachOther) {
 // Count-CSP vs SAT cross-encoding (and vs direct multiset enumeration).
 // ---------------------------------------------------------------------
 
-struct CspCase {
-  size_t num_vars = 0;
-  size_t domain = 0;
-  struct Count {
-    std::vector<bool> match;
-    int64_t lo = 0;
-    int64_t hi = 0;
-  };
-  std::vector<Count> counts;
-};
-
 CspCase GenCsp(Rng& rng, size_t scale) {
   CspCase c;
   const uint64_t max_vars = 1 + (scale < 4 ? scale : 4);  // <= 5
@@ -358,8 +348,10 @@ CspCase GenCsp(Rng& rng, size_t scale) {
   const size_t m = static_cast<size_t>(rng.UniformUint64(4));
   for (size_t k = 0; k < m; ++k) {
     CspCase::Count count;
-    count.match.resize(c.domain);
-    for (size_t v = 0; v < c.domain; ++v) count.match[v] = rng.Bernoulli(0.5);
+    count.match = BitVector(c.domain);
+    for (size_t v = 0; v < c.domain; ++v) {
+      if (rng.Bernoulli(0.5)) count.match.Set(v);
+    }
     count.lo = rng.UniformInt(0, static_cast<int64_t>(c.num_vars));
     count.hi = rng.UniformInt(count.lo, static_cast<int64_t>(c.num_vars));
     c.counts.push_back(std::move(count));
@@ -390,7 +382,7 @@ bool CspSatisfiableViaSat(const CspCase& c, oracles::SatSolveFn solve,
       // y <-> OR_{v in mask} x(i, v).
       std::vector<Lit> forward{LitNegate(y)};
       for (size_t v = 0; v < c.domain; ++v) {
-        if (!count.match[v]) continue;
+        if (!count.match.Test(v)) continue;
         forward.push_back(x(i, v));
         solver.AddBinary(LitNegate(x(i, v)), y);
       }
@@ -406,30 +398,6 @@ bool CspSatisfiableViaSat(const CspCase& c, oracles::SatSolveFn solve,
     return false;
   }
   return got->satisfiable;
-}
-
-// Direct enumeration of non-decreasing value sequences (the CSP's own
-// solution space), independent of its pruning logic.
-size_t BruteForceCspSolutions(const CspCase& c) {
-  size_t found = 0;
-  std::vector<size_t> seq(c.num_vars, 0);
-  auto visit = [&](auto&& self, size_t depth, size_t min_val) -> void {
-    if (depth == c.num_vars) {
-      for (const CspCase::Count& count : c.counts) {
-        int64_t matched = 0;
-        for (size_t v : seq) matched += count.match[v] ? 1 : 0;
-        if (matched < count.lo || matched > count.hi) return;
-      }
-      ++found;
-      return;
-    }
-    for (size_t v = min_val; v < c.domain; ++v) {
-      seq[depth] = v;
-      self(self, depth + 1, v);
-    }
-  };
-  visit(visit, 0, 0);
-  return found;
 }
 
 TEST(CspDifferentialTest, CspMatchesSatCrossEncodingAndBruteForce) {
