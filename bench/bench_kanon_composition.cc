@@ -42,7 +42,7 @@ int Run(int argc, char** argv) {
   double pinned_one_k3 = 0.0;
   double shrunk_k3 = 0.0;
   for (size_t k : {3, 5, 10}) {
-    metrics::ScopedSpan iteration{std::string(bench::kMainLoopHist)};
+    PSO_SPAN("bench.main_loop");
     MondrianOptions mo;
     mo.k = k;
     mo.qi_attrs = qi;

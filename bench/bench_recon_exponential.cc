@@ -52,7 +52,7 @@ int Run(int argc, char** argv) {
     RunningStats rounding_acc;
     RunningStats decoy_acc;
     for (size_t t = 0; t < trials; ++t) {
-      metrics::ScopedSpan iteration{std::string(bench::kMainLoopHist)};
+      PSO_SPAN("bench.main_loop");
       Rng rng(1000 + t);
       auto secret = recon::RandomBits(n, rng);
       {

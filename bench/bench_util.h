@@ -215,17 +215,12 @@ inline BenchContext MakeBenchContext(const std::string& bench_name, int argc,
   return ctx;
 }
 
-/// The histogram every harness records its main-loop iteration latency
-/// into; BENCH_*.json reports its tail quantiles and throughput, and CI
-/// asserts it is present.
-inline constexpr const char* kMainLoopHist = "bench.main_loop";
-
-/// Runs one main-loop iteration under the per-iteration latency span:
-/// the interval lands in the `bench.main_loop` timer + histogram, giving
-/// every harness p50..p999 tail latencies and derived events/sec.
+/// Runs one main-loop iteration under the per-iteration span
+/// `bench.main_loop`, giving every harness p50..p999 tail latencies and
+/// derived events/sec in BENCH_*.json (CI asserts histograms are present).
 template <class Fn>
 auto TimedIteration(Fn&& fn) {
-  metrics::ScopedSpan span{std::string(kMainLoopHist)};
+  PSO_SPAN("bench.main_loop");
   return fn();
 }
 
@@ -257,7 +252,7 @@ inline const char* GitSha() {
 /// Serializes one finished run as the BENCH_*.json document (schema
 /// documented in EXPERIMENTS.md). `snapshot.counters` is the
 /// deterministic section: same seed + same thread count => identical
-/// values on every run. Wall clock, timers, gauges, histogram quantiles,
+/// values on every run. Wall clock, gauges, histogram quantiles,
 /// and throughput are run-dependent; histogram event *counts* are
 /// deterministic and gated by tools/bench_diff.py.
 inline std::string BenchReportJson(const BenchContext& ctx,
@@ -266,7 +261,7 @@ inline std::string BenchReportJson(const BenchContext& ctx,
                                    const metrics::Snapshot& snapshot) {
   const double wall_seconds = ctx.timer.Seconds();
   std::string out = "{\n";
-  out += "  \"schema_version\": 3,\n";
+  out += "  \"schema_version\": 4,\n";
   out += StrFormat("  \"bench\": \"%s\",\n",
                    metrics::JsonEscape(ctx.bench_name).c_str());
   out += StrFormat("  \"experiment\": \"%s\",\n",

@@ -139,11 +139,8 @@ ReconstructionReport ReconstructPopulation(
   const size_t num_blocks = population.blocks.size();
   std::vector<BlockReconstruction> results(num_blocks);
   metrics::GetCounter("census.blocks_reconstructed").Add(num_blocks);
-  metrics::ScopedSpan span("census.reconstruct_population");
-  trace::Span trace_span("census.reconstruct_population");
-  if (trace_span.active()) {
-    trace_span.Arg("blocks", std::to_string(num_blocks));
-  }
+  PSO_NAMED_SPAN(span, "census.reconstruct_population");
+  if (span.active()) span.Arg("blocks", std::to_string(num_blocks));
   ParallelFor(options.pool, num_blocks, [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       trace::Span block_span("census.block");

@@ -150,18 +150,20 @@ Counter& Registry::GetCounter(const std::string& name) {
   return *slot;
 }
 
-Timer& Registry::GetTimer(const std::string& name) {
-  MutexLock lock(mu_);
-  auto& slot = timers_[name];
-  if (!slot) slot = std::make_unique<Timer>();
-  return *slot;
+Histogram& Registry::GetHistogram(const std::string& name) {
+  return FindHistogram(name, /*durations=*/false);
 }
 
-Histogram& Registry::GetHistogram(const std::string& name) {
+Histogram& Registry::GetSpanHistogram(const std::string& name) {
+  return FindHistogram(name, /*durations=*/true);
+}
+
+Histogram& Registry::FindHistogram(const std::string& name, bool durations) {
   MutexLock lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  HistogramSlot& slot = histograms_[name];
+  if (!slot.hist) slot.hist = std::make_unique<Histogram>();
+  slot.durations = slot.durations || durations;
+  return *slot.hist;
 }
 
 void Registry::SetGauge(const std::string& name, double value) {
@@ -175,15 +177,14 @@ Snapshot Registry::TakeSnapshot() const {
   for (const auto& [name, counter] : counters_) {
     snap.counters[name] = counter->value();
   }
-  for (const auto& [name, timer] : timers_) {
-    snap.timers[name] = Snapshot::TimerValue{timer->seconds(), timer->count()};
-  }
-  for (const auto& [name, hist] : histograms_) {
+  for (const auto& [name, slot] : histograms_) {
+    const auto& hist = slot.hist;
     Snapshot::HistogramValue hv;
     hv.count = hist->count();
     hv.sum_fp = hist->sum_fp();
     hv.min = hist->min();
     hv.max = hist->max();
+    hv.durations = slot.durations;
     for (int i = 0; i < Histogram::kNumBuckets; ++i) {
       const uint64_t n = hist->bucket(i);
       if (n != 0) hv.buckets[i] = n;
@@ -196,17 +197,9 @@ Snapshot Registry::TakeSnapshot() const {
 
 void Registry::MergeFrom(const Snapshot& snap) {
   for (const auto& [name, value] : snap.counters) GetCounter(name).Add(value);
-  for (const auto& [name, tv] : snap.timers) {
-    Timer& t = GetTimer(name);
-    // Record() bumps count by one; reproduce the source's interval count.
-    if (tv.count > 0) {
-      t.Record(tv.seconds);
-      for (uint64_t i = 1; i < tv.count; ++i) t.Record(0.0);
-    }
-  }
   for (const auto& [name, hv] : snap.histograms) {
-    GetHistogram(name).MergeParts(hv.count, hv.sum_fp, hv.min, hv.max,
-                                  hv.buckets);
+    FindHistogram(name, hv.durations)
+        .MergeParts(hv.count, hv.sum_fp, hv.min, hv.max, hv.buckets);
   }
   MutexLock lock(mu_);
   for (const auto& [name, value] : snap.gauges) gauges_[name] = value;
@@ -215,8 +208,7 @@ void Registry::MergeFrom(const Snapshot& snap) {
 void Registry::ResetAll() {
   MutexLock lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, timer] : timers_) timer->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
+  for (auto& [name, slot] : histograms_) slot.hist->Reset();
   gauges_.clear();
 }
 
@@ -313,16 +305,6 @@ std::string SnapshotToJson(const Snapshot& snap) {
     out += StrFormat("\"%s\": %llu", JsonEscape(name).c_str(),
                      static_cast<unsigned long long>(value));
   }
-  out += "}, \"timers\": {";
-  first = true;
-  for (const auto& [name, tv] : snap.timers) {
-    if (!first) out += ", ";
-    first = false;
-    out += StrFormat("\"%s\": {\"seconds\": %s, \"count\": %llu}",
-                     JsonEscape(name).c_str(),
-                     FormatDouble(tv.seconds).c_str(),
-                     static_cast<unsigned long long>(tv.count));
-  }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, value] : snap.gauges) {
@@ -347,7 +329,6 @@ std::string SnapshotToText(const Snapshot& snap) {
   if (snap.empty()) return "(no metrics recorded)\n";
   size_t width = 0;
   for (const auto& [name, v] : snap.counters) width = std::max(width, name.size());
-  for (const auto& [name, v] : snap.timers) width = std::max(width, name.size());
   for (const auto& [name, v] : snap.gauges) width = std::max(width, name.size());
   for (const auto& [name, v] : snap.histograms) {
     width = std::max(width, name.size());
@@ -362,13 +343,6 @@ std::string SnapshotToText(const Snapshot& snap) {
                        static_cast<unsigned long long>(value));
     }
   }
-  if (!snap.timers.empty()) {
-    out += "timers:\n";
-    for (const auto& [name, tv] : snap.timers) {
-      out += StrFormat("  %-*s %.6fs over %llu span(s)\n", w, name.c_str(),
-                       tv.seconds, static_cast<unsigned long long>(tv.count));
-    }
-  }
   if (!snap.gauges.empty()) {
     out += "gauges:\n";
     for (const auto& [name, value] : snap.gauges) {
@@ -378,13 +352,14 @@ std::string SnapshotToText(const Snapshot& snap) {
   if (!snap.histograms.empty()) {
     out += "histograms:\n";
     for (const auto& [name, hv] : snap.histograms) {
+      const char* u = hv.durations ? "s" : "";
       out += StrFormat(
-          "  %-*s n=%llu mean=%.3gs p50=%.3gs p90=%.3gs p95=%.3gs "
-          "p99=%.3gs p999=%.3gs max=%.3gs\n",
+          "  %-*s n=%llu mean=%.3g%s p50=%.3g%s p90=%.3g%s p95=%.3g%s "
+          "p99=%.3g%s p999=%.3g%s max=%.3g%s\n",
           w, name.c_str(), static_cast<unsigned long long>(hv.count),
-          hv.mean(), hv.ValueAtQuantile(0.50), hv.ValueAtQuantile(0.90),
-          hv.ValueAtQuantile(0.95), hv.ValueAtQuantile(0.99),
-          hv.ValueAtQuantile(0.999), hv.max);
+          hv.mean(), u, hv.ValueAtQuantile(0.50), u, hv.ValueAtQuantile(0.90),
+          u, hv.ValueAtQuantile(0.95), u, hv.ValueAtQuantile(0.99), u,
+          hv.ValueAtQuantile(0.999), u, hv.max, u);
     }
   }
   return out;
@@ -434,26 +409,10 @@ std::string ExpositionToProm(const Snapshot& snap) {
     out += StrFormat("# TYPE %s gauge\n", n.c_str());
     out += StrFormat("%s %s\n", n.c_str(), PromDouble(value).c_str());
   }
-  for (const auto& [name, tv] : snap.timers) {
-    // A same-named histogram (the ScopedSpan dual-record case) exposes
-    // _sum/_count itself; emitting the summary too would publish the
-    // metric under two conflicting TYPEs, which scrapers reject.
-    if (snap.histograms.count(name)) continue;
-    // A pso timer is (total seconds, interval count) — expose it as a
-    // quantile-less summary, the Prometheus type with that exact shape.
-    const std::string n = PromName(name) + "_seconds";
-    out += StrFormat("# HELP %s Accumulated wall-clock time (pso timer)\n",
-                     n.c_str());
-    out += StrFormat("# TYPE %s summary\n", n.c_str());
-    out += StrFormat("%s_sum %s\n", n.c_str(),
-                     PromDouble(tv.seconds).c_str());
-    out += StrFormat("%s_count %llu\n", n.c_str(),
-                     static_cast<unsigned long long>(tv.count));
-  }
   for (const auto& [name, hv] : snap.histograms) {
-    const std::string n = PromName(name) + "_seconds";
-    out += StrFormat("# HELP %s Latency distribution (pso histogram)\n",
-                     n.c_str());
+    const std::string n = PromName(name) + (hv.durations ? "_seconds" : "");
+    out += StrFormat("# HELP %s %s distribution (pso histogram)\n", n.c_str(),
+                     hv.durations ? "Latency" : "Value");
     out += StrFormat("# TYPE %s histogram\n", n.c_str());
     // Prometheus buckets are CUMULATIVE and keyed by inclusive upper
     // bound; the series must end with le="+Inf" equal to _count.

@@ -1,5 +1,5 @@
-// Process-wide observability: named counters, wall-clock timers,
-// mergeable latency histograms, and scoped spans, collected in a registry
+// Process-wide observability: named counters, mergeable value
+// histograms, gauges, and timed spans (PSO_SPAN), collected in a registry
 // that benches and psoctl snapshot into BENCH_*.json / --metrics dumps.
 //
 // Determinism contract (matters because BENCH_*.json files are diffed
@@ -9,24 +9,24 @@
 //    They are atomic and only ever summed, so concurrent increments from
 //    ParallelFor workers commute: same seed + same thread count => the
 //    same counter values on every run, at any interleaving.
-//  - Timers and gauges hold wall-clock durations and point-in-time
-//    observations (worker-queue imbalance). These are inherently
-//    run-dependent and are reported in separate JSON sections so tooling
-//    can diff the deterministic "counters" object exactly.
+//  - Gauges hold point-in-time observations (worker-queue imbalance).
+//    These are inherently run-dependent and are reported in their own
+//    JSON section so tooling can diff the deterministic "counters" object
+//    exactly.
 //  - Histograms hold per-event value distributions over FIXED log-scale
 //    bucket boundaries (see Histogram). Every internal accumulator is an
 //    integer (bucket tallies, fixed-point sum) or an order-free extremum
 //    (min/max), so concurrent recording commutes and MergeFrom is exact:
 //    merging N per-shard histograms reproduces the single-thread
 //    histogram bit for bit, like RunningStats::Merge. When the recorded
-//    values themselves are deterministic (work counts), the whole
-//    snapshot is; when they are wall-clock latencies, only the event
+//    values themselves are deterministic (work counts, batch sizes), the
+//    whole snapshot is; when they are span durations, only the event
 //    *count* is — tools/bench_diff.py gates exactly that split.
 //
 // Hot-path usage: look the handle up once and keep the reference —
 // Registry::GetCounter takes a lock for the name lookup, but the returned
-// Counter/Timer/Histogram lives for the registry's lifetime and its
-// operations are lock-free atomics.
+// Counter/Histogram lives for the registry's lifetime and its operations
+// are lock-free atomics. PSO_SPAN caches its handle per call site.
 
 #ifndef PSO_COMMON_METRICS_H_
 #define PSO_COMMON_METRICS_H_
@@ -38,9 +38,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "common/trace.h"
 
 namespace pso::metrics {
 
@@ -53,32 +55,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-/// Accumulated wall-clock time plus the number of recorded intervals.
-/// Thread-safe. Durations are run-dependent — never diff them for
-/// determinism checks; that is what counters are for.
-class Timer {
- public:
-  /// Adds one interval of `seconds` wall-clock time.
-  void Record(double seconds) {
-    nanos_.fetch_add(static_cast<uint64_t>(seconds * 1e9),
-                     std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  double seconds() const {
-    return static_cast<double>(nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  }
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  void Reset() {
-    nanos_.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> nanos_{0};
-  std::atomic<uint64_t> count_{0};
 };
 
 /// Log-bucketed value distribution with FIXED bucket boundaries, so two
@@ -158,15 +134,10 @@ class Histogram {
   std::atomic<uint64_t> max_bits_{0xFFF0000000000000ull};  // -inf
 };
 
-/// Everything the registry knows at one instant. Counters/timers/
-/// histograms from a snapshot can be merged back into another registry
-/// (worker-local collection), and the maps are ordered so rendering is
-/// stable.
+/// Everything the registry knows at one instant. Counters/histograms
+/// from a snapshot can be merged back into another registry (worker-local
+/// collection), and the maps are ordered so rendering is stable.
 struct Snapshot {
-  struct TimerValue {
-    double seconds = 0.0;
-    uint64_t count = 0;
-  };
   /// A histogram's state at one instant. `buckets` is sparse: only
   /// non-zero tallies, keyed by bucket index. `sum_fp` is the exact
   /// fixed-point sum (Histogram::kSumScale units) so merging snapshots
@@ -177,6 +148,9 @@ struct Snapshot {
     double min = 0.0;
     double max = 0.0;
     std::map<int, uint64_t> buckets;
+    /// Span durations in seconds (PSO_SPAN) rather than plain values;
+    /// the text and Prometheus renderings label only these as latencies.
+    bool durations = false;
 
     double sum() const {
       return static_cast<double>(sum_fp) / Histogram::kSumScale;
@@ -191,13 +165,11 @@ struct Snapshot {
     double ValueAtQuantile(double q) const;
   };
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, TimerValue> timers;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramValue> histograms;
 
   bool empty() const {
-    return counters.empty() && timers.empty() && gauges.empty() &&
-           histograms.empty();
+    return counters.empty() && gauges.empty() && histograms.empty();
   }
 };
 
@@ -213,12 +185,13 @@ class Registry {
   /// The process-wide registry every instrumented module records into.
   static Registry& Global();
 
-  /// Returns the counter/timer/histogram registered under `name`,
-  /// creating it on first use. The reference stays valid for the
-  /// registry's lifetime.
+  /// Returns the counter/histogram registered under `name`, creating it
+  /// on first use. The reference stays valid for the registry's lifetime.
   Counter& GetCounter(const std::string& name) PSO_EXCLUDES(mu_);
-  Timer& GetTimer(const std::string& name) PSO_EXCLUDES(mu_);
   Histogram& GetHistogram(const std::string& name) PSO_EXCLUDES(mu_);
+  /// The histogram a span named `name` records into: GetHistogram(name),
+  /// marked as holding durations in seconds.
+  Histogram& GetSpanHistogram(const std::string& name) PSO_EXCLUDES(mu_);
 
   /// Sets (overwrites) a point-in-time observation.
   void SetGauge(const std::string& name, double value) PSO_EXCLUDES(mu_);
@@ -228,38 +201,40 @@ class Registry {
   /// not a consistent cut, which is fine for monotone counters).
   Snapshot TakeSnapshot() const PSO_EXCLUDES(mu_);
 
-  /// Adds `snap`'s counters, timers, and histograms into this registry
-  /// and overwrites its gauges — the merge step for worker-local
-  /// registries. Merging is associative and commutative over counters/
-  /// timers/histograms (integer adds + extremum folds), so merge order
-  /// cannot change totals, and merging N shards is bit-identical to
-  /// recording everything into one registry.
+  /// Adds `snap`'s counters and histograms into this registry and
+  /// overwrites its gauges — the merge step for worker-local registries.
+  /// Merging is associative and commutative over counters/histograms
+  /// (integer adds + extremum folds), so merge order cannot change
+  /// totals, and merging N shards is bit-identical to recording
+  /// everything into one registry.
   void MergeFrom(const Snapshot& snap) PSO_EXCLUDES(mu_);
 
-  /// Zeroes every counter and timer and drops all gauges. Handles remain
+  /// Zeroes every counter and histogram and drops all gauges. Handles remain
   /// valid. Intended for tests and for psoctl between subcommands.
   void ResetAll() PSO_EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_ PSO_LOCK_ORDER(kMetrics){LockRank::kMetrics,
                                              "metrics.registry"};
+  struct HistogramSlot {
+    std::unique_ptr<Histogram> hist;
+    bool durations = false;  // set once any span records into it
+  };
+  Histogram& FindHistogram(const std::string& name, bool durations)
+      PSO_EXCLUDES(mu_);
+
   // unique_ptr gives handles stable addresses across map rehash/insert.
-  // The maps are guarded; the Counter/Timer objects they point to are
+  // The maps are guarded; the Counter/Histogram objects they point to are
   // internally atomic and deliberately updated lock-free.
   std::map<std::string, std::unique_ptr<Counter>> counters_
       PSO_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Timer>> timers_ PSO_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      PSO_GUARDED_BY(mu_);
+  std::map<std::string, HistogramSlot> histograms_ PSO_GUARDED_BY(mu_);
   std::map<std::string, double> gauges_ PSO_GUARDED_BY(mu_);
 };
 
 /// Shorthands for the global registry.
 inline Counter& GetCounter(const std::string& name) {
   return Registry::Global().GetCounter(name);
-}
-inline Timer& GetTimer(const std::string& name) {
-  return Registry::Global().GetTimer(name);
 }
 inline Histogram& GetHistogram(const std::string& name) {
   return Registry::Global().GetHistogram(name);
@@ -268,44 +243,41 @@ inline void SetGauge(const std::string& name, double value) {
   Registry::Global().SetGauge(name, value);
 }
 
-/// Records the wall-clock time between construction and destruction into
-/// a Timer, and (for named spans) the same interval into a same-named
-/// Histogram — so every instrumented hot path gets a per-call latency
-/// distribution (p50..p999) next to its aggregate timer, for free.
-/// Non-copyable; stack-allocate one per measured scope.
-class ScopedSpan {
+/// A timed scope: records the wall-clock interval between construction
+/// and destruction into a duration histogram and, while tracing is on,
+/// as the trace span `name`. Declare one with PSO_SPAN, which caches the
+/// histogram handle per call site; construct it directly only with a
+/// handle from GetSpanHistogram. Non-copyable; stack-allocate one per
+/// measured scope.
+class Span {
  public:
-  explicit ScopedSpan(Timer& timer)
-      : timer_(timer), hist_(nullptr),
-        start_(std::chrono::steady_clock::now()) {}
-  ScopedSpan(Timer& timer, Histogram& hist)
-      : timer_(timer), hist_(&hist),
-        start_(std::chrono::steady_clock::now()) {}
-  /// Span over the global registry's timer `name` plus the histogram of
-  /// the same name.
-  explicit ScopedSpan(const std::string& name)
-      : ScopedSpan(GetTimer(name), GetHistogram(name)) {}
-  ~ScopedSpan() {
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-    timer_.Record(seconds);
-    if (hist_ != nullptr) hist_->Record(seconds);
+  Span(Histogram& hist, const char* name)
+      : hist_(hist), trace_(name), start_(std::chrono::steady_clock::now()) {}
+  ~Span() {
+    hist_.Record(std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start_)
+                     .count());
   }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+  /// Annotates the trace span; no-op when tracing was off at open.
+  void Arg(const char* key, std::string value) {
+    trace_.Arg(key, std::move(value));
+  }
+  bool active() const { return trace_.active(); }
 
  private:
-  Timer& timer_;
-  Histogram* hist_;
+  Histogram& hist_;
+  trace::Span trace_;
   std::chrono::steady_clock::time_point start_;
 };
 
 /// JSON-escapes `s` (quotes, backslashes, control characters).
 std::string JsonEscape(const std::string& s);
 
-/// Renders `snap` as a JSON object with "counters", "timers", "gauges",
-/// and "histograms" members (each an object keyed by metric name, keys
+/// Renders `snap` as a JSON object with "counters", "gauges", and
+/// "histograms" members (each an object keyed by metric name, keys
 /// sorted). Names and string values are JSON-escaped; non-finite numbers
 /// render as null (both would otherwise produce invalid JSON).
 std::string SnapshotToJson(const Snapshot& snap);
@@ -314,12 +286,27 @@ std::string SnapshotToJson(const Snapshot& snap);
 std::string SnapshotToText(const Snapshot& snap);
 
 /// Renders `snap` in the Prometheus text exposition format (version
-/// 0.0.4): counters as `<name>_total`, gauges as gauges, timers as
-/// (sum, count) summaries, histograms as cumulative `_bucket{le="..."}`
-/// series ending in `le="+Inf"` plus `_sum`/`_count`. Metric names are
-/// sanitized to [a-zA-Z0-9_:] as the format requires.
+/// 0.0.4): counters as `<name>_total`, gauges as gauges, histograms as
+/// cumulative `_bucket{le="..."}` series ending in `le="+Inf"` plus
+/// `_sum`/`_count` (span histograms as `<name>_seconds`). Metric names
+/// are sanitized to [a-zA-Z0-9_:] as the format requires.
 std::string ExpositionToProm(const Snapshot& snap);
 
 }  // namespace pso::metrics
+
+// PSO_SPAN("lp.solve"): times the rest of the enclosing scope into the
+// global histogram of that name, and traces it while tracing is on. The
+// name must be a string literal. PSO_NAMED_SPAN(var, "name") is the same
+// span as a local `var`, for Arg()/active().
+#define PSO_NAMED_SPAN(var, name)                                       \
+  ::pso::metrics::Span var(                                             \
+      []() -> ::pso::metrics::Histogram& {                              \
+        static ::pso::metrics::Histogram& hist =                        \
+            ::pso::metrics::Registry::Global().GetSpanHistogram("" name); \
+        return hist;                                                    \
+      }(),                                                              \
+      "" name)
+#define PSO_SPAN(name) \
+  PSO_NAMED_SPAN(PSO_TRACE_CONCAT(pso_span_, __LINE__), name)
 
 #endif  // PSO_COMMON_METRICS_H_

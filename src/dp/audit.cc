@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/trace.h"
 
 namespace pso::dp {
 
@@ -13,8 +12,7 @@ AuditResult AuditPrivacyLoss(const BucketizedMechanism& mechanism,
                              size_t trials, Rng& rng, size_t min_support) {
   PSO_CHECK(trials > 0);
   metrics::GetCounter("dp.audit_trials").Add(2 * trials);  // both inputs
-  metrics::ScopedSpan span("dp.audit");
-  PSO_TRACE_SPAN("dp.audit");
+  PSO_SPAN("dp.audit");
   std::map<int64_t, std::pair<size_t, size_t>> histogram;
   for (size_t t = 0; t < trials; ++t) {
     ++histogram[mechanism(0, rng)].first;

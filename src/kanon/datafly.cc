@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/str_util.h"
-#include "common/trace.h"
 
 namespace pso::kanon {
 
@@ -33,8 +32,7 @@ Result<AnonymizationResult> DataflyAnonymize(const Dataset& data,
                                              const DataflyOptions& options) {
   metrics::GetCounter("kanon.datafly_runs").Add(1);
   metrics::GetCounter("kanon.records_anonymized").Add(data.size());
-  metrics::ScopedSpan span("kanon.anonymize");
-  PSO_TRACE_SPAN("kanon.anonymize");
+  PSO_SPAN("kanon.anonymize");
   if (data.empty()) {
     return Status::InvalidArgument("cannot anonymize an empty dataset");
   }

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/trace.h"
 
 namespace pso::kanon {
 
@@ -44,8 +43,7 @@ Result<AnonymizationResult> MondrianAnonymize(const Dataset& data,
                                               const MondrianOptions& options) {
   metrics::GetCounter("kanon.mondrian_runs").Add(1);
   metrics::GetCounter("kanon.records_anonymized").Add(data.size());
-  metrics::ScopedSpan span("kanon.anonymize");
-  PSO_TRACE_SPAN("kanon.anonymize");
+  PSO_SPAN("kanon.anonymize");
   if (data.empty()) {
     return Status::InvalidArgument("cannot anonymize an empty dataset");
   }

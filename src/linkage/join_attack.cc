@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/trace.h"
 
 namespace pso::linkage {
 
@@ -49,8 +48,7 @@ LinkageReport JoinAttack(const IdentifiedPopulation& pop,
                          const std::vector<size_t>& qi_attrs) {
   metrics::GetCounter("linkage.join_attacks").Add(1);
   metrics::GetCounter("linkage.released_records").Add(pop.records.size());
-  metrics::ScopedSpan span("linkage.join_attack");
-  PSO_TRACE_SPAN("linkage.join_attack");
+  PSO_SPAN("linkage.join_attack");
   LinkageReport report;
   report.released_records = pop.records.size();
   report.voter_entries = voter_file.size();
@@ -86,8 +84,7 @@ LinkageReport JoinAttackGeneralized(
   PSO_CHECK(release.size() == pop.records.size());
   metrics::GetCounter("linkage.join_attacks").Add(1);
   metrics::GetCounter("linkage.released_records").Add(release.size());
-  metrics::ScopedSpan span("linkage.join_attack");
-  PSO_TRACE_SPAN("linkage.join_attack");
+  PSO_SPAN("linkage.join_attack");
   LinkageReport report;
   report.released_records = release.size();
   report.voter_entries = voter_file.size();

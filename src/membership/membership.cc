@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/trace.h"
 
 namespace pso::membership {
 
@@ -68,8 +67,7 @@ MembershipResult RunMembershipExperiment(const Universe& universe,
   // counter-derived stream: the statistic vectors are identical at any
   // thread count.
   metrics::GetCounter("membership.trials").Add(options.trials);
-  metrics::ScopedSpan span("membership.experiment");
-  PSO_TRACE_SPAN("membership.experiment");
+  PSO_SPAN("membership.experiment");
   std::vector<double> in_stats(options.trials);
   std::vector<double> out_stats(options.trials);
   ParallelFor(options.pool, options.trials, [&](size_t begin, size_t end) {

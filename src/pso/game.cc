@@ -7,7 +7,6 @@
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/str_util.h"
-#include "common/trace.h"
 #include "pso/interactive.h"
 
 namespace pso {
@@ -86,11 +85,8 @@ PsoGameResult PsoGame::RunTrialLoop(
   std::vector<TrialAccum> accums(NumChunks(options_.trials, chunk));
 
   metrics::GetCounter("pso.trials").Add(options_.trials);
-  metrics::ScopedSpan span("pso.trial_loop");
-  trace::Span trace_span("pso.trial_loop");
-  if (trace_span.active()) {
-    trace_span.Arg("trials", std::to_string(options_.trials));
-  }
+  PSO_NAMED_SPAN(span, "pso.trial_loop");
+  if (span.active()) span.Arg("trials", std::to_string(options_.trials));
   ParallelFor(
       options_.pool, options_.trials,
       [&](size_t begin, size_t end) {

@@ -64,8 +64,7 @@ Reconstruction ExhaustiveReconstruct(SubsetSumOracle& oracle, double alpha,
   const size_t n = oracle.n();
   PSO_CHECK_MSG(n <= 24, "exhaustive attack is exponential; keep n <= 24");
   metrics::GetCounter("recon.exhaustive_decodes").Add(1);
-  metrics::ScopedSpan span("recon.exhaustive_decode");
-  PSO_TRACE_SPAN("recon.exhaustive_decode");
+  PSO_SPAN("recon.exhaustive_decode");
 
   // Ask all 2^n subset queries (serial: the oracle is stateful).
   const uint64_t num_masks = 1ULL << n;
@@ -227,8 +226,7 @@ Result<Reconstruction> LeastSquaresDecodeRecorded(
   const size_t num_queries = queries.size();
   metrics::GetCounter("recon.lsq_decodes").Add(1);
   metrics::GetCounter("recon.queries").Add(num_queries);
-  metrics::ScopedSpan span("recon.lsq_decode");
-  PSO_TRACE_SPAN("recon.lsq_decode");
+  PSO_SPAN("recon.lsq_decode");
   const size_t m = num_queries;
 
   // Power iteration for the top eigenvalue of Q^T Q (sets the step size).

@@ -41,7 +41,7 @@ uint64_t Transcript::rejected() const {
 
 Result<Transcript> RunLoad(const LoadGenOptions& options,
                            const TransportFactory& factory) {
-  PSO_TRACE_SPAN("loadgen.run");
+  PSO_SPAN("loadgen.run");
   if (options.n == 0) return Status::InvalidArgument("loadgen: n must be > 0");
   if (options.num_clients == 0 || options.queries_per_client == 0) {
     return Status::InvalidArgument(

@@ -15,8 +15,8 @@ QueryService::QueryService(std::vector<uint8_t> secret,
       ledger_(options.eps_per_query > 0.0 ? options.client_budget_eps : 0.0),
       queries_counter_(metrics::GetCounter("service.queries")),
       rejections_counter_(metrics::GetCounter("service.budget_rejections")),
-      answer_timer_(metrics::GetTimer("service.answer")),
-      answer_hist_(metrics::GetHistogram("service.answer")),
+      answer_hist_(
+          metrics::Registry::Global().GetSpanHistogram("service.answer")),
       batch_size_hist_(metrics::GetHistogram("service.batch_size")) {}
 
 uint64_t QueryService::ClientSeed(uint64_t noise_seed, uint64_t client) {
@@ -28,7 +28,7 @@ uint64_t QueryService::ClientSeed(uint64_t noise_seed, uint64_t client) {
 
 QueryOutcome QueryService::Answer(uint64_t client,
                                   const recon::SubsetQuery& query) {
-  metrics::ScopedSpan span(answer_timer_, answer_hist_);
+  metrics::Span span(answer_hist_, "service.answer");
   if (query.size() != secret_.size()) {
     return Status::InvalidArgument("query length != dataset size");
   }

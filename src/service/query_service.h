@@ -102,7 +102,6 @@ class QueryService {
   // Hot-path metric handles, resolved once (GetCounter locks per lookup).
   metrics::Counter& queries_counter_;
   metrics::Counter& rejections_counter_;
-  metrics::Timer& answer_timer_;
   metrics::Histogram& answer_hist_;
   metrics::Histogram& batch_size_hist_;
 };

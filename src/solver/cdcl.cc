@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/log.h"
+#include "common/metrics.h"
 #include "common/progress.h"
 #include "common/str_util.h"
 #include "common/trace.h"
@@ -613,7 +614,7 @@ Result<SatSolution> SolveCdcl(const SatInstance& inst,
                               const SatSolveOptions& options) {
   CdclSearch search(inst, options);
 
-  trace::Span solve_span("sat.solve");
+  PSO_NAMED_SPAN(solve_span, "sat.solve");
   std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
   if (solve_span.active()) {
     solve_span.Arg("vars", std::to_string(inst.num_vars));

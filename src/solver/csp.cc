@@ -87,8 +87,12 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
   std::vector<int64_t> matched(num_constraints, 0);
 
   // Recursive search over non-decreasing candidate-index sequences
-  // (symmetry breaking: variables are interchangeable).
-  auto recurse = [&](auto&& self, size_t depth, size_t min_index) -> bool {
+  // (symmetry breaking: variables are interchangeable). Aligned to 64
+  // bytes so the per-node scan keeps one placement whatever code links
+  // before it: a 48-byte shift from unrelated code cost ~15% of the
+  // census search on an Intel Xeon host.
+  auto recurse = [&](auto&& self, size_t depth,
+                     size_t min_index) __attribute__((aligned(64))) -> bool {
     // Returns false when a global cap fired (abort the whole search).
     if (local.nodes >= max_nodes) {
       local.complete = false;

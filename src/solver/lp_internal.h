@@ -56,7 +56,6 @@ struct SolveScope {
   size_t phase1_iterations = 0;
   size_t total_iterations = 0;
   size_t pivot_work = 0;
-  metrics::ScopedSpan span{"lp.solve"};
 
   ~SolveScope() {
     metrics::GetCounter("lp.solves").Add(1);

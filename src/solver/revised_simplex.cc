@@ -696,7 +696,7 @@ class SimplexState {
 Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
                                        const LpSolveOptions& options) {
   lp_internal::SolveScope scope;
-  trace::Span solve_span("lp.solve");
+  PSO_NAMED_SPAN(solve_span, "lp.solve");
   std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
   if (solve_span.active()) {
     solve_span.Arg("vars", std::to_string(model.variables.size()));

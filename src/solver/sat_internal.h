@@ -50,7 +50,6 @@ struct SearchStats {
 struct MetricsPublisher {
   const SearchStats* stats;
   bool cdcl = false;
-  metrics::ScopedSpan span{"sat.solve"};
 
   ~MetricsPublisher() {
     metrics::GetCounter("sat.solves").Add(1);

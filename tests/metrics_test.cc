@@ -1,4 +1,4 @@
-// Tests for the metrics registry: counter/timer/span semantics,
+// Tests for the metrics registry: counter/histogram/span semantics,
 // concurrent increments under ParallelFor (the TSan `parallel` lane runs
 // this suite), merge determinism at 1 vs N threads, the log-bucketed
 // histogram (fixed boundaries, exact shard merges, quantile brackets),
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "proptest.h"
 
 namespace pso {
@@ -33,24 +35,52 @@ TEST(MetricsTest, CounterAddAndReset) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(MetricsTest, TimerAccumulatesIntervals) {
-  metrics::Timer t;
-  t.Record(0.25);
-  t.Record(0.5);
-  EXPECT_EQ(t.count(), 2u);
-  EXPECT_NEAR(t.seconds(), 0.75, 1e-6);
-  t.Reset();
-  EXPECT_EQ(t.count(), 0u);
-  EXPECT_EQ(t.seconds(), 0.0);
-}
-
-TEST(MetricsTest, ScopedSpanRecordsOneInterval) {
-  metrics::Timer t;
+// PSO_SPAN records one interval into the global histogram of its name
+// and, only while tracing is on, one trace span of the same name, nested
+// like any other span.
+TEST(MetricsTest, PsoSpanRecordsHistogramAndTraceSpan) {
+  using trace::Collector;
+  using trace::Event;
+  metrics::Histogram& outer = metrics::GetHistogram("test.span.outer");
+  metrics::Histogram& inner = metrics::GetHistogram("test.span.inner");
+  const uint64_t outer0 = outer.count();
+  const uint64_t inner0 = inner.count();
+  Collector::Global().Disable();
+  Collector::Global().Clear();
   {
-    metrics::ScopedSpan span(t);
+    PSO_NAMED_SPAN(span, "test.span.outer");
+    EXPECT_FALSE(span.active());
   }
-  EXPECT_EQ(t.count(), 1u);
-  EXPECT_GE(t.seconds(), 0.0);
+  EXPECT_EQ(outer.count(), outer0 + 1);
+  EXPECT_TRUE(Collector::Global().TakeEvents().empty());
+
+  Collector::Global().Enable();
+  uint64_t root_id = 0;
+  {
+    trace::Span root("test.root");
+    root_id = root.id();
+    PSO_NAMED_SPAN(span, "test.span.outer");
+    EXPECT_TRUE(span.active());
+    PSO_SPAN("test.span.inner");
+  }
+  Collector::Global().Disable();
+  EXPECT_EQ(outer.count(), outer0 + 2);
+  EXPECT_EQ(inner.count(), inner0 + 1);
+  std::map<std::string, std::vector<Event>> spans;
+  for (const Event& e : Collector::Global().TakeEvents()) {
+    if (e.kind == Event::Kind::kSpan) spans[e.name].push_back(e);
+  }
+  ASSERT_EQ(spans["test.span.outer"].size(), 1u);
+  ASSERT_EQ(spans["test.span.inner"].size(), 1u);
+  EXPECT_EQ(spans["test.span.outer"][0].parent, root_id);
+  EXPECT_EQ(spans["test.span.inner"][0].parent,
+            spans["test.span.outer"][0].id);
+  // A span marks its histogram as durations even when a plain lookup
+  // created it first.
+  EXPECT_TRUE(metrics::Registry::Global()
+                  .TakeSnapshot()
+                  .histograms.at("test.span.outer")
+                  .durations);
 }
 
 TEST(MetricsTest, RegistryHandlesAreStableAndNamed) {
@@ -77,18 +107,24 @@ TEST(MetricsTest, ResetAllZeroesButKeepsHandles) {
   metrics::Registry reg;
   metrics::Counter& c = reg.GetCounter("c");
   c.Add(5);
-  reg.GetTimer("t").Record(1.0);
+  metrics::Histogram& h = reg.GetSpanHistogram("h");
+  h.Record(1.0);
   reg.SetGauge("g", 9.0);
   reg.ResetAll();
   metrics::Snapshot snap = reg.TakeSnapshot();
   EXPECT_EQ(snap.counters.at("c"), 0u);
-  EXPECT_EQ(snap.timers.at("t").count, 0u);
+  EXPECT_EQ(snap.histograms.at("h").count, 0u);
+  EXPECT_EQ(snap.histograms.at("h").sum_fp, 0u);
+  EXPECT_TRUE(snap.histograms.at("h").durations);
   EXPECT_TRUE(snap.gauges.empty());
-  c.Add(1);  // handle still valid
-  EXPECT_EQ(reg.TakeSnapshot().counters.at("c"), 1u);
+  c.Add(1);  // handles still valid
+  h.Record(2.0);
+  snap = reg.TakeSnapshot();
+  EXPECT_EQ(snap.counters.at("c"), 1u);
+  EXPECT_EQ(snap.histograms.at("h").count, 1u);
 }
 
-TEST(MetricsTest, MergeFromAddsCountersAndTimersOverwritesGauges) {
+TEST(MetricsTest, MergeFromAddsCountersAndHistogramsOverwritesGauges) {
   metrics::Registry dst;
   dst.GetCounter("shared").Add(10);
   dst.SetGauge("g", 1.0);
@@ -96,16 +132,17 @@ TEST(MetricsTest, MergeFromAddsCountersAndTimersOverwritesGauges) {
   metrics::Registry src;
   src.GetCounter("shared").Add(5);
   src.GetCounter("fresh").Add(2);
-  src.GetTimer("t").Record(0.5);
-  src.GetTimer("t").Record(0.25);
+  src.GetSpanHistogram("t").Record(0.5);
+  src.GetSpanHistogram("t").Record(0.25);
   src.SetGauge("g", 3.0);
 
   dst.MergeFrom(src.TakeSnapshot());
   metrics::Snapshot snap = dst.TakeSnapshot();
   EXPECT_EQ(snap.counters.at("shared"), 15u);
   EXPECT_EQ(snap.counters.at("fresh"), 2u);
-  EXPECT_EQ(snap.timers.at("t").count, 2u);
-  EXPECT_NEAR(snap.timers.at("t").seconds, 0.75, 1e-6);
+  EXPECT_EQ(snap.histograms.at("t").count, 2u);
+  EXPECT_NEAR(snap.histograms.at("t").sum(), 0.75, 1e-6);
+  EXPECT_TRUE(snap.histograms.at("t").durations);
   EXPECT_EQ(snap.gauges.at("g"), 3.0);
 }
 
@@ -115,11 +152,11 @@ TEST(MetricsTest, MergeFromAddsCountersAndTimersOverwritesGauges) {
 TEST(MetricsTest, ConcurrentIncrementsUnderParallelForAreExact) {
   metrics::Registry reg;
   metrics::Counter& items = reg.GetCounter("items");
-  metrics::Timer& spans = reg.GetTimer("spans");
+  metrics::Histogram& spans = reg.GetSpanHistogram("spans");
   const size_t n = 100000;
   ThreadPool pool(4);
   ParallelFor(&pool, n, [&](size_t begin, size_t end) {
-    metrics::ScopedSpan span(spans);
+    metrics::Span span(spans, "spans");
     // Mix per-item increments with one bulk Add per chunk.
     for (size_t i = begin; i < end; ++i) reg.GetCounter("per_item").Add(1);
     items.Add(end - begin);
@@ -127,7 +164,7 @@ TEST(MetricsTest, ConcurrentIncrementsUnderParallelForAreExact) {
   metrics::Snapshot snap = reg.TakeSnapshot();
   EXPECT_EQ(snap.counters.at("items"), n);
   EXPECT_EQ(snap.counters.at("per_item"), n);
-  EXPECT_EQ(snap.timers.at("spans").count, NumChunks(n));
+  EXPECT_EQ(snap.histograms.at("spans").count, NumChunks(n));
 }
 
 // Merge determinism: worker-local registries merged in chunk order must
@@ -147,7 +184,7 @@ TEST(MetricsTest, MergeDeterminismOneVsManyThreads) {
           for (size_t i = begin; i < end; ++i) {
             local.GetCounter("events").Add(i % 7 == 0 ? 3 : 1);
           }
-          local.GetTimer("chunk").Record(0.001);
+          local.GetSpanHistogram("chunk").Record(0.001);
         },
         chunk);
     metrics::Registry merged;
@@ -160,7 +197,10 @@ TEST(MetricsTest, MergeDeterminismOneVsManyThreads) {
   metrics::Snapshot at1 = run_at(1);
   metrics::Snapshot at4 = run_at(4);
   EXPECT_EQ(at1.counters.at("events"), at4.counters.at("events"));
-  EXPECT_EQ(at1.timers.at("chunk").count, at4.timers.at("chunk").count);
+  EXPECT_EQ(at1.histograms.at("chunk").count,
+            at4.histograms.at("chunk").count);
+  EXPECT_EQ(at1.histograms.at("chunk").sum_fp,
+            at4.histograms.at("chunk").sum_fp);
   EXPECT_EQ(metrics::SnapshotToJson(at1).find("\"events\""),
             metrics::SnapshotToJson(at4).find("\"events\""));
 }
@@ -173,24 +213,29 @@ TEST(MetricsTest, JsonEscaping) {
 TEST(MetricsTest, SnapshotToJsonShape) {
   metrics::Registry reg;
   reg.GetCounter("lp.pivots").Add(12);
-  reg.GetTimer("lp.solve").Record(0.5);
+  reg.GetSpanHistogram("lp.solve").Record(0.5);
   reg.SetGauge("pool.imbalance", 2.0);
   std::string json = metrics::SnapshotToJson(reg.TakeSnapshot());
-  EXPECT_NE(json.find("\"counters\": {\"lp.pivots\": 12}"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"lp.solve\""), std::string::npos);
+  EXPECT_NE(json.find("\"counters\": {\"lp.pivots\": 12}, \"gauges\": {"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"histograms\": {\"lp.solve\": {\"count\": 1"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"pool.imbalance\""), std::string::npos);
+  EXPECT_EQ(json.find("timers"), std::string::npos);
 }
 
 TEST(MetricsTest, SnapshotToTextListsEverySection) {
   metrics::Registry reg;
   reg.GetCounter("c").Add(1);
-  reg.GetTimer("t").Record(0.1);
+  reg.GetSpanHistogram("t").Record(0.1);
   reg.SetGauge("g", 4.0);
   std::string text = metrics::SnapshotToText(reg.TakeSnapshot());
   EXPECT_NE(text.find("counters:"), std::string::npos);
-  EXPECT_NE(text.find("timers:"), std::string::npos);
   EXPECT_NE(text.find("gauges:"), std::string::npos);
+  EXPECT_NE(text.find("histograms:"), std::string::npos);
+  EXPECT_NE(text.find("n=1 mean=0.1s"), std::string::npos) << text;
 }
 
 TEST(HistogramTest, RecordAndAccessors) {
@@ -422,8 +467,8 @@ TEST(MetricsTest, ExpositionToPromParses) {
   metrics::Registry reg;
   reg.GetCounter("sat.conflicts").Add(42);
   reg.SetGauge("pool.workers", 4.0);
-  reg.GetTimer("lp.solve").Record(0.5);
-  metrics::Histogram& h = reg.GetHistogram("lp.solve");
+  reg.GetHistogram("service.batch_size").Record(8.0);
+  metrics::Histogram& h = reg.GetSpanHistogram("lp.solve");
   h.Record(0.001);
   h.Record(0.002);
   h.Record(0.25);
@@ -448,8 +493,8 @@ TEST(MetricsTest, ExpositionToPromParses) {
       EXPECT_TRUE(std::regex_match(line, help_re)) << line;
     } else if (line.rfind("# TYPE", 0) == 0) {
       EXPECT_TRUE(std::regex_match(line, type_re)) << line;
-      // A metric may be declared once; a timer + same-named histogram
-      // must not both publish (scrapers reject conflicting TYPEs).
+      // A metric may be declared once (scrapers reject conflicting
+      // TYPEs).
       const std::string declared =
           line.substr(7, line.find(' ', 7) - 7);
       EXPECT_TRUE(typed_names.insert(declared).second)
@@ -470,6 +515,44 @@ TEST(MetricsTest, ExpositionToPromParses) {
   EXPECT_NE(prom.find("pool_workers 4"), std::string::npos) << prom;
   EXPECT_NE(prom.find("lp_solve_seconds_count 3"), std::string::npos) << prom;
   EXPECT_EQ(inf_bucket, 3u) << "le=\"+Inf\" must equal _count";
+  EXPECT_NE(prom.find("service_batch_size_count 1"), std::string::npos)
+      << prom;
+}
+
+// Only span histograms hold seconds. A value histogram (queries per
+// batch) renders without the latency unit in the text and Prometheus
+// forms; the JSON rendering is the same for both kinds.
+TEST(MetricsTest, ValueHistogramsAreNotLabelledAsLatencies) {
+  metrics::Registry reg;
+  reg.GetHistogram("service.batch_size").Record(8.0);
+  reg.GetSpanHistogram("service.answer").Record(0.5);
+  const metrics::Snapshot snap = reg.TakeSnapshot();
+  EXPECT_FALSE(snap.histograms.at("service.batch_size").durations);
+
+  const std::string prom = metrics::ExpositionToProm(snap);
+  EXPECT_EQ(prom.find("service_batch_size_seconds"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("# HELP service_batch_size Value distribution"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("service_batch_size_count 1"), std::string::npos);
+  EXPECT_NE(prom.find("# HELP service_answer_seconds Latency distribution"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("service_answer_seconds_count 1"), std::string::npos);
+
+  const std::string text = metrics::SnapshotToText(snap);
+  EXPECT_NE(text.find("n=1 mean=8 p50=8 p90=8 p95=8 p99=8 p999=8 max=8\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("n=1 mean=0.5s p50=0.5s"), std::string::npos) << text;
+
+  metrics::Registry plain;
+  plain.GetHistogram("service.answer").Record(0.5);
+  metrics::Registry span;
+  span.GetSpanHistogram("service.answer").Record(0.5);
+  EXPECT_EQ(metrics::SnapshotToJson(plain.TakeSnapshot()),
+            metrics::SnapshotToJson(span.TakeSnapshot()));
 }
 
 TEST(MetricsTest, PoolGaugesPublishWorkerDistribution) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/str_util.h"
 #include "common/trace.h"
 #include "oracles/oracles.h"
@@ -123,7 +124,7 @@ Result<SatSolution> Search(const SatInstance& inst,
   DpllSearch search(inst);
 
   // Introspection ring: created only while tracing is on.
-  trace::Span solve_span("sat.solve");
+  PSO_NAMED_SPAN(solve_span, "sat.solve");
   std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
   if (solve_span.active()) {
     solve_span.Arg("vars", std::to_string(inst.num_vars));

@@ -141,7 +141,7 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
 
 Result<LpSolution> SolveTableau(const LpInstance& model) {
   lp_internal::SolveScope scope;
-  trace::Span solve_span("lp.solve");
+  PSO_NAMED_SPAN(solve_span, "lp.solve");
   // Introspection ring: one per solve, shared by both phases, collected
   // only while tracing is on (the default path allocates nothing).
   std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;

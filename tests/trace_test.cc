@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "oracles/oracles.h"
 #include "solver/lp.h"
@@ -38,6 +39,14 @@ std::map<uint64_t, Event> SpansById(const std::vector<Event>& events) {
     if (e.kind == Event::Kind::kSpan) out[e.id] = e;
   }
   return out;
+}
+
+size_t CountSpans(const std::vector<Event>& events, const std::string& name) {
+  size_t n = 0;
+  for (const Event& e : events) {
+    n += (e.kind == Event::Kind::kSpan && e.name == name) ? 1 : 0;
+  }
+  return n;
 }
 
 const Event* FindSpan(const std::vector<Event>& events,
@@ -334,6 +343,8 @@ Result<LpSolution> SolveSmallLp() {
 
 TEST(TraceTest, LpPivotTraceRecordedWhenEnabled) {
   ScopedTracing tracing;
+  const metrics::Histogram& solves = metrics::GetHistogram("lp.solve");
+  const uint64_t solves_before = solves.count();
   auto solved = SolveSmallLp();
   ASSERT_TRUE(solved.ok());
   ASSERT_FALSE(solved->pivot_trace.empty());
@@ -344,6 +355,9 @@ TEST(TraceTest, LpPivotTraceRecordedWhenEnabled) {
   // The span tree shows the phase pair under lp.solve.
   std::vector<Event> events = Collector::Global().TakeEvents();
   auto spans = SpansById(events);
+  // One solve is one span and one histogram interval, never a stack.
+  EXPECT_EQ(CountSpans(events, "lp.solve"), 1u);
+  EXPECT_EQ(solves.count(), solves_before + 1);
   const Event* solve = FindSpan(events, "lp.solve");
   const Event* phase1 = FindSpan(events, "lp.phase1");
   const Event* phase2 = FindSpan(events, "lp.phase2");
@@ -370,6 +384,8 @@ TEST(TraceTest, LpPivotTraceEmptyWhenDisabled) {
 
 TEST(TraceTest, SatStepTraceRecordedWhenEnabled) {
   ScopedTracing tracing;
+  const metrics::Histogram& solves = metrics::GetHistogram("sat.solve");
+  const uint64_t solves_before = solves.count();
   SatSolver solver(3);
   solver.AddClause({MakeLit(0, true), MakeLit(1, true)});
   solver.AddClause({MakeLit(0, false), MakeLit(2, true)});
@@ -386,9 +402,8 @@ TEST(TraceTest, SatStepTraceRecordedWhenEnabled) {
   }
   EXPECT_EQ(decisions, solved->decisions);
   EXPECT_EQ(propagations, solved->propagations);
-  const Event* solve =
-      FindSpan(Collector::Global().TakeEvents(), "sat.solve");
-  ASSERT_NE(solve, nullptr);
+  EXPECT_EQ(CountSpans(Collector::Global().TakeEvents(), "sat.solve"), 1u);
+  EXPECT_EQ(solves.count(), solves_before + 1);
 }
 
 TEST(TraceTest, SatStepTrailDepthConvention) {

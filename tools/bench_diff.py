@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regression gate over the deterministic bench counters.
 
-Every bench harness writes a BENCH_<name>.json report (schema_version 3,
+Every bench harness writes a BENCH_<name>.json report (schema_version 4,
 see EXPERIMENTS.md). The "metrics"/"counters" object is the deterministic
 section: same seed => identical values on every run and every machine, so
 it can be diffed exactly. This tool compares fresh reports against the
@@ -10,13 +10,13 @@ an unexplained change in solver pivots, SAT decisions, or samples drawn
 is a behavior change, not noise.
 
 Counters under run-shaped prefixes (parallel.*, pool.*, watchdog.* by
-default) and everything run-dependent (wall clock, timers, gauges, RSS,
-git_sha) are reported but never gate. Wall-clock deltas are printed for
+default) and everything run-dependent (wall clock, gauges, RSS, git_sha)
+are reported but never gate. Wall-clock deltas are printed for
 information only.
 
-Histograms (schema_version 3) gate only on their event counts: the
-number of lp.solve / sat.solve / bench.main_loop events is deterministic
-given the seed, while the latency values inside the buckets — and hence
+Histograms gate only on their event counts: the number of lp.solve /
+sat.solve / bench.main_loop spans is deterministic given the seed, while
+the latency values inside the buckets — and hence
 the quantiles (p50..p999), sum, mean, min, max, the bucket distribution,
 and the derived "throughput" section — are wall-clock artifacts and are
 never compared.
@@ -45,7 +45,7 @@ import sys
 import tempfile
 
 DEFAULT_SKIP_PREFIXES = ["parallel.", "pool.", "watchdog."]
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_CODES_HELP = """\
 exit codes:
@@ -127,7 +127,7 @@ def diff_counters(baseline, current, notes, allow_new=False):
 
 
 def _synthetic_report(counters, histogram_counts_by_name):
-    """A minimal schema-3 report with the given deterministic section."""
+    """A minimal current-schema report with the given deterministic section."""
     return {
         "schema_version": SCHEMA_VERSION,
         "bench": "bench_selftest",
@@ -177,12 +177,24 @@ def self_test():
         write_report(current, {"svc.queries": 640}, {"svc.answer": 639})
         expect(1, common, "histogram event-count drift")
 
+        # Schema 3 reports (with a "timers" section) are rejected on load.
+        stale_path = os.path.join(tmp, "BENCH_stale.json")
+        with open(stale_path, "w", encoding="utf-8") as f:
+            json.dump({**_synthetic_report({}, {}), "schema_version": 3}, f)
+        try:
+            load_report(stale_path)
+            failures.append("schema-3 report")
+        except ValueError:
+            pass
+        print(f"[{'FAIL' if 'schema-3 report' in failures else 'PASS'}] "
+              "schema-3 report rejected")
+
         empty = os.path.join(tmp, "empty")
         os.makedirs(empty)
         expect(2, ["--current-dir", empty, "--baseline-dir", baselines],
                "no reports")
 
-    print(f"\nself-test: {6 - len(failures)}/6 scenarios passed")
+    print(f"\nself-test: {7 - len(failures)}/7 scenarios passed")
     return 0 if not failures else 1
 
 

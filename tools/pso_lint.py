@@ -17,7 +17,7 @@ rules:
                         confined to the timing facade —
                         src/common/{metrics,trace,progress,parallel} —
                         so all latency measurement flows through
-                        metrics::Timer / histograms / trace spans;
+                        PSO_SPAN / histograms / trace spans;
                         elsewhere they need an explicit
                         `// pso-lint: allow(wall-clock)`.
   unordered-iteration   Range-for over a std::unordered_{map,set}
@@ -49,6 +49,11 @@ rules:
                         src/common/. Sleep loops hide latency and races;
                         wait on a pso::CondVar (WaitFor for periodic
                         work) so shutdown can interrupt the wait.
+  span-stack            A trace::Span / PSO_TRACE_SPAN whose literal name
+                        is also a PSO_SPAN's in the same file. PSO_SPAN
+                        already opens that trace span, so stacking both
+                        double-nests the trace; use PSO_NAMED_SPAN for
+                        Arg()/active().
 
 Suppress a finding by appending a comment on the offending line:
 
@@ -199,9 +204,14 @@ def scope_sleep(rel):
     return _under(rel, "src") and not _under(rel, "src/common")
 
 
+def scope_span_stack(rel):
+    return _under(rel, "src", "tools", "bench", "fuzz", "tests")
+
+
 # ---------------------------------------------------------------------------
-# Rule checkers: (stripped_lines, stripped_text, rel_path)
-#     -> [(line_no, message)].
+# Rule checkers: (stripped_lines, stripped_text, rel_path, raw_lines)
+#     -> [(line_no, message)]. Stripping keeps columns up to a `//`
+#     comment, so a match in a stripped line indexes its raw line.
 # ---------------------------------------------------------------------------
 
 RAND_RE = re.compile(
@@ -211,7 +221,7 @@ RAND_RE = re.compile(
 )
 
 
-def check_rand(lines, _text, _rel):
+def check_rand(lines, _text, _rel, _raw):
     out = []
     for no, line in enumerate(lines, 1):
         for m in RAND_RE.finditer(line):
@@ -238,7 +248,7 @@ MONOTONIC_CLOCK_RE = re.compile(
     r"\bsteady_clock\b|\bhigh_resolution_clock\b"
 )
 # The timing facade: the only files that may read monotonic clocks
-# directly. Everything else routes timing through metrics::Timer /
+# directly. Everything else routes timing through PSO_SPAN /
 # metrics::Histogram / trace spans so latency has one recording path.
 MONOTONIC_CLOCK_FACADE = (
     "src/common/metrics",
@@ -254,7 +264,7 @@ def _in_monotonic_facade(rel):
                for pre in MONOTONIC_CLOCK_FACADE)
 
 
-def check_wall_clock(lines, _text, rel):
+def check_wall_clock(lines, _text, rel, _raw):
     out = []
     facade = _in_monotonic_facade(rel)
     for no, line in enumerate(lines, 1):
@@ -278,8 +288,7 @@ def check_wall_clock(lines, _text, rel):
             out.append((no, f"monotonic clock `{m.group(0)}` outside the "
                             "timing facade (src/common/{metrics,trace,"
                             "progress,parallel}); route timing through "
-                            "metrics::Timer / metrics::Histogram / trace "
-                            "spans"))
+                            "PSO_SPAN / metrics::Histogram / trace spans"))
     return out
 
 
@@ -289,7 +298,7 @@ UNORDERED_DECL_RE = re.compile(
 RANGE_FOR_RE = re.compile(r"for\s*\([^;()]*?:\s*(?:this->)?(\w+)\s*\)")
 
 
-def check_unordered_iteration(lines, text, _rel):
+def check_unordered_iteration(lines, text, _rel, _raw):
     names = set(UNORDERED_DECL_RE.findall(text))
     if not names:
         return []
@@ -312,7 +321,7 @@ BARE_MUTEX_RE = re.compile(
 )
 
 
-def check_bare_mutex(lines, _text, _rel):
+def check_bare_mutex(lines, _text, _rel, _raw):
     out = []
     for no, line in enumerate(lines, 1):
         m = BARE_MUTEX_RE.search(line)
@@ -327,7 +336,7 @@ def check_bare_mutex(lines, _text, _rel):
 ASSERT_RE = re.compile(r"(?<![\w.])assert\s*\(")
 
 
-def check_assert(lines, _text, _rel):
+def check_assert(lines, _text, _rel, _raw):
     out = []
     for no, line in enumerate(lines, 1):
         if ASSERT_RE.search(line):
@@ -343,7 +352,7 @@ NODISCARD_DECL_RE = re.compile(
 DECL_BOUNDARY_RE = re.compile(r"[;{}]|\bpublic\s*:|\bprivate\s*:|\bprotected\s*:")
 
 
-def check_nodiscard_status(lines, text, _rel):
+def check_nodiscard_status(lines, text, _rel, _raw):
     out = []
     for m in NODISCARD_DECL_RE.finditer(text):
         name = m.group(2)
@@ -368,7 +377,7 @@ def check_nodiscard_status(lines, text, _rel):
 MUTEX_DECL_RE = re.compile(r"(?<![\w:])((?:\w+\s*::\s*)*)Mutex\s+(\w+)")
 
 
-def check_mutex_rank(lines, text, _rel):
+def check_mutex_rank(lines, text, _rel, _raw):
     out = []
     for m in MUTEX_DECL_RE.finditer(text):
         qualifier = (m.group(1) or "").replace(" ", "")
@@ -394,7 +403,7 @@ MUTEXLOCK_STMT_RE = re.compile(r"\bMutexLock\s+\w+\s*[({]")
 BLOCKING_CALL_RE = re.compile(r"\b(WaitFor|Wait|Submit|recv|accept)\s*\(")
 
 
-def check_blocking_under_lock(lines, text, _rel):
+def check_blocking_under_lock(lines, text, _rel, _raw):
     out = []
     seen = set()
     for m in MUTEXLOCK_STMT_RE.finditer(text):
@@ -433,7 +442,7 @@ SLEEP_RE = re.compile(
 )
 
 
-def check_sleep(lines, _text, _rel):
+def check_sleep(lines, _text, _rel, _raw):
     out = []
     for no, line in enumerate(lines, 1):
         m = SLEEP_RE.search(line)
@@ -443,6 +452,32 @@ def check_sleep(lines, _text, _rel):
                             "pso::CondVar (WaitFor for periodic work) so "
                             "notify/shutdown can interrupt the wait"))
     return out
+
+
+PSO_SPAN_RE = re.compile(r"\bPSO_(?:NAMED_)?SPAN\s*\((?:\s*\w+\s*,)?")
+TRACE_SPAN_RE = re.compile(
+    r"\bPSO_TRACE_SPAN\s*\(|\btrace\s*::\s*Span\s+\w+\s*[({]")
+STRING_LITERAL_RE = re.compile(r'\s*"((?:[^"\\]|\\.)*)"')
+
+
+def _span_names(span_re, lines, raw_lines):
+    """(line_no, name) for every `span_re` span given a literal name."""
+    out = []
+    for no, (line, raw) in enumerate(zip(lines, raw_lines), 1):
+        for m in span_re.finditer(line):
+            lit = STRING_LITERAL_RE.match(raw, m.end())
+            if lit:
+                out.append((no, lit.group(1)))
+    return out
+
+
+def check_span_stack(lines, _text, _rel, raw):
+    timed = {name for _, name in _span_names(PSO_SPAN_RE, lines, raw)}
+    return [(no, f"trace span \"{name}\" stacked on PSO_SPAN(\"{name}\"), "
+                 "which already opens it; use PSO_NAMED_SPAN for "
+                 "Arg()/active()")
+            for no, name in _span_names(TRACE_SPAN_RE, lines, raw)
+            if name in timed]
 
 
 RULES = [
@@ -457,6 +492,7 @@ RULES = [
     ("blocking-under-lock", scope_blocking_under_lock,
      check_blocking_under_lock),
     ("sleep", scope_sleep, check_sleep),
+    ("span-stack", scope_span_stack, check_span_stack),
 ]
 RULE_NAMES = {name for name, _, _ in RULES}
 
@@ -476,12 +512,13 @@ def lint_text(rel_path, raw_text):
     """Lints one file's content as if it lived at repo-relative rel_path."""
     stripped = strip_comments_and_strings(raw_text)
     lines = stripped.splitlines()
+    raw_lines = raw_text.splitlines()
     supp = suppressions_by_line(raw_text)
     findings = []
     for rule, in_scope, checker in RULES:
         if not in_scope(rel_path):
             continue
-        for line_no, message in checker(lines, stripped, rel_path):
+        for line_no, message in checker(lines, stripped, rel_path, raw_lines):
             allowed = supp.get(line_no, set())
             if rule in allowed or "all" in allowed:
                 continue

@@ -44,8 +44,8 @@
 // latency histograms, pool gauges) after the subcommand finishes.
 // --metrics-format {text,json,prom} selects the rendering (default text;
 // prom is Prometheus exposition text). Counters and histogram bucket
-// tallies are deterministic given --seed and --threads; timers, gauges
-// and latency values are wall-clock artifacts.
+// tallies are deterministic given --seed and --threads; gauges and span
+// durations are wall-clock artifacts.
 //
 // --solver-watchdog-ms N arms a stall watchdog: any interval of N ms in
 // which an active solver reports no progress heartbeat is flagged with a
@@ -566,17 +566,13 @@ int RunLoadCmd(const Flags& flags) {
                               info->max_batch);
   lopts.query_seed = seed;
   lopts.pool = pool.get();
-  metrics::Timer& load_timer = metrics::GetTimer("loadgen.run");
-  Result<service::Transcript> transcript = [&] {
-    metrics::ScopedSpan t(load_timer);
-    return service::RunLoad(
-        lopts, [port](uint64_t) -> std::unique_ptr<service::QueryTransport> {
-          Result<std::unique_ptr<service::SocketTransport>> conn =
-              service::SocketTransport::Connect(port);
-          if (!conn.ok()) return nullptr;
-          return std::move(conn).value();
-        });
-  }();
+  Result<service::Transcript> transcript = service::RunLoad(
+      lopts, [port](uint64_t) -> std::unique_ptr<service::QueryTransport> {
+        Result<std::unique_ptr<service::SocketTransport>> conn =
+            service::SocketTransport::Connect(port);
+        if (!conn.ok()) return nullptr;
+        return std::move(conn).value();
+      });
   RecordPoolGauges(pool.get());
   if (!transcript.ok()) {
     std::fprintf(stderr, "load: %s\n", transcript.status().ToString().c_str());
