@@ -16,6 +16,7 @@
 // within the budget is the performance contract of the engine.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "common/table.h"
 #include "census/reidentify.h"
 #include "census/sat_reconstruct.h"
-#include "tools/flags.h"
 
 namespace pso::census {
 namespace {
@@ -80,12 +80,10 @@ struct SatDuelLeg {
   size_t exhausted = 0;  // blocks where the decision budget ran out
   size_t decisions = 0;  // aggregate, including budget spent when exhausted
   size_t conflicts = 0;
-  double wall_seconds = 0.0;
 };
 
 SatDuelLeg RunSatDuelLeg(const std::vector<BlockTables>& duel_tables) {
   SatDuelLeg leg;
-  bench::WallTimer timer;
   for (const BlockTables& t : duel_tables) {
     // Per-block solve latency lands in the bench.main_loop histogram —
     // the per-block solve-time distribution, not just one aggregate.
@@ -108,7 +106,6 @@ SatDuelLeg RunSatDuelLeg(const std::vector<BlockTables>& duel_tables) {
     leg.decisions += r->decisions;
     leg.conflicts += r->conflicts;
   }
-  leg.wall_seconds = timer.Seconds();
   return leg;
 }
 
@@ -141,8 +138,7 @@ PipelineOutcome RunPipeline(const Population& pop,
 int Run(int argc, char** argv) {
   bench::BenchContext ctx =
       bench::MakeBenchContext("bench_census_reconstruction", argc, argv);
-  tools::Flags flags(argc, argv);
-  bench::ParallelConfig par = bench::MakeParallelConfig(flags.GetThreads());
+  std::unique_ptr<ThreadPool> pool = bench::MakePool(ctx.threads);
   bench::Banner(
       "E9: reconstruction-abetted re-identification of census tables",
       "2010-style exact tables: most blocks solved exactly, most of the "
@@ -171,22 +167,8 @@ int Run(int argc, char** argv) {
   ReconstructOptions ropts;
   ropts.max_solutions = 64;
   ropts.max_nodes = 500000;
-  ropts.pool = par.get();
+  ropts.pool = pool.get();
   PipelineOutcome swdb = RunPipeline(pop, exact, commercial, ropts);
-
-  // Wall-clock comparison: the same exact-table pipeline, serial.
-  double parallel_s;
-  double serial_s;
-  {
-    bench::WallTimer timer;
-    ReconstructOptions serial_opts = ropts;
-    serial_opts.pool = nullptr;
-    RunPipeline(pop, exact, commercial, serial_opts);
-    serial_s = timer.Seconds();
-    timer.Reset();
-    RunPipeline(pop, exact, commercial, ropts);
-    parallel_s = timer.Seconds();
-  }
 
   TextTable table({"release", "blocks exact", "persons exact",
                    "putative reid", "confirmed reid", "precision"});
@@ -204,7 +186,7 @@ int Run(int argc, char** argv) {
   ReconstructOptions dp_ropts;
   dp_ropts.max_solutions = 16;
   dp_ropts.max_nodes = 150000;
-  dp_ropts.pool = par.get();
+  dp_ropts.pool = pool.get();
   for (double eps : {2.0, 0.5}) {
     Rng dprng(0xD0 + static_cast<uint64_t>(eps * 10));
     std::vector<BlockTables> noisy;
@@ -278,11 +260,7 @@ int Run(int argc, char** argv) {
                StrFormat("%zu/%zu solved", cdcl.solved, duel_tables.size()),
                StrFormat("%zu", cdcl.decisions)});
   duel.Print();
-  std::printf("budget leg wall clock: cdcl %.2fs (%zu conflicts)\n",
-              cdcl.wall_seconds, cdcl.conflicts);
-
-  bench::ReportSpeedup("census reconstruction + linkage, 150 blocks",
-                       serial_s, parallel_s, par.threads);
+  std::printf("budget leg: cdcl %zu conflicts\n", cdcl.conflicts);
 
   const double prior_estimate = 0.00003;  // the 0.003% pre-2010 figure
   std::printf(
@@ -310,7 +288,7 @@ int Run(int argc, char** argv) {
                "checked block");
   checks.Check(cdcl.exhausted == 0,
                "CDCL decides every duel block within the budget");
-  return bench::FinishBench(ctx, "E9", checks, par.get());
+  return bench::FinishBench(ctx, "E9", checks, pool.get());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/table.h"
@@ -19,7 +20,6 @@
 #include "pso/game.h"
 #include "pso/interactive.h"
 #include "pso/mechanisms.h"
-#include "tools/flags.h"
 
 namespace pso {
 namespace {
@@ -27,8 +27,7 @@ namespace {
 int Run(int argc, char** argv) {
   bench::BenchContext ctx =
       bench::MakeBenchContext("bench_composition_attack", argc, argv);
-  tools::Flags flags(argc, argv);
-  bench::ParallelConfig par = bench::MakeParallelConfig(flags.GetThreads());
+  std::unique_ptr<ThreadPool> pool = bench::MakePool(ctx.threads);
   bench::Banner(
       "E6: PSO security is not closed under composition (Thms 2.7, 2.8)",
       "individually secure mechanisms compose into a near-certain "
@@ -44,7 +43,7 @@ int Run(int argc, char** argv) {
   PsoGameOptions opts;
   opts.trials = 150;
   opts.weight_pool = 60000;
-  opts.pool = par.get();
+  opts.pool = pool.get();
   PsoGame game(u.distribution, n, opts);
   auto decrypt = MakeDecryptPairAdversary();
   double alone_worst = 0.0;
@@ -108,7 +107,7 @@ int Run(int argc, char** argv) {
   PsoGameOptions sopts;
   sopts.trials = 60;
   sopts.weight_pool = 60000;
-  sopts.pool = par.get();
+  sopts.pool = pool.get();
   PsoGame session_game(u.distribution, n, sopts);
   auto searcher = MakeBinarySearchIsolationAdversary(200);
   double exact_session_rate = 0.0;
@@ -131,25 +130,6 @@ int Run(int argc, char** argv) {
   }
   session_table.Print();
 
-  // Wall-clock comparison on one representative configuration (the
-  // interactive exact-count session game).
-  {
-    PsoGameOptions t_opts;
-    t_opts.trials = 60;
-    t_opts.weight_pool = 60000;
-    bench::WallTimer timer;
-    PsoGame serial_game(u.distribution, n, t_opts);
-    serial_game.RunInteractive(*MakeExactCountSessionMechanism(), *searcher);
-    double serial_s = timer.Seconds();
-    t_opts.pool = par.get();
-    timer.Reset();
-    PsoGame parallel_game(u.distribution, n, t_opts);
-    parallel_game.RunInteractive(*MakeExactCountSessionMechanism(),
-                                 *searcher);
-    bench::ReportSpeedup("interactive count sessions, 60 trials", serial_s,
-                         timer.Seconds(), par.threads);
-  }
-
   bench::ShapeChecks checks;
   checks.CheckBetween(alone_worst, 0.0, 0.05,
                       "each Thm 2.7 mechanism alone is PSO-secure");
@@ -165,7 +145,7 @@ int Run(int argc, char** argv) {
                       "interactive exact sessions fall to the searcher");
   checks.CheckBetween(noisy_session_rate, 0.0, 0.1,
                       "per-query Laplace noise derails the binary search");
-  return bench::FinishBench(ctx, "E6", checks, par.get());
+  return bench::FinishBench(ctx, "E6", checks, pool.get());
 }
 
 }  // namespace

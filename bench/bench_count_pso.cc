@@ -4,6 +4,7 @@
 // finite n: no attacker beats the output-blind bound).
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/table.h"
@@ -11,7 +12,6 @@
 #include "pso/adversaries.h"
 #include "pso/game.h"
 #include "pso/mechanisms.h"
-#include "tools/flags.h"
 
 namespace pso {
 namespace {
@@ -19,8 +19,7 @@ namespace {
 int Run(int argc, char** argv) {
   bench::BenchContext ctx =
       bench::MakeBenchContext("bench_count_pso", argc, argv);
-  tools::Flags flags(argc, argv);
-  bench::ParallelConfig par = bench::MakeParallelConfig(flags.GetThreads());
+  std::unique_ptr<ThreadPool> pool = bench::MakePool(ctx.threads);
   bench::Banner(
       "E5: count mechanisms prevent predicate singling out (Theorem 2.5)",
       "for every attacker, Pr[isolation with negligible-weight predicate] "
@@ -38,7 +37,7 @@ int Run(int argc, char** argv) {
     opts.trials = 250;
     opts.weight_pool = 60000;
     opts.seed = 0xC0DE + n;
-    opts.pool = par.get();
+    opts.pool = pool.get();
     PsoGame game(u.distribution, n, opts);
     for (const AdversaryRef& adv :
          {MakeTrivialHashAdversary(1.0 / (10.0 * n)),
@@ -58,30 +57,10 @@ int Run(int argc, char** argv) {
       "\n(The UniqueRecord adversary expects a raw dataset and concedes "
       "against a count output — included as a sanity pole.)\n");
 
-  // Wall-clock comparison on one representative configuration. The
-  // numbers are identical by construction; only the time differs.
-  {
-    PsoGameOptions t_opts;
-    t_opts.trials = 250;
-    t_opts.weight_pool = 60000;
-    t_opts.seed = 0xC0DE + 1024;
-    auto adv = MakeCountTunedAdversary(q, "sex=F");
-    bench::WallTimer timer;
-    PsoGame serial_game(u.distribution, 1024, t_opts);
-    serial_game.Run(*mech, *adv);
-    double serial_s = timer.Seconds();
-    t_opts.pool = par.get();
-    timer.Reset();
-    PsoGame parallel_game(u.distribution, 1024, t_opts);
-    parallel_game.Run(*mech, *adv);
-    bench::ReportSpeedup("PSO game, n=1024 x 250 trials", serial_s,
-                         timer.Seconds(), par.threads);
-  }
-
   bench::ShapeChecks checks;
   checks.CheckBetween(max_advantage, -1.0, 0.05,
                       "no attacker beats the trivial baseline vs M#q");
-  return bench::FinishBench(ctx, "E5", checks, par.get());
+  return bench::FinishBench(ctx, "E5", checks, pool.get());
 }
 
 }  // namespace

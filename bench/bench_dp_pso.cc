@@ -6,6 +6,7 @@
 // the paper draws in Section 2.3).
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/table.h"
@@ -13,7 +14,6 @@
 #include "pso/adversaries.h"
 #include "pso/game.h"
 #include "pso/mechanisms.h"
-#include "tools/flags.h"
 
 namespace pso {
 namespace {
@@ -21,8 +21,7 @@ namespace {
 int Run(int argc, char** argv) {
   bench::BenchContext ctx =
       bench::MakeBenchContext("bench_dp_pso", argc, argv);
-  tools::Flags flags(argc, argv);
-  bench::ParallelConfig par = bench::MakeParallelConfig(flags.GetThreads());
+  std::unique_ptr<ThreadPool> pool = bench::MakePool(ctx.threads);
   bench::Banner(
       "E7: differential privacy prevents PSO (Theorem 2.9)",
       "for constant eps, no attacker singles out under an eps-DP "
@@ -35,7 +34,7 @@ int Run(int argc, char** argv) {
   PsoGameOptions opts;
   opts.trials = 220;
   opts.weight_pool = 60000;
-  opts.pool = par.get();
+  opts.pool = pool.get();
   PsoGame game(u.distribution, n, opts);
 
   TextTable table({"mechanism", "adversary", "PSO rate", "baseline",
@@ -78,31 +77,12 @@ int Run(int argc, char** argv) {
       "private yet also prevents PSO (E5) — DP is sufficient, not "
       "necessary.\n");
 
-  // Wall-clock comparison on one representative configuration.
-  {
-    PsoGameOptions t_opts;
-    t_opts.trials = 220;
-    t_opts.weight_pool = 60000;
-    auto t_mech = MakeLaplaceCountMechanism(q, "sex=F", 1.0);
-    auto t_adv = MakeCountTunedAdversary(q, "sex=F");
-    bench::WallTimer timer;
-    PsoGame serial_game(u.distribution, n, t_opts);
-    serial_game.Run(*t_mech, *t_adv);
-    double serial_s = timer.Seconds();
-    t_opts.pool = par.get();
-    timer.Reset();
-    PsoGame parallel_game(u.distribution, n, t_opts);
-    parallel_game.Run(*t_mech, *t_adv);
-    bench::ReportSpeedup("Laplace-count PSO game, 220 trials", serial_s,
-                         timer.Seconds(), par.threads);
-  }
-
   bench::ShapeChecks checks;
   checks.CheckBetween(dp_worst_advantage, -1.0, 0.05,
                       "no attacker gains advantage against any DP release");
   checks.CheckGreater(kanon_result.advantage, 0.5,
                       "same game, k-anonymity falls (the paper's contrast)");
-  return bench::FinishBench(ctx, "E7", checks, par.get());
+  return bench::FinishBench(ctx, "E7", checks, pool.get());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/table.h"
@@ -24,14 +25,13 @@
 #include "pso/adversaries.h"
 #include "pso/game.h"
 #include "pso/mechanisms.h"
-#include "tools/flags.h"
 
 namespace pso {
 namespace {
 
 PsoGameResult RunGame(const Universe& u, size_t n, size_t k,
                       const AdversaryRef& adv, size_t trials,
-                      ThreadPool* pool = nullptr) {
+                      ThreadPool* pool) {
   PsoGameOptions opts;
   opts.trials = trials;
   opts.weight_pool = 150000;
@@ -47,8 +47,7 @@ PsoGameResult RunGame(const Universe& u, size_t n, size_t k,
 int Run(int argc, char** argv) {
   bench::BenchContext ctx =
       bench::MakeBenchContext("bench_kanon_pso", argc, argv);
-  tools::Flags flags(argc, argv);
-  bench::ParallelConfig par = bench::MakeParallelConfig(flags.GetThreads());
+  std::unique_ptr<ThreadPool> pool = bench::MakePool(ctx.threads);
   bench::Banner(
       "E8: k-anonymity fails to prevent PSO (Theorem 2.10 + Cohen [12])",
       "hash attack isolates ~37% (~1/e); downcoding/minimality attack on "
@@ -71,7 +70,7 @@ int Run(int argc, char** argv) {
       bool is_hash = adv->Name().find("Hash") != std::string::npos;
       if (is_hash && k > 5) continue;  // covered by the ablation below
       auto r = bench::TimedIteration(
-          [&] { return RunGame(gic, n, k, adv, 100, par.get()); });
+          [&] { return RunGame(gic, n, k, adv, 100, pool.get()); });
       table.AddRow({"GIC(d=8)", StrFormat("%zu", k), StrFormat("%zu", n),
                     r.adversary, StrFormat("%.4f", r.pso_success.rate()),
                     StrFormat("%.4f", r.pso_success.WilsonInterval().lo),
@@ -95,7 +94,7 @@ int Run(int argc, char** argv) {
   Universe ratings = MakeRatingsUniverse(96, 0.06);
   for (size_t k : {5, 10, 25}) {
     const size_t n = 80 * k;
-    auto r = RunGame(ratings, n, k, MakeKAnonHashAdversary(), 60, par.get());
+    auto r = RunGame(ratings, n, k, MakeKAnonHashAdversary(), 60, pool.get());
     dim_table.AddRow({"Ratings(d=96)", StrFormat("%zu", k),
                       StrFormat("%zu", n),
                       StrFormat("%.4f", r.pso_success.rate()),
@@ -104,7 +103,7 @@ int Run(int argc, char** argv) {
     if (k == 10) highdim_at_10 = r.pso_success.rate();
   }
   // The low-dimension contrast at k = 10.
-  auto low = RunGame(gic, 800, 10, MakeKAnonHashAdversary(), 60, par.get());
+  auto low = RunGame(gic, 800, 10, MakeKAnonHashAdversary(), 60, pool.get());
   dim_table.AddRow({"GIC(d=8)", "10", "800",
                     StrFormat("%.4f", low.pso_success.rate()),
                     StrFormat("%.4f", low.baseline),
@@ -161,18 +160,6 @@ int Run(int argc, char** argv) {
           ? kanon::TClosenessValue(sample, mondrian->classes, diagnosis)
           : 1.0);
 
-  // Wall-clock comparison on one representative configuration.
-  {
-    auto adv = MakeKAnonMinimalityAdversary();
-    bench::WallTimer timer;
-    RunGame(gic, 400, 5, adv, 100);
-    double serial_s = timer.Seconds();
-    timer.Reset();
-    RunGame(gic, 400, 5, adv, 100, par.get());
-    bench::ReportSpeedup("Mondrian(k=5) game, n=400 x 100 trials", serial_s,
-                         timer.Seconds(), par.threads);
-  }
-
   bench::ShapeChecks checks;
   checks.CheckBetween(hash_at_5, 0.22, 0.50,
                       "hash attack on Mondrian(k=5) isolates ~37% (1/e)");
@@ -190,7 +177,7 @@ int Run(int argc, char** argv) {
                       "negligible (d=96 vs d=8 at k=10)");
   checks.CheckGreater(datafly_loss, mondrian_loss + 0.2,
                       "global recoding escapes only by destroying utility");
-  return bench::FinishBench(ctx, "E8", checks, par.get());
+  return bench::FinishBench(ctx, "E8", checks, pool.get());
 }
 
 }  // namespace

@@ -6,11 +6,11 @@
 // (#attributes, pool size, eps).
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/table.h"
 #include "membership/membership.h"
-#include "tools/flags.h"
 
 namespace pso::membership {
 namespace {
@@ -18,8 +18,7 @@ namespace {
 int Run(int argc, char** argv) {
   bench::BenchContext ctx =
       bench::MakeBenchContext("bench_membership", argc, argv);
-  tools::Flags flags(argc, argv);
-  bench::ParallelConfig par = bench::MakeParallelConfig(flags.GetThreads());
+  std::unique_ptr<ThreadPool> pool = bench::MakePool(ctx.threads);
   bench::Banner(
       "E15: membership inference on aggregate statistics (Homer et al.)",
       "aggregate allele frequencies of a pool reveal whether a target's "
@@ -45,7 +44,7 @@ int Run(int argc, char** argv) {
     opts.pool_size = c.pool;
     opts.trials = 250;
     opts.eps = c.eps;
-    opts.pool = par.get();
+    opts.pool = pool.get();
     MembershipResult r = bench::TimedIteration(
         [&] { return RunMembershipExperiment(u, opts); });
     table.AddRow({StrFormat("%lld", (long long)c.attrs),
@@ -65,22 +64,6 @@ int Run(int argc, char** argv) {
       "number of published statistics and shrinks with pool size; an "
       "eps-DP release flattens the ROC toward the diagonal.\n");
 
-  // Wall-clock comparison on one representative configuration.
-  {
-    Universe u = MakeGenotypeUniverse(1000, /*freq_seed=*/0x6e0);
-    MembershipOptions t_opts;
-    t_opts.pool_size = 50;
-    t_opts.trials = 250;
-    bench::WallTimer timer;
-    RunMembershipExperiment(u, t_opts);
-    double serial_s = timer.Seconds();
-    t_opts.pool = par.get();
-    timer.Reset();
-    RunMembershipExperiment(u, t_opts);
-    bench::ReportSpeedup("membership experiment, 1000 attrs x 250 trials",
-                         serial_s, timer.Seconds(), par.threads);
-  }
-
   bench::ShapeChecks checks;
   checks.CheckBetween(auc_strong, 0.97, 1.0,
                       "1000 exact aggregates: near-perfect membership "
@@ -91,7 +74,7 @@ int Run(int argc, char** argv) {
                       "larger pools dilute the signal");
   checks.CheckBetween(auc_dp, 0.0, 0.75,
                       "eps=1 DP aggregates neutralize the attack");
-  return bench::FinishBench(ctx, "E15", checks, par.get());
+  return bench::FinishBench(ctx, "E15", checks, pool.get());
 }
 
 }  // namespace

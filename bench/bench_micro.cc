@@ -160,7 +160,7 @@ BENCHMARK(BM_PsoGameTrialKAnon);
 }  // namespace pso
 
 // Custom main instead of BENCHMARK_MAIN(): strips the repo-standard
-// flags (--json/--trace/--log-level; google-benchmark would reject
+// flags (--json/--trace/--threads; google-benchmark would reject
 // them), runs the registered benchmarks, then emits the same
 // BENCH_*.json document the shape-check harnesses write — no shape
 // checks here, but the counters section still records what the measured
@@ -173,14 +173,12 @@ int main(int argc, char** argv) {
   kept.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--json" || arg == "--trace" || arg == "--log-level" ||
-        arg == "--solver-watchdog-ms") {
-      if (i + 1 < argc) ++i;  // skip the path operand
+    if (arg == "--json" || arg == "--trace" || arg == "--threads") {
+      if (i + 1 < argc) ++i;  // skip the operand
       continue;
     }
     if (arg.rfind("--json=", 0) == 0 || arg.rfind("--trace=", 0) == 0 ||
-        arg.rfind("--log-level=", 0) == 0 ||
-        arg.rfind("--solver-watchdog-ms=", 0) == 0) {
+        arg.rfind("--threads=", 0) == 0) {
       continue;
     }
     kept.push_back(argv[i]);

@@ -80,14 +80,14 @@ int Run(int argc, char** argv) {
       "by an external client from its released answers alone; per-query "
       "DP noise plus a per-client budget degrades the attack");
 
-  bench::ParallelConfig par = bench::MakeParallelConfig(ctx.threads);
+  std::unique_ptr<ThreadPool> pool = bench::MakePool(ctx.threads);
   Rng rng(kSeed);
   const std::vector<uint8_t> secret = recon::RandomBits(kN, rng);
 
   // Exact leg (the main-loop iteration the latency histogram tracks).
   service::QueryServiceOptions exact_opts;
   LegResult exact = bench::TimedIteration(
-      [&] { return RunLeg(exact_opts, secret, kSeed + 1, par.get()); });
+      [&] { return RunLeg(exact_opts, secret, kSeed + 1, pool.get()); });
 
   // DP leg: eps 0.25 per answer, budget 2.0 => exactly 8 answers + 2
   // refusals per client, deterministic at any thread count.
@@ -96,7 +96,7 @@ int Run(int argc, char** argv) {
   dp_opts.client_budget_eps = 2.0;
   dp_opts.noise_seed = kSeed;
   LegResult dp = bench::TimedIteration(
-      [&] { return RunLeg(dp_opts, secret, kSeed + 1, par.get()); });
+      [&] { return RunLeg(dp_opts, secret, kSeed + 1, pool.get()); });
 
   TextTable table({"leg", "clients", "queries", "answered", "rejected",
                    "accuracy"});
@@ -120,7 +120,7 @@ int Run(int argc, char** argv) {
     const auto it = snap.histograms.find("service.answer");
     if (it != snap.histograms.end()) {
       const auto& hv = it->second;
-      const double wall = ctx.timer.Seconds();
+      const double wall = ctx.Seconds();
       std::printf(
           "\nservice.answer: %llu events, p50=%.3gs p99=%.3gs p999=%.3gs, "
           "~%.0f queries/sec over the run\n",
@@ -143,7 +143,7 @@ int Run(int argc, char** argv) {
                       "dp serving degrades reconstruction");
   checks.CheckGreater(exact.accuracy, dp.accuracy,
                       "exact transcript beats the noisy one");
-  return bench::FinishBench(ctx, "QS", checks, par.get());
+  return bench::FinishBench(ctx, "QS", checks, pool.get());
 }
 
 }  // namespace

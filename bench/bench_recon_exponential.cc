@@ -11,13 +11,13 @@
 //    at 1 - flips/n accuracy, matching the alpha = c*n threshold.
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "recon/attacks.h"
 #include "recon/oracle.h"
-#include "tools/flags.h"
 
 namespace pso {
 namespace {
@@ -25,8 +25,7 @@ namespace {
 int Run(int argc, char** argv) {
   bench::BenchContext ctx =
       bench::MakeBenchContext("bench_recon_exponential", argc, argv);
-  tools::Flags flags(argc, argv);
-  bench::ParallelConfig par = bench::MakeParallelConfig(flags.GetThreads());
+  std::unique_ptr<ThreadPool> pool = bench::MakePool(ctx.threads);
   bench::Banner(
       "E1: exhaustive reconstruction (Dinur-Nissim, Theorem 1.1(i))",
       "with all 2^n subset queries, per-query error below c*n admits "
@@ -57,17 +56,17 @@ int Run(int argc, char** argv) {
       auto secret = recon::RandomBits(n, rng);
       {
         recon::BoundedNoiseOracle oracle(secret, alpha, 77 + t);
-        auto r = recon::ExhaustiveReconstruct(oracle, alpha, par.get());
+        auto r = recon::ExhaustiveReconstruct(oracle, alpha, pool.get());
         bounded_acc.Add(recon::FractionAgree(r.estimate, secret));
       }
       {
         recon::RoundingOracle oracle(secret, 2.0 * alpha);
-        auto r = recon::ExhaustiveReconstruct(oracle, alpha, par.get());
+        auto r = recon::ExhaustiveReconstruct(oracle, alpha, pool.get());
         rounding_acc.Add(recon::FractionAgree(r.estimate, secret));
       }
       {
         recon::DecoyOracle oracle(secret, flips, 55 + t);
-        auto r = recon::ExhaustiveReconstruct(oracle, alpha, par.get());
+        auto r = recon::ExhaustiveReconstruct(oracle, alpha, pool.get());
         decoy_acc.Add(recon::FractionAgree(r.estimate, secret));
       }
     }
@@ -87,23 +86,6 @@ int Run(int argc, char** argv) {
   }
   table.Print();
 
-  // Wall-clock comparison: one n=14 exhaustive scan (2^14 candidates
-  // against 2^14 queries), serial vs the worker pool.
-  {
-    const size_t big_n = 14;
-    Rng rng(0xE1);
-    auto secret = recon::RandomBits(big_n, rng);
-    double alpha = 0.1 * static_cast<double>(big_n);
-    recon::RoundingOracle oracle(secret, 2.0 * alpha);
-    bench::WallTimer timer;
-    recon::ExhaustiveReconstruct(oracle, alpha);
-    double serial_s = timer.Seconds();
-    timer.Reset();
-    recon::ExhaustiveReconstruct(oracle, alpha, par.get());
-    bench::ReportSpeedup("exhaustive reconstruction, n=14", serial_s,
-                         timer.Seconds(), par.threads);
-  }
-
   bench::ShapeChecks checks;
   checks.CheckBetween(bounded_small, 0.95, 1.0,
                       "small error: blatant non-privacy (bounded noise)");
@@ -116,7 +98,7 @@ int Run(int argc, char** argv) {
   checks.CheckBetween(bounded_large, 0.9, 1.0,
                       "random noise does NOT protect even at alpha = n/2 "
                       "(worst-case error is what Theorem 1.1 is about)");
-  return bench::FinishBench(ctx, "E1", checks, par.get());
+  return bench::FinishBench(ctx, "E1", checks, pool.get());
 }
 
 }  // namespace

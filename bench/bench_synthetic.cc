@@ -9,13 +9,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/table.h"
 #include "data/generators.h"
 #include "pso/game.h"
 #include "pso/synthetic.h"
-#include "tools/flags.h"
 
 namespace pso {
 namespace {
@@ -41,8 +41,7 @@ double AgeHistogramError(const Dataset& input, const Dataset& synthetic) {
 int Run(int argc, char** argv) {
   bench::BenchContext ctx =
       bench::MakeBenchContext("bench_synthetic", argc, argv);
-  tools::Flags flags(argc, argv);
-  bench::ParallelConfig par = bench::MakeParallelConfig(flags.GetThreads());
+  std::unique_ptr<ThreadPool> pool = bench::MakePool(ctx.threads);
   bench::Banner(
       "E16: is synthetic data anonymous? (Section 1.2, PSO lens)",
       "bootstrap 'synthetic' data fails PSO like the identity mechanism; "
@@ -53,7 +52,7 @@ int Run(int argc, char** argv) {
   PsoGameOptions opts;
   opts.trials = 100;
   opts.weight_pool = 60000;
-  opts.pool = par.get();
+  opts.pool = pool.get();
   PsoGame game(u.distribution, n, opts);
   auto adversary = MakeSyntheticCopyAdversary();
 
@@ -97,25 +96,6 @@ int Run(int argc, char** argv) {
       "generator. The PSO game distinguishes them where the label "
       "cannot.\n");
 
-  // Wall-clock comparison on one representative configuration.
-  {
-    PsoGameOptions t_opts;
-    t_opts.trials = 100;
-    t_opts.weight_pool = 60000;
-    auto t_mech =
-        MakeSyntheticDataMechanism(SyntheticMode::kMarginal, 0, /*eps=*/1.0);
-    bench::WallTimer timer;
-    PsoGame serial_game(u.distribution, n, t_opts);
-    serial_game.Run(*t_mech, *adversary);
-    double serial_s = timer.Seconds();
-    t_opts.pool = par.get();
-    timer.Reset();
-    PsoGame parallel_game(u.distribution, n, t_opts);
-    parallel_game.Run(*t_mech, *adversary);
-    bench::ReportSpeedup("marginal-synthesis game, 100 trials", serial_s,
-                         timer.Seconds(), par.threads);
-  }
-
   bench::ShapeChecks checks;
   checks.CheckBetween(bootstrap_rate, 0.9, 1.0,
                       "bootstrap synthesis fails PSO outright");
@@ -125,7 +105,7 @@ int Run(int argc, char** argv) {
                       "DP-marginal synthesis resists the copy attack");
   checks.CheckGreater(bootstrap_rate, marginal_rate + 0.8,
                       "generator choice separates failure from protection");
-  return bench::FinishBench(ctx, "E16", checks, par.get());
+  return bench::FinishBench(ctx, "E16", checks, pool.get());
 }
 
 }  // namespace

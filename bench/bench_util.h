@@ -23,10 +23,8 @@
 #include <sys/resource.h>
 #endif
 
-#include "common/log.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/progress.h"
 #include "common/str_util.h"
 #include "common/trace.h"
 #include "tools/flags.h"
@@ -86,76 +84,37 @@ inline void Banner(const std::string& id, const std::string& claim) {
   std::printf("==========================================================\n");
 }
 
-/// Monotonic wall-clock stopwatch for the serial-vs-parallel reports.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-
-  /// Restarts the stopwatch.
-  void Reset() { start_ = std::chrono::steady_clock::now(); }
-
-  /// Seconds elapsed since construction / the last Reset().
-  double Seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Parallel-run configuration shared by the harnesses: worker pool (null
-/// when running serially) and the requested thread count.
-struct ParallelConfig {
-  std::unique_ptr<ThreadPool> pool;  ///< Null at threads == 1.
-  size_t threads = 1;
-
-  ThreadPool* get() const { return pool.get(); }
-};
-
-/// Builds the pool for `threads` workers (0 = hardware concurrency);
-/// 1 runs serially on the calling thread — exact legacy behavior.
-inline ParallelConfig MakeParallelConfig(size_t threads) {
-  ParallelConfig cfg;
-  cfg.threads = threads == 0 ? ThreadPool::HardwareThreads() : threads;
-  if (cfg.threads > 1) cfg.pool = std::make_unique<ThreadPool>(cfg.threads);
-  return cfg;
+/// Builds the worker pool for `threads` workers (the resolved --threads
+/// value); null at threads <= 1, which runs serially on the calling
+/// thread.
+inline std::unique_ptr<ThreadPool> MakePool(size_t threads) {
+  return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
 }
 
-/// Prints the serial-vs-parallel wall-clock comparison for one workload.
-/// Determinism makes the two runs produce identical numbers, so the only
-/// difference worth reporting is time. Speedup is informational: on a
-/// single-core host (or threads == 1) there is nothing to win.
-inline void ReportSpeedup(const std::string& what, double serial_seconds,
-                          double parallel_seconds, size_t threads) {
-  double speedup =
-      parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
-  std::printf(
-      "\n-- wall clock: %s --\n  serial (1 thread): %.3fs   parallel "
-      "(%zu threads): %.3fs   speedup: %.2fx\n",
-      what.c_str(), serial_seconds, threads, parallel_seconds, speedup);
-}
-
-/// Per-run reporting state shared by every harness: parsed CLI flags, the
-/// run's wall-clock stopwatch (started at construction), and the --json /
-/// --trace destinations. Create one at the top of Run() via
-/// MakeBenchContext.
+/// Per-run reporting state shared by every harness: the --json / --trace
+/// destinations, the resolved --threads value, and the run clock behind
+/// `wall_clock_seconds` (started at construction). Create one at the top
+/// of Run() via MakeBenchContext.
 struct BenchContext {
   std::string bench_name;  ///< Binary name, e.g. "bench_recon_lp".
   std::string json_path;   ///< Empty when --json was not given.
   std::string trace_path;  ///< Empty when --trace was not given.
-  size_t threads = 1;       ///< Resolved --threads value.
-  int64_t watchdog_ms = 0;  ///< Resolved --solver-watchdog-ms (0 = off).
-  WallTimer timer;          ///< Wall clock for the whole run.
+  size_t threads = 1;      ///< Resolved --threads value.
+  std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
+
+  /// Seconds since the context was made.
+  double Seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  }
 };
 
 /// Parses the standard harness flags (--json <path>, --threads N,
-/// --trace <path>, --log-level {debug,info,warn,error},
-/// --solver-watchdog-ms N), starts the run stopwatch, arms the stall
-/// watchdog when requested, and — when --trace was given — enables the
-/// global trace collector. Unknown or malformed flags print usage to
-/// stderr and exit non-zero.
+/// --trace <path>) and — when --trace was given — enables the global
+/// trace collector. Unknown or malformed flags print usage to stderr and
+/// exit 2.
 inline BenchContext MakeBenchContext(const std::string& bench_name, int argc,
                                      char** argv) {
   tools::Flags flags(argc, argv);
@@ -163,8 +122,6 @@ inline BenchContext MakeBenchContext(const std::string& bench_name, int argc,
       {"json", tools::FlagSpec::Type::kString},
       {"threads", tools::FlagSpec::Type::kInt},
       {"trace", tools::FlagSpec::Type::kString},
-      {"log-level", tools::FlagSpec::Type::kString},
-      {"solver-watchdog-ms", tools::FlagSpec::Type::kInt},
   };
   std::vector<std::string> errors;
   tools::ValidateFlags(flags, specs, &errors);
@@ -180,33 +137,15 @@ inline BenchContext MakeBenchContext(const std::string& bench_name, int argc,
       std::fprintf(stderr, "%s: %s\n", bench_name.c_str(), e.c_str());
     }
     std::fprintf(stderr,
-                 "usage: %s [--json FILE] [--threads N] [--trace FILE] "
-                 "[--log-level debug|info|warn|error] "
-                 "[--solver-watchdog-ms N]\n",
+                 "usage: %s [--json FILE] [--threads N] [--trace FILE]\n",
                  bench_name.c_str());
     std::exit(2);
-  }
-  const std::string level_name = flags.GetString("log-level", "");
-  if (!level_name.empty()) {
-    log::Level level;
-    if (!log::ParseLevel(level_name, &level)) {
-      std::fprintf(stderr,
-                   "%s: invalid --log-level '%s' "
-                   "(use debug|info|warn|error)\n",
-                   bench_name.c_str(), level_name.c_str());
-      std::exit(2);
-    }
-    log::SetMinLevel(level);
   }
   BenchContext ctx;
   ctx.bench_name = bench_name;
   ctx.json_path = flags.GetString("json", "");
   ctx.trace_path = flags.GetString("trace", "");
   ctx.threads = flags.GetThreads();
-  ctx.watchdog_ms = flags.GetInt("solver-watchdog-ms", 0);
-  if (ctx.watchdog_ms > 0) {
-    progress::Watchdog::Global().Start(ctx.watchdog_ms);
-  }
   if (!ctx.trace_path.empty()) {
     trace::Collector::Global().Enable();
     // Remembered so an aborting PSO_CHECK still flushes a partial trace.
@@ -259,9 +198,9 @@ inline std::string BenchReportJson(const BenchContext& ctx,
                                    const std::string& experiment,
                                    const ShapeChecks& checks,
                                    const metrics::Snapshot& snapshot) {
-  const double wall_seconds = ctx.timer.Seconds();
+  const double wall_seconds = ctx.Seconds();
   std::string out = "{\n";
-  out += "  \"schema_version\": 4,\n";
+  out += "  \"schema_version\": 5,\n";
   out += StrFormat("  \"bench\": \"%s\",\n",
                    metrics::JsonEscape(ctx.bench_name).c_str());
   out += StrFormat("  \"experiment\": \"%s\",\n",
@@ -272,11 +211,6 @@ inline std::string BenchReportJson(const BenchContext& ctx,
   out += StrFormat("  \"wall_clock_seconds\": %.6f,\n", wall_seconds);
   out += StrFormat("  \"peak_rss_bytes\": %llu,\n",
                    static_cast<unsigned long long>(PeakRssBytes()));
-  out += StrFormat("  \"watchdog_ms\": %lld,\n",
-                   static_cast<long long>(ctx.watchdog_ms));
-  out += StrFormat(
-      "  \"watchdog_stalls\": %llu,\n",
-      static_cast<unsigned long long>(progress::Watchdog::Global().stalls()));
   // Derived events/sec per histogram over the run's measured window —
   // the "queries per second" shape the future QueryService reports
   // per-client. Run-dependent (wall clock in the denominator).
@@ -318,36 +252,36 @@ inline std::string BenchReportJson(const BenchContext& ctx,
 /// the shape-check summary, writes the execution trace when --trace was
 /// given, and — when --json was given — writes the machine-readable
 /// report. Returns the process exit code (nonzero on any failed check or
-/// an unwritable --json path).
+/// an unwritable --trace or --json path).
 inline int FinishBench(const BenchContext& ctx, const std::string& experiment,
                        const ShapeChecks& checks,
                        const ThreadPool* pool = nullptr) {
   RecordPoolGauges(pool);
-  // Disarm before snapshotting so the stall count in the report is final
-  // and the background thread is joined before process teardown.
-  progress::Watchdog::Global().Stop();
   int rc = checks.Finish(experiment);
+  bool written = true;
   if (!ctx.trace_path.empty()) {
-    if (trace::Collector::Global().WriteChromeJson(ctx.trace_path)) {
-      std::printf("trace: %s\n", ctx.trace_path.c_str());
-    }
+    written = trace::Collector::Global().WriteChromeJson(ctx.trace_path);
+    if (written) std::printf("trace: %s\n", ctx.trace_path.c_str());
     trace::Collector::Global().Disable();
   }
   if (!ctx.json_path.empty()) {
     metrics::Snapshot snapshot = metrics::Registry::Global().TakeSnapshot();
     std::string json = BenchReportJson(ctx, experiment, checks, snapshot);
     std::FILE* f = std::fopen(ctx.json_path.c_str(), "w");
-    if (f == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
+    bool ok = f != nullptr &&
+              std::fwrite(json.data(), 1, json.size(), f) == json.size();
+    // A small report sits in the stdio buffer, so a full disk surfaces
+    // only at fclose.
+    if (f != nullptr && std::fclose(f) != 0) ok = false;
+    if (ok) {
+      std::printf("JSON report: %s\n", ctx.json_path.c_str());
+    } else {
       std::fprintf(stderr, "cannot write JSON report to '%s'\n",
                    ctx.json_path.c_str());
-      if (f != nullptr) std::fclose(f);
-      return rc != 0 ? rc : 1;
+      written = false;
     }
-    std::fclose(f);
-    std::printf("JSON report: %s\n", ctx.json_path.c_str());
   }
-  return rc;
+  return rc == 0 && !written ? 1 : rc;
 }
 
 }  // namespace pso::bench

@@ -1,4 +1,4 @@
-// Fuzz target: DIMACS CNF parser (solver/dimacs.h).
+// Fuzz target: DIMACS CNF parser (oracles/dimacs.h).
 //
 // Any byte string must either parse or fail with a Status — never crash.
 // Accepted formulas must round-trip through ToDimacs and, when small,
@@ -10,8 +10,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "oracles/dimacs.h"
 #include "oracles/oracles.h"
-#include "solver/dimacs.h"
 
 namespace {
 

@@ -1,4 +1,4 @@
-// Fuzz target: binary LP-instance decoder (solver/lp_io.h).
+// Fuzz target: binary LP-instance decoder (oracles/lp_io.h).
 //
 // Any byte string must either decode or fail with a Status — never
 // crash or over-allocate. Accepted instances must re-encode to a
@@ -13,9 +13,9 @@
 #include <cstdlib>
 #include <string>
 
+#include "oracles/lp_io.h"
 #include "oracles/oracles.h"
 #include "solver/lp.h"
-#include "solver/lp_io.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   pso::Result<pso::LpInstance> decoded = pso::DecodeLpInstance(data, size);
@@ -26,7 +26,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       pso::DecodeLpInstance(pso::EncodeLpInstance(*decoded));
   if (!again.ok()) std::abort();
 
-  pso::LpProblem lp = decoded->ToProblem();
+  pso::LpProblem lp = pso::ToProblem(*decoded);
   if (!lp.build_status().ok()) std::abort();
 
   if (decoded->variables.size() <= 12 && decoded->rows.size() <= 24) {

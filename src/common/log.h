@@ -10,7 +10,7 @@
 //    "msg":"sat exhausted","fields":{"block":"17","decisions":"500000"}}
 //
 // The default minimum level is WARN so instrumented libraries stay silent
-// unless a tool opts in (--log-level on psoctl and every bench binary).
+// unless a tool opts in (psoctl's --log-level).
 // Disabled levels cost one relaxed atomic load — the message object is
 // never constructed.
 //

@@ -10,7 +10,7 @@
 // the deterministic trace contract.)
 //
 // The watchdog is the only wall-clock component, and it is strictly
-// additive diagnostics: when armed (psoctl/bench --solver-watchdog-ms N),
+// additive diagnostics: when armed (psoctl --solver-watchdog-ms N),
 // a background thread checks every N ms whether ANY reporter has ticked
 // since the last check and, if not, emits a kResourceExhausted-style
 // stall diagnostic (WARN log + trace instant + watchdog.stalls counter)

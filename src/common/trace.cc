@@ -354,14 +354,13 @@ std::string Collector::TextTree() const {
 bool Collector::WriteChromeJson(const std::string& path) const {
   std::string json = ChromeJson();
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
-    std::fprintf(stderr, "cannot write trace to '%s'\n", path.c_str());
-    if (f != nullptr) std::fclose(f);
-    return false;
-  }
-  std::fclose(f);
-  return true;
+  bool ok = f != nullptr &&
+            std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  // A short trace sits in the stdio buffer, so a full disk surfaces only
+  // at fclose.
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) std::fprintf(stderr, "cannot write trace to '%s'\n", path.c_str());
+  return ok;
 }
 
 }  // namespace pso::trace

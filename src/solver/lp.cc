@@ -69,15 +69,4 @@ Result<LpSolution> LpProblem::Solve(const LpSolveOptions& options) const {
   return SolveRevisedSimplex(instance_, options);
 }
 
-LpProblem LpInstance::ToProblem() const {
-  LpProblem problem;
-  for (const Variable& v : variables) {
-    problem.AddVariable(v.lower, v.upper, v.cost);
-  }
-  for (const Row& row : rows) {
-    problem.AddConstraint(row.coeffs, row.rel, row.rhs);
-  }
-  return problem;
-}
-
 }  // namespace pso

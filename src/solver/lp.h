@@ -23,8 +23,6 @@
 
 namespace pso {
 
-class LpProblem;
-
 /// Relation of a linear constraint.
 enum class Relation { kLessEq, kGreaterEq, kEqual };
 
@@ -56,9 +54,8 @@ struct LpSolution {
 /// Ring capacity of LpSolution::pivot_trace.
 inline constexpr size_t kPivotTraceCapacity = 256;
 
-/// A plain-data LP instance: the unit the simplex consumes and the
-/// lp_io codec round-trips. Build one through LpProblem (which validates)
-/// or DecodeLpInstance (which validates harder).
+/// A plain-data LP instance: the unit the simplex consumes. Build one
+/// through LpProblem, which validates every variable and row.
 struct LpInstance {
   struct Variable {
     double lower = 0.0;  ///< Finite.
@@ -72,11 +69,6 @@ struct LpInstance {
   };
   std::vector<Variable> variables;
   std::vector<Row> rows;
-
-  /// Builds the solver problem. An instance produced by a successful
-  /// DecodeLpInstance is always well-formed, so the problem's
-  /// build_status() is OK.
-  LpProblem ToProblem() const;
 };
 
 /// Basis membership of one column, as snapshotted for warm starts.

@@ -9,13 +9,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "census/population.h"
 #include "census/reconstruct.h"
 #include "census/tabulator.h"
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators.h"
@@ -25,6 +28,8 @@
 #include "pso/game.h"
 #include "pso/interactive.h"
 #include "pso/mechanisms.h"
+#include "recon/attacks.h"
+#include "recon/oracle.h"
 #include "solver/lp.h"
 
 namespace pso {
@@ -158,6 +163,51 @@ TEST(DeterminismTest, MembershipExperimentIdenticalAcrossThreadCounts) {
     EXPECT_EQ(results[0].advantage, results[v].advantage);
     EXPECT_EQ(results[0].mean_in, results[v].mean_in);
     EXPECT_EQ(results[0].mean_out, results[v].mean_out);
+  }
+}
+
+// The recon.* counters, by name.
+std::map<std::string, uint64_t> ReconCounters() {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [name, value] :
+       metrics::Registry::Global().TakeSnapshot().counters) {
+    if (name.rfind("recon.", 0) == 0) out[name] = value;
+  }
+  return out;
+}
+
+TEST(DeterminismTest, ExhaustiveReconstructIdenticalAcrossThreadCounts) {
+  constexpr size_t kN = 10;
+  Rng rng(0xE1);
+  const std::vector<uint8_t> secret = recon::RandomBits(kN, rng);
+  // At alpha 1.5 the secret is consistent, so each chunk stops at its
+  // first consistent candidate. At alpha 0 no candidate is (the noise is
+  // continuous), so the scan keeps the earliest minimum violation.
+  for (double alpha : {1.5, 0.0}) {
+    auto pools = MakePools();
+    std::vector<recon::Reconstruction> results;
+    std::vector<std::map<std::string, uint64_t>> counter_deltas;
+    for (const auto& pool : pools) {
+      // A fresh oracle per run: its noise stream advances per answer.
+      recon::BoundedNoiseOracle oracle(secret, /*alpha=*/1.5, /*seed=*/77);
+      const std::map<std::string, uint64_t> before = ReconCounters();
+      results.push_back(
+          recon::ExhaustiveReconstruct(oracle, alpha, pool.get()));
+      std::map<std::string, uint64_t> delta = ReconCounters();
+      for (auto& [name, value] : delta) {
+        const auto it = before.find(name);
+        if (it != before.end()) value -= it->second;
+      }
+      counter_deltas.push_back(std::move(delta));
+    }
+    EXPECT_EQ(counter_deltas[0].at("recon.exhaustive_decodes"), 1u);
+    for (size_t v = 1; v < results.size(); ++v) {
+      EXPECT_EQ(results[0].estimate, results[v].estimate) << alpha;
+      EXPECT_EQ(results[0].queries_used, results[v].queries_used) << alpha;
+      EXPECT_EQ(results[0].decoder_residual, results[v].decoder_residual)
+          << alpha;
+      EXPECT_EQ(counter_deltas[0], counter_deltas[v]) << alpha;
+    }
   }
 }
 

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "oracles/dimacs.h"
 #include "proptest.h"
-#include "solver/dimacs.h"
 
 namespace pso {
 namespace {

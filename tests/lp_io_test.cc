@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "oracles/lp_io.h"
 #include "proptest.h"
 #include "solver/lp.h"
-#include "solver/lp_io.h"
 
 namespace pso {
 namespace {
@@ -49,7 +49,7 @@ TEST(LpIoTest, DecodedInstanceSolves) {
   inst.rows.push_back({{{0, 1.0}, {1, 2.0}}, Relation::kGreaterEq, 0.5});
   Result<LpInstance> decoded = DecodeLpInstance(EncodeLpInstance(inst));
   ASSERT_TRUE(decoded.ok());
-  LpProblem lp = decoded->ToProblem();
+  LpProblem lp = ToProblem(*decoded);
   EXPECT_TRUE(lp.build_status().ok());
   Result<LpSolution> sol = lp.Solve();
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();

@@ -1,6 +1,7 @@
-#include "solver/dimacs.h"
+#include "oracles/dimacs.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/str_util.h"

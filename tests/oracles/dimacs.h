@@ -1,11 +1,11 @@
-// DIMACS CNF import/export for the SAT solver.
+// DIMACS CNF import/export for the SAT solver, test support.
 //
-// DIMACS CNF is the lingua franca of the SAT world: the census
-// reconstruction pipeline can dump its cardinality encodings for external
-// solvers, and external instances (or fuzzer-generated ones) can be fed
-// to our CDCL engine. The parser treats its input as untrusted: every
-// malformed header, out-of-range literal, or truncated clause is an
-// InvalidArgument status, never an abort.
+// DIMACS CNF is the lingua franca of the SAT world. Here it is the input
+// format of fuzz_dimacs and of the codec tests, which feed parsed
+// formulas to the production CDCL engine; no production path reads it.
+// The parser treats its input as untrusted: every malformed header,
+// out-of-range literal, or truncated clause is an InvalidArgument status,
+// never an abort.
 //
 // Accepted dialect:
 //   c <comment>                 -- anywhere before/between clauses
@@ -15,8 +15,8 @@
 // The declared clause count must match the clauses present; the declared
 // variable count bounds every literal.
 
-#ifndef PSO_SOLVER_DIMACS_H_
-#define PSO_SOLVER_DIMACS_H_
+#ifndef PSO_TESTS_ORACLES_DIMACS_H_
+#define PSO_TESTS_ORACLES_DIMACS_H_
 
 #include <cstdint>
 #include <string>
@@ -51,4 +51,4 @@ SatSolver BuildSatSolver(const DimacsCnf& cnf);
 
 }  // namespace pso
 
-#endif  // PSO_SOLVER_DIMACS_H_
+#endif  // PSO_TESTS_ORACLES_DIMACS_H_

@@ -1,4 +1,4 @@
-#include "solver/lp_io.h"
+#include "oracles/lp_io.h"
 
 #include <cmath>
 #include <cstring>
@@ -173,6 +173,17 @@ Result<LpInstance> DecodeLpInstance(const uint8_t* data, size_t size) {
 Result<LpInstance> DecodeLpInstance(const std::string& bytes) {
   return DecodeLpInstance(reinterpret_cast<const uint8_t*>(bytes.data()),
                           bytes.size());
+}
+
+LpProblem ToProblem(const LpInstance& instance) {
+  LpProblem problem;
+  for (const LpInstance::Variable& v : instance.variables) {
+    problem.AddVariable(v.lower, v.upper, v.cost);
+  }
+  for (const LpInstance::Row& row : instance.rows) {
+    problem.AddConstraint(row.coeffs, row.rel, row.rhs);
+  }
+  return problem;
 }
 
 }  // namespace pso

@@ -1,11 +1,12 @@
-// Binary LP-instance encoding/decoding.
+// Binary LP-instance encoding/decoding (PSOLP1), test support.
 //
 // A compact little-endian wire format for the bounded-variable linear
-// programs the reconstruction attacks build, so instances can be dumped
-// from one run and replayed (or fuzzed) in another. The decoder treats
-// its input as untrusted: every truncation, bad magic, non-finite value,
-// out-of-range index, or cap violation is an InvalidArgument status,
-// never an abort or an over-allocation.
+// programs the reconstruction attacks build. It is the input format of
+// fuzz_lp_decode and of the solver property tests, which feed decoded
+// instances to the production simplex; no production path reads it. The
+// decoder treats its input as untrusted: every truncation, bad magic,
+// non-finite value, out-of-range index, or cap violation is an
+// InvalidArgument status, never an abort or an over-allocation.
 //
 // Layout (all integers little-endian):
 //   byte[6]  magic "PSOLP1"
@@ -16,8 +17,8 @@
 //   per row:      u8 relation (0 <=, 1 >=, 2 ==), f64 rhs (finite),
 //                 u32 nnz (<= num_vars), then nnz x (u32 index, f64 coeff)
 
-#ifndef PSO_SOLVER_LP_IO_H_
-#define PSO_SOLVER_LP_IO_H_
+#ifndef PSO_TESTS_ORACLES_LP_IO_H_
+#define PSO_TESTS_ORACLES_LP_IO_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -43,6 +44,11 @@ std::string EncodeLpInstance(const LpInstance& instance);
 /// String-payload convenience overload.
 [[nodiscard]] Result<LpInstance> DecodeLpInstance(const std::string& bytes);
 
+/// Builds the solver problem. An instance produced by a successful
+/// DecodeLpInstance is always well-formed, so the problem's
+/// build_status() is OK.
+LpProblem ToProblem(const LpInstance& instance);
+
 }  // namespace pso
 
-#endif  // PSO_SOLVER_LP_IO_H_
+#endif  // PSO_TESTS_ORACLES_LP_IO_H_

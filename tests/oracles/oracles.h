@@ -5,7 +5,9 @@
 // (LpProblem::Solve) and the CDCL engine (SatSolver::Solve). They live in
 // the pso_oracles library, which only tests/ and fuzz/ link, so no
 // production path can select them. They publish the same solver counters
-// (lp.solves, sat.solves, ...) as the engines they check.
+// (lp.solves, sat.solves, ...) as the engines they check. The library
+// also holds the solvers' test input formats: the DIMACS CNF codec
+// (oracles/dimacs.h) and the PSOLP1 LP codec (oracles/lp_io.h).
 //
 // Differential tests iterate kLpEngines / kSatEngines, which pair each
 // oracle with its production engine behind one function signature.

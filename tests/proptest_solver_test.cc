@@ -21,11 +21,11 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "csp_brute_force.h"
+#include "oracles/lp_io.h"
 #include "oracles/oracles.h"
 #include "proptest.h"
 #include "solver/csp.h"
 #include "solver/lp.h"
-#include "solver/lp_io.h"
 #include "solver/sat.h"
 
 namespace pso {
@@ -191,7 +191,7 @@ struct EngineOutcome {
 
 EngineOutcome SolveOn(oracles::LpSolveFn solve, const LpInstance& inst) {
   EngineOutcome out;
-  Result<LpSolution> got = solve(inst.ToProblem(), LpSolveOptions{});
+  Result<LpSolution> got = solve(ToProblem(inst), LpSolveOptions{});
   if (got.ok()) {
     out.objective = got->objective;
   } else {

@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -275,6 +276,17 @@ TEST(TraceTest, ChromeJsonIsWellFormed) {
   std::string json = Collector::Global().ChromeJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+}
+
+// A short trace sits in the stdio buffer, so a full disk reports the lost
+// write only at fclose; the caller must still see it.
+TEST(TraceTest, WriteChromeJsonFailsWhenCloseFails) {
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "no /dev/full on this platform";
+  std::fclose(probe);
+  ScopedTracing tracing;
+  { trace::Span span("lost"); }
+  EXPECT_FALSE(Collector::Global().WriteChromeJson("/dev/full"));
 }
 
 // The deterministic workload: a pipeline span over a ParallelFor whose

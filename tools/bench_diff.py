@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regression gate over the deterministic bench counters.
 
-Every bench harness writes a BENCH_<name>.json report (schema_version 4,
+Every bench harness writes a BENCH_<name>.json report (schema_version 5,
 see EXPERIMENTS.md). The "metrics"/"counters" object is the deterministic
 section: same seed => identical values on every run and every machine, so
 it can be diffed exactly. This tool compares fresh reports against the
@@ -9,10 +9,9 @@ committed baselines in bench/baselines/ and fails on any counter drift —
 an unexplained change in solver pivots, SAT decisions, or samples drawn
 is a behavior change, not noise.
 
-Counters under run-shaped prefixes (parallel.*, pool.*, watchdog.* by
-default) and everything run-dependent (wall clock, gauges, RSS, git_sha)
-are reported but never gate. Wall-clock deltas are printed for
-information only.
+Counters under run-shaped prefixes (parallel.*, pool.* by default) and
+everything run-dependent (wall clock, gauges, RSS, git_sha) are reported
+but never gate. Wall-clock deltas are printed for information only.
 
 Histograms gate only on their event counts: the number of lp.solve /
 sat.solve / bench.main_loop spans is deterministic given the seed, while
@@ -44,8 +43,8 @@ import os
 import sys
 import tempfile
 
-DEFAULT_SKIP_PREFIXES = ["parallel.", "pool.", "watchdog."]
-SCHEMA_VERSION = 4
+DEFAULT_SKIP_PREFIXES = ["parallel.", "pool."]
+SCHEMA_VERSION = 5
 
 EXIT_CODES_HELP = """\
 exit codes:
@@ -177,24 +176,28 @@ def self_test():
         write_report(current, {"svc.queries": 640}, {"svc.answer": 639})
         expect(1, common, "histogram event-count drift")
 
-        # Schema 3 reports (with a "timers" section) are rejected on load.
-        stale_path = os.path.join(tmp, "BENCH_stale.json")
-        with open(stale_path, "w", encoding="utf-8") as f:
-            json.dump({**_synthetic_report({}, {}), "schema_version": 3}, f)
-        try:
-            load_report(stale_path)
-            failures.append("schema-3 report")
-        except ValueError:
-            pass
-        print(f"[{'FAIL' if 'schema-3 report' in failures else 'PASS'}] "
-              "schema-3 report rejected")
+        # Older reports are rejected on load: schema 3 (with a "timers"
+        # section) and schema 4 (with the harness watchdog keys).
+        for stale_version in (3, 4):
+            scenario = f"schema-{stale_version} report"
+            stale_path = os.path.join(tmp, "BENCH_stale.json")
+            with open(stale_path, "w", encoding="utf-8") as f:
+                json.dump({**_synthetic_report({}, {}),
+                           "schema_version": stale_version}, f)
+            try:
+                load_report(stale_path)
+                failures.append(scenario)
+            except ValueError:
+                pass
+            print(f"[{'FAIL' if scenario in failures else 'PASS'}] "
+                  f"{scenario} rejected")
 
         empty = os.path.join(tmp, "empty")
         os.makedirs(empty)
         expect(2, ["--current-dir", empty, "--baseline-dir", baselines],
                "no reports")
 
-    print(f"\nself-test: {7 - len(failures)}/7 scenarios passed")
+    print(f"\nself-test: {8 - len(failures)}/8 scenarios passed")
     return 0 if not failures else 1
 
 
