@@ -21,13 +21,10 @@ void CheckFailed(const char* file, int line, const char* expr,
   }
 
   if (log::Initialized()) {
-    {
-      log::LogMessage m(log::Level::kError, file, line);
-      m.Field("check", expr);
-      m << "PSO_CHECK failed";
-      if (msg != nullptr) m.Field("detail", msg);
-    }
-    log::Flush();
+    log::LogMessage m(log::Level::kError, file, line);
+    m.Field("check", expr);
+    m << "PSO_CHECK failed";
+    if (msg != nullptr) m.Field("detail", msg);
   }
   // Best-effort partial trace so the audit record of a crashed solve
   // survives (no-op unless a --trace path was registered).

@@ -1,6 +1,5 @@
 #include "common/log.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -16,13 +15,12 @@ namespace pso::log {
 namespace {
 
 std::atomic<int> g_min_level{static_cast<int>(Level::kWarn)};
-std::atomic<bool> g_deterministic{false};
 std::atomic<bool> g_initialized{false};
 
-// Sink + deterministic buffer state, guarded by one mutex: logging is a
-// diagnostics path, not a throughput path. A class (not loose statics)
-// so every member carries PSO_GUARDED_BY and the thread-safety analysis
-// checks each access against mu_.
+// Sink state, guarded by one mutex: logging is a diagnostics path, not a
+// throughput path. A class (not loose statics) so every member carries
+// PSO_GUARDED_BY and the thread-safety analysis checks each access
+// against mu_.
 class SinkCore {
  public:
   /// The never-destroyed singleton (log statements may run from static
@@ -30,23 +28,6 @@ class SinkCore {
   static SinkCore& Get() {
     static SinkCore* s = new SinkCore();
     return *s;
-  }
-
-  bool SetFile(const std::string& path) PSO_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (owns_file_ && file_ != nullptr) std::fclose(file_);
-    file_ = nullptr;
-    owns_file_ = false;
-    if (!path.empty()) {
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open log sink '%s'\n", path.c_str());
-        return false;
-      }
-      file_ = f;
-      owns_file_ = true;
-    }
-    return true;
   }
 
   void SetCapture(bool on) PSO_EXCLUDES(mu_) {
@@ -68,18 +49,6 @@ class SinkCore {
     WriteLineLocked(line);
   }
 
-  /// Queues a deterministic-mode line under its rank key.
-  void Buffer(std::vector<uint64_t> key, std::string line) PSO_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    buffer_.push_back({std::move(key), std::move(line)});
-  }
-
-  /// Sorts and writes everything queued by Buffer().
-  void Flush() PSO_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    FlushLocked();
-  }
-
  private:
   SinkCore() = default;
 
@@ -89,33 +58,14 @@ class SinkCore {
       captured_ += '\n';
       return;
     }
-    std::FILE* f = file_ != nullptr ? file_ : stderr;
-    std::fputs(line.c_str(), f);
-    std::fputc('\n', f);
-    std::fflush(f);
+    std::fputs(line.c_str(), stderr);
+    std::fputc('\n', stderr);
+    std::fflush(stderr);
   }
-
-  void FlushLocked() PSO_REQUIRES(mu_) {
-    std::stable_sort(buffer_.begin(), buffer_.end(),
-                     [](const Buffered& a, const Buffered& b) {
-                       return a.key < b.key;
-                     });
-    for (const auto& m : buffer_) WriteLineLocked(m.line);
-    buffer_.clear();
-  }
-
-  struct Buffered {
-    std::vector<uint64_t> key;
-    std::string line;
-  };
 
   Mutex mu_ PSO_LOCK_ORDER(kLog){LockRank::kLog, "log.sink"};
-  std::FILE* file_ PSO_GUARDED_BY(mu_) = nullptr;  // null => stderr
-  bool owns_file_ PSO_GUARDED_BY(mu_) = false;
   bool capture_ PSO_GUARDED_BY(mu_) = false;
   std::string captured_ PSO_GUARDED_BY(mu_);
-  /// Deterministic-mode messages awaiting rank-ordered flush.
-  std::vector<Buffered> buffer_ PSO_GUARDED_BY(mu_);
 };
 
 // Logger time origin: first use of Now(). Log timestamps are display
@@ -136,29 +86,6 @@ uint32_t ThreadId() {
   thread_local uint32_t id = 0;
   if (id == 0) id = g_next_thread_id.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-// Deterministic-mode rank state: the hierarchical key prefix for this
-// thread plus the next sequence number within it. Top-level (empty
-// prefix) keys come from a global program-order counter.
-struct RankState {
-  std::vector<uint64_t> prefix;
-  uint64_t seq = 0;
-};
-RankState& Rank() {
-  thread_local RankState state;
-  return state;
-}
-std::atomic<uint64_t> g_serial_order{0};
-
-std::vector<uint64_t> NextKey() {
-  RankState& r = Rank();
-  if (r.prefix.empty()) {
-    return {g_serial_order.fetch_add(1, std::memory_order_relaxed)};
-  }
-  std::vector<uint64_t> key = r.prefix;
-  key.push_back(r.seq++);
-  return key;
 }
 
 const char* Basename(const char* path) {
@@ -201,12 +128,6 @@ const char* LevelName(Level level) {
   return "unknown";
 }
 
-bool SetFileSink(const std::string& path) {
-  bool ok = SinkCore::Get().SetFile(path);
-  g_initialized.store(true, std::memory_order_relaxed);
-  return ok;
-}
-
 void CaptureToString(bool on) {
   SinkCore::Get().SetCapture(on);
   g_initialized.store(true, std::memory_order_relaxed);
@@ -214,38 +135,9 @@ void CaptureToString(bool on) {
 
 std::string TakeCaptured() { return SinkCore::Get().TakeCaptured(); }
 
-void SetDeterministic(bool on) {
-  if (!on) SinkCore::Get().Flush();
-  g_deterministic.store(on, std::memory_order_relaxed);
-  g_initialized.store(true, std::memory_order_relaxed);
-}
-
-bool DeterministicMode() {
-  return g_deterministic.load(std::memory_order_relaxed);
-}
-
-void Flush() { SinkCore::Get().Flush(); }
-
 bool Initialized() {
   return g_initialized.load(std::memory_order_relaxed);
 }
-
-RankScope::RankScope(const std::vector<uint64_t>& region_key, uint64_t rank) {
-  RankState& r = Rank();
-  saved_prefix_ = std::move(r.prefix);
-  saved_seq_ = r.seq;
-  r.prefix = region_key;
-  r.prefix.push_back(rank);
-  r.seq = 0;
-}
-
-RankScope::~RankScope() {
-  RankState& r = Rank();
-  r.prefix = std::move(saved_prefix_);
-  r.seq = saved_seq_;
-}
-
-std::vector<uint64_t> AllocateRegionKey() { return NextKey(); }
 
 LogMessage::LogMessage(Level level, const char* file, int line)
     : level_(level), file_(file), line_(line) {}
@@ -301,16 +193,10 @@ LogMessage& LogMessage::operator<<(bool v) {
 }
 
 LogMessage::~LogMessage() {
-  const bool deterministic = DeterministicMode();
   std::string line = "{";
-  line += StrFormat("\"level\":\"%s\"", LevelName(level_));
-  if (!deterministic) {
-    // Wall-clock and scheduling detail are exactly what deterministic
-    // mode must omit to stay byte-identical across thread counts.
-    line += StrFormat(",\"ts_us\":%llu,\"thread\":%u",
-                      static_cast<unsigned long long>(NowMicros()),
-                      ThreadId());
-  }
+  line += StrFormat("\"level\":\"%s\",\"ts_us\":%llu,\"thread\":%u",
+                    LevelName(level_),
+                    static_cast<unsigned long long>(NowMicros()), ThreadId());
   line += StrFormat(",\"src\":\"%s:%d\"",
                     metrics::JsonEscape(Basename(file_)).c_str(), line_);
   line += StrFormat(",\"msg\":\"%s\"", metrics::JsonEscape(msg_).c_str());
@@ -326,11 +212,6 @@ LogMessage::~LogMessage() {
     line += "}";
   }
   line += "}";
-
-  if (deterministic) {
-    SinkCore::Get().Buffer(NextKey(), std::move(line));
-    return;
-  }
   SinkCore::Get().Emit(line);
 }
 

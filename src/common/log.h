@@ -4,7 +4,7 @@
 //   PSO_LOG(WARN).Field("block", b).Field("decisions", d) << "sat exhausted";
 //
 // Each statement emits one JSON object per line to the sink (stderr by
-// default, or a file / in-memory capture):
+// default, or an in-memory capture for tests), in arrival order:
 //
 //   {"level":"warn","ts_us":182034,"thread":3,"src":"sat.cc:241",
 //    "msg":"sat exhausted","fields":{"block":"17","decisions":"500000"}}
@@ -13,15 +13,6 @@
 // unless a tool opts in (psoctl's --log-level).
 // Disabled levels cost one relaxed atomic load — the message object is
 // never constructed.
-//
-// Deterministic mode (SetDeterministic(true)): messages are buffered and
-// flushed in RANK order instead of wall-clock arrival order, with the
-// run-dependent fields (ts_us, thread) omitted. Ranks are hierarchical
-// keys that depend only on program structure: serial code takes keys in
-// program order, and ParallelFor gives each chunk the key
-// <region key>.<chunk index>, nesting arbitrarily. Because chunk
-// boundaries depend only on n (never the thread count), a fixed seed
-// yields byte-identical log output at 1 or 64 threads (log_test.cc).
 
 #ifndef PSO_COMMON_LOG_H_
 #define PSO_COMMON_LOG_H_
@@ -54,23 +45,10 @@ bool ShouldLog(Level level);
 bool ParseLevel(const std::string& name, Level* out);
 const char* LevelName(Level level);
 
-/// Routes output to a file (created/truncated at `path`); false on open
-/// failure. Passing an empty path restores the default stderr sink.
-bool SetFileSink(const std::string& path);
-
 /// Routes output to an in-memory buffer (tests). TakeCaptured() returns
 /// and clears it.
 void CaptureToString(bool on);
 std::string TakeCaptured();
-
-/// Deterministic rank-ordered buffering (see file comment). Turning it
-/// off flushes anything buffered.
-void SetDeterministic(bool on);
-bool DeterministicMode();
-
-/// Writes buffered deterministic-mode messages (rank order) and fsyncs
-/// nothing; safe to call at any time, from any mode.
-void Flush();
 
 /// True once any sink configuration ran — the PSO_CHECK handler uses
 /// this to decide between structured output and the raw-fprintf
@@ -132,28 +110,6 @@ class LogMessage {
   std::string msg_;
   std::vector<std::pair<std::string, std::string>> fields_;
 };
-
-/// Deterministic-mode rank scoping. ParallelFor allocates one region key
-/// on the calling thread (AllocateRegionKey) and wraps each chunk body in
-/// RankScope(region_key, chunk_index); messages inside take hierarchical
-/// keys under it. Nesting composes: an inner ParallelFor inside a chunk
-/// extends the chunk's key.
-class RankScope {
- public:
-  RankScope(const std::vector<uint64_t>& region_key, uint64_t rank);
-  ~RankScope();
-  RankScope(const RankScope&) = delete;
-  RankScope& operator=(const RankScope&) = delete;
-
- private:
-  std::vector<uint64_t> saved_prefix_;
-  uint64_t saved_seq_;
-};
-
-/// Claims the sort key for a parallel region at the current scope. Must
-/// be called on the thread launching the region (the key consumes one
-/// slot in that scope's program order).
-std::vector<uint64_t> AllocateRegionKey();
 
 }  // namespace pso::log
 

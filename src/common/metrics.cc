@@ -48,7 +48,7 @@ void Histogram::Record(double v) {
   buckets_[static_cast<size_t>(BucketIndex(v))].fetch_add(
       1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
-  // Fixed-point accumulation: integer adds commute, so the merged sum is
+  // Fixed-point accumulation: integer adds commute, so the sum is
   // bit-identical at any thread count (double adds would not be).
   // Negative and non-finite values contribute 0 to the sum.
   if (v > 0.0 && std::isfinite(v)) {
@@ -66,29 +66,6 @@ void Histogram::Record(double v) {
            !max_bits_.compare_exchange_weak(cur, std::bit_cast<uint64_t>(v),
                                             std::memory_order_relaxed)) {
     }
-  }
-}
-
-void Histogram::MergeParts(uint64_t count, uint64_t sum_fp, double mn,
-                           double mx, const std::map<int, uint64_t>& buckets) {
-  if (count == 0) return;
-  for (const auto& [idx, n] : buckets) {
-    if (idx >= 0 && idx < kNumBuckets) {
-      buckets_[static_cast<size_t>(idx)].fetch_add(n,
-                                                   std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(count, std::memory_order_relaxed);
-  sum_fp_.fetch_add(sum_fp, std::memory_order_relaxed);
-  uint64_t cur = min_bits_.load(std::memory_order_relaxed);
-  while (mn < std::bit_cast<double>(cur) &&
-         !min_bits_.compare_exchange_weak(cur, std::bit_cast<uint64_t>(mn),
-                                          std::memory_order_relaxed)) {
-  }
-  cur = max_bits_.load(std::memory_order_relaxed);
-  while (mx > std::bit_cast<double>(cur) &&
-         !max_bits_.compare_exchange_weak(cur, std::bit_cast<uint64_t>(mx),
-                                          std::memory_order_relaxed)) {
   }
 }
 
@@ -193,16 +170,6 @@ Snapshot Registry::TakeSnapshot() const {
   }
   snap.gauges = gauges_;
   return snap;
-}
-
-void Registry::MergeFrom(const Snapshot& snap) {
-  for (const auto& [name, value] : snap.counters) GetCounter(name).Add(value);
-  for (const auto& [name, hv] : snap.histograms) {
-    FindHistogram(name, hv.durations)
-        .MergeParts(hv.count, hv.sum_fp, hv.min, hv.max, hv.buckets);
-  }
-  MutexLock lock(mu_);
-  for (const auto& [name, value] : snap.gauges) gauges_[name] = value;
 }
 
 void Registry::ResetAll() {

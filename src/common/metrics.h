@@ -1,4 +1,4 @@
-// Process-wide observability: named counters, mergeable value
+// Process-wide observability: named counters, fixed-bucket value
 // histograms, gauges, and timed spans (PSO_SPAN), collected in a registry
 // that benches and psoctl snapshot into BENCH_*.json / --metrics dumps.
 //
@@ -16,9 +16,9 @@
 //  - Histograms hold per-event value distributions over FIXED log-scale
 //    bucket boundaries (see Histogram). Every internal accumulator is an
 //    integer (bucket tallies, fixed-point sum) or an order-free extremum
-//    (min/max), so concurrent recording commutes and MergeFrom is exact:
-//    merging N per-shard histograms reproduces the single-thread
-//    histogram bit for bit, like RunningStats::Merge. When the recorded
+//    (min/max), so concurrent recording into the one shared registry
+//    commutes: N threads recording the same values reproduce the
+//    single-thread histogram bit for bit. When the recorded
 //    values themselves are deterministic (work counts, batch sizes), the
 //    whole snapshot is; when they are span durations, only the event
 //    *count* is — tools/bench_diff.py gates exactly that split.
@@ -57,11 +57,9 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Log-bucketed value distribution with FIXED bucket boundaries, so two
-/// histograms recorded independently (per worker, per shard, per process)
-/// merge exactly: the merged bucket tallies, count, sum, min, and max are
-/// bit-identical to recording every value into one histogram, regardless
-/// of thread count or interleaving.
+/// Log-bucketed value distribution with FIXED bucket boundaries. The
+/// bucket tallies, count, sum, min, and max depend only on the multiset
+/// of recorded values, never on thread count or interleaving.
 ///
 /// Bucket scheme (HdrHistogram-style base-2 sub-bucketed log scale):
 /// each power-of-two octave [2^e, 2^(e+1)) is split into kSubBuckets
@@ -71,7 +69,7 @@ class Counter {
 /// Values below the first octave (including zero and negatives) land in
 /// bucket 0; values at or above the last octave land in the final
 /// overflow bucket. Boundaries are compile-time constants: no
-/// configuration to disagree on, so MergeFrom never needs rebinning.
+/// configuration to disagree on.
 ///
 /// Every accumulator commutes: bucket tallies and count are atomic
 /// integer adds, sum is an atomic fixed-point integer (nano-units; adds
@@ -103,13 +101,6 @@ class Histogram {
   /// Records one observation. Thread-safe; concurrent records commute.
   void Record(double v);
 
-  /// Folds a snapshotted histogram state into this one exactly: bucket
-  /// tallies, count, and fixed-point sum add; min/max fold by CAS. Used
-  /// by Registry::MergeFrom. `count == 0` is a no-op (the min/max seeds
-  /// of an empty snapshot must not participate).
-  void MergeParts(uint64_t count, uint64_t sum_fp, double mn, double mx,
-                  const std::map<int, uint64_t>& buckets);
-
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   /// Exact fixed-point sum in nano-units (kSumScale per 1.0).
   uint64_t sum_fp() const { return sum_fp_.load(std::memory_order_relaxed); }
@@ -134,14 +125,12 @@ class Histogram {
   std::atomic<uint64_t> max_bits_{0xFFF0000000000000ull};  // -inf
 };
 
-/// Everything the registry knows at one instant. Counters/histograms
-/// from a snapshot can be merged back into another registry (worker-local
-/// collection), and the maps are ordered so rendering is stable.
+/// Everything the registry knows at one instant. The maps are ordered so
+/// rendering is stable.
 struct Snapshot {
   /// A histogram's state at one instant. `buckets` is sparse: only
   /// non-zero tallies, keyed by bucket index. `sum_fp` is the exact
-  /// fixed-point sum (Histogram::kSumScale units) so merging snapshots
-  /// stays exact.
+  /// fixed-point sum (Histogram::kSumScale units).
   struct HistogramValue {
     uint64_t count = 0;
     uint64_t sum_fp = 0;
@@ -174,8 +163,7 @@ struct Snapshot {
 };
 
 /// Named metric store. A process-wide instance (Global()) backs the
-/// solvers and runners; tests build private instances and merge them to
-/// validate worker-local collection.
+/// solvers and runners; tests may build private instances.
 class Registry {
  public:
   Registry() = default;
@@ -200,14 +188,6 @@ class Registry {
   /// updates; each value is read atomically (the snapshot as a whole is
   /// not a consistent cut, which is fine for monotone counters).
   Snapshot TakeSnapshot() const PSO_EXCLUDES(mu_);
-
-  /// Adds `snap`'s counters and histograms into this registry and
-  /// overwrites its gauges — the merge step for worker-local registries.
-  /// Merging is associative and commutative over counters/histograms
-  /// (integer adds + extremum folds), so merge order cannot change
-  /// totals, and merging N shards is bit-identical to recording
-  /// everything into one registry.
-  void MergeFrom(const Snapshot& snap) PSO_EXCLUDES(mu_);
 
   /// Zeroes every counter and histogram and drops all gauges. Handles remain
   /// valid. Intended for tests and for psoctl between subcommands.

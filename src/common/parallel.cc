@@ -4,10 +4,8 @@
 #include <atomic>
 #include <exception>
 #include <memory>
-#include <optional>
 #include <utility>
 
-#include "common/log.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 
@@ -31,13 +29,9 @@ struct ForState {
   size_t chunk_size = 0;
   size_t num_chunks = 0;
 
-  // Observability plumbing: the launching thread's trace span (worker
-  // chunk spans nest under it) and the deterministic-log region key
-  // (chunk c logs under rank <region_key>.<c>). Both are fixed before
-  // any task is submitted.
+  // The launching thread's trace span (worker chunk spans nest under
+  // it), fixed before any task is submitted.
   uint64_t trace_parent = 0;
-  bool det_log = false;
-  std::vector<uint64_t> log_region_key;
 
   std::atomic<size_t> next_chunk{0};
   Mutex mu PSO_LOCK_ORDER(kParallel){LockRank::kParallel,
@@ -58,8 +52,6 @@ struct ForState {
       std::exception_ptr err;
       try {
         trace::ContextScope trace_ctx(trace_parent);
-        std::optional<log::RankScope> rank;
-        if (det_log) rank.emplace(log_region_key, c);
         (*body)(begin, end);
       } catch (...) {
         err = std::current_exception();
@@ -159,23 +151,17 @@ void ParallelFor(ThreadPool* pool, size_t n,
   metrics::GetCounter("parallel.chunks").Add(num_chunks);
   metrics::GetCounter("parallel.items").Add(n);
 
-  // Region-level observability context. The span/rank key depend only on
-  // the call-site sequence and (n, chunk_size), never on the thread
-  // count, so the logical trace tree and the deterministic log order are
-  // identical on the serial and pooled paths.
+  // Region-level trace span. It depends only on the call-site sequence
+  // and (n, chunk_size), never on the thread count, so the logical trace
+  // tree is identical on the serial and pooled paths.
   trace::Span region_span("parallel.for");
   if (region_span.active()) {
     region_span.Arg("n", std::to_string(n));
     region_span.Arg("chunks", std::to_string(num_chunks));
   }
-  const bool det_log = log::DeterministicMode();
-  std::vector<uint64_t> log_region_key;
-  if (det_log) log_region_key = log::AllocateRegionKey();
 
   if (pool == nullptr || pool->num_threads() == 0 || num_chunks == 1) {
     for (size_t c = 0; c < num_chunks; ++c) {
-      std::optional<log::RankScope> rank;
-      if (det_log) rank.emplace(log_region_key, c);
       size_t begin = c * chunk_size;
       body(begin, std::min(n, begin + chunk_size));
     }
@@ -189,8 +175,6 @@ void ParallelFor(ThreadPool* pool, size_t n,
   state->num_chunks = num_chunks;
   state->trace_parent =
       region_span.active() ? region_span.id() : trace::CurrentSpanId();
-  state->det_log = det_log;
-  state->log_region_key = std::move(log_region_key);
 
   // One helper per worker (capped by the chunk count); the caller also
   // claims chunks, so completion never depends on a helper being

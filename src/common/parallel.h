@@ -108,8 +108,8 @@ void RecordPoolGauges(const ThreadPool* pool);
 /// owner block until all of them have finished — the completion-tracking
 /// layer ThreadPool itself deliberately lacks (its queue drains only at
 /// destruction). Long-running services use one TaskGroup per logical
-/// stream of async work (a request batch executor, a connection handler
-/// set) so they can drain in-flight work without tearing the pool down.
+/// stream of async work (the query server's connection handlers) so they
+/// can drain in-flight work without tearing the pool down.
 ///
 /// With a null pool, Submit runs the task inline on the calling thread —
 /// the exact serial behavior, mirroring ParallelFor's contract. Tasks may

@@ -1,9 +1,7 @@
 #include "common/trace.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 
 #include "common/metrics.h"  // JsonEscape
 #include "common/str_util.h"
@@ -185,19 +183,6 @@ void Instant(const char* name,
   c.Record(std::move(e));
 }
 
-void CounterSample(const char* name, double value) {
-  if (!Enabled()) return;
-  Collector& c = Collector::Global();
-  Event e;
-  e.kind = Event::Kind::kCounter;
-  e.name = name;
-  e.parent = ParentForNewEvent();
-  e.track = CurrentTrack();
-  e.start_ns = c.NowNs();
-  e.value = value;
-  c.Record(std::move(e));
-}
-
 namespace {
 
 std::string FormatMicros(uint64_t ns) {
@@ -214,9 +199,6 @@ void AppendArgsJson(std::string& out, const Event& e) {
     out += StrFormat("\"id\":\"%llx\",\"parent\":\"%llx\"",
                      static_cast<unsigned long long>(e.id),
                      static_cast<unsigned long long>(e.parent));
-    first = false;
-  } else if (e.kind == Event::Kind::kCounter) {
-    out += StrFormat("\"value\":%.9g", e.value);
     first = false;
   }
   for (const auto& [key, value] : e.args) {
@@ -251,10 +233,6 @@ std::string Collector::ChromeJson() const {
         out += StrFormat("\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,",
                          FormatMicros(e.start_ns).c_str());
         break;
-      case Event::Kind::kCounter:
-        out += StrFormat("\"ph\":\"C\",\"ts\":%s,",
-                         FormatMicros(e.start_ns).c_str());
-        break;
     }
     out += StrFormat("\"pid\":1,\"tid\":%u,", e.track);
     AppendArgsJson(out, e);
@@ -263,91 +241,6 @@ std::string Collector::ChromeJson() const {
   out += "\n],\n\"displayTimeUnit\":\"ms\",\n";
   out += StrFormat("\"otherData\":{\"dropped_events\":\"%llu\"}\n}\n",
                    static_cast<unsigned long long>(dropped_events));
-  return out;
-}
-
-namespace {
-
-// Aggregation node for the deterministic text tree: all events with the
-// same name under the same (aggregated) parent merge into one node.
-struct TreeNode {
-  uint64_t span_count = 0;
-  uint64_t instant_count = 0;
-  uint64_t counter_count = 0;
-  std::map<std::string, TreeNode> children;  // ordered => stable output
-};
-
-void RenderTree(const TreeNode& node, const std::string& indent,
-                std::string& out) {
-  for (const auto& [name, child] : node.children) {
-    std::string counts;
-    if (child.span_count > 0) {
-      counts += StrFormat("- %s x%llu", name.c_str(),
-                          static_cast<unsigned long long>(child.span_count));
-    }
-    if (child.instant_count > 0) {
-      counts += StrFormat("%s! %s x%llu", counts.empty() ? "" : "  ",
-                          name.c_str(),
-                          static_cast<unsigned long long>(
-                              child.instant_count));
-    }
-    if (child.counter_count > 0) {
-      counts += StrFormat("%s# %s x%llu", counts.empty() ? "" : "  ",
-                          name.c_str(),
-                          static_cast<unsigned long long>(
-                              child.counter_count));
-    }
-    out += indent + counts + "\n";
-    RenderTree(child, indent + "  ", out);
-  }
-}
-
-}  // namespace
-
-std::string Collector::TextTree() const {
-  std::vector<Event> events = TakeEvents();
-
-  // Resolve each span id to its chain of ancestor NAMES (ids and tracks
-  // are run-dependent; names are not). Events whose parent span was
-  // dropped or is still open aggregate at the root.
-  std::map<uint64_t, const Event*> span_by_id;
-  for (const Event& e : events) {
-    if (e.kind == Event::Kind::kSpan) span_by_id[e.id] = &e;
-  }
-  auto path_of = [&](const Event& e) {
-    std::vector<const std::string*> path;  // leaf..root, reversed below
-    path.push_back(&e.name);
-    uint64_t p = e.parent;
-    while (p != 0) {
-      auto it = span_by_id.find(p);
-      if (it == span_by_id.end()) break;
-      path.push_back(&it->second->name);
-      p = it->second->parent;
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
-  };
-
-  TreeNode root;
-  for (const Event& e : events) {
-    std::vector<const std::string*> path = path_of(e);
-    TreeNode* node = &root;
-    for (const std::string* name : path) node = &node->children[*name];
-    switch (e.kind) {
-      case Event::Kind::kSpan:
-        ++node->span_count;
-        break;
-      case Event::Kind::kInstant:
-        ++node->instant_count;
-        break;
-      case Event::Kind::kCounter:
-        ++node->counter_count;
-        break;
-    }
-  }
-
-  std::string out = "trace-tree v1\n";
-  RenderTree(root, "", out);
   return out;
 }
 

@@ -7,19 +7,13 @@
 // the calling thread's current span to its workers (trace::ContextScope),
 // so chunk work running on a pool thread still nests under the pipeline
 // span that launched it — the logical tree is the same at any thread
-// count. Instant events and counter samples attach to the current span
-// the same way.
+// count. Instant events attach to the current span the same way.
 //
-// Two exports:
-//  - Chrome trace-event JSON (ChromeJson / WriteChromeJson): loadable in
-//    Perfetto (ui.perfetto.dev) or chrome://tracing. Events carry wall
-//    timestamps and per-thread track ids; every span's args include its
-//    "id"/"parent" so cross-thread nesting stays auditable even though
-//    the timeline renders per track.
-//  - A deterministic text tree (TextTree): timestamps and track ids are
-//    stripped and sibling subtrees are aggregated by name, so for a
-//    deterministic workload the output is byte-identical at 1 or N
-//    threads (asserted in trace_test.cc). This is the diffable form.
+// One export: Chrome trace-event JSON (ChromeJson / WriteChromeJson),
+// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Events
+// carry wall timestamps and per-thread track ids; every span's args
+// include its "id"/"parent" so cross-thread nesting stays auditable even
+// though the timeline renders per track.
 //
 // Cost contract: collection is off by default and every entry point
 // checks one relaxed atomic first, so instrumented code paths pay a
@@ -43,9 +37,9 @@
 namespace pso::trace {
 
 /// One recorded trace event. Span events are recorded at close (complete
-/// spans); instants and counter samples are points.
+/// spans); instants are points.
 struct Event {
-  enum class Kind : uint8_t { kSpan, kInstant, kCounter };
+  enum class Kind : uint8_t { kSpan, kInstant };
 
   Kind kind = Kind::kInstant;
   std::string name;
@@ -54,50 +48,8 @@ struct Event {
   uint32_t track = 0;     ///< Per-thread track id (Chrome "tid").
   uint64_t start_ns = 0;  ///< Monotonic ns since Enable().
   uint64_t dur_ns = 0;    ///< kSpan only.
-  double value = 0.0;     ///< kCounter only.
   /// Key/value annotations ("n" -> "64"). Rendered as Chrome args.
   std::vector<std::pair<std::string, std::string>> args;
-};
-
-/// Bounded FIFO keeping the most recent `capacity` entries — the solver
-/// introspection buffers (LP pivots, SAT steps). Single-threaded; each
-/// solve owns its own ring.
-template <typename T>
-class RingBuffer {
- public:
-  explicit RingBuffer(size_t capacity) : capacity_(capacity) {
-    items_.reserve(capacity);
-  }
-
-  void Push(T item) {
-    if (items_.size() < capacity_) {
-      items_.push_back(std::move(item));
-    } else {
-      items_[head_] = std::move(item);
-      head_ = (head_ + 1) % capacity_;
-    }
-    ++total_;
-  }
-
-  /// Number of pushes ever seen (>= size() when the ring wrapped).
-  uint64_t total() const { return total_; }
-  size_t size() const { return items_.size(); }
-
-  /// The retained entries, oldest first.
-  std::vector<T> Drain() const {
-    std::vector<T> out;
-    out.reserve(items_.size());
-    for (size_t i = 0; i < items_.size(); ++i) {
-      out.push_back(items_[(head_ + i) % items_.size()]);
-    }
-    return out;
-  }
-
- private:
-  size_t capacity_;
-  size_t head_ = 0;
-  uint64_t total_ = 0;
-  std::vector<T> items_;
 };
 
 /// The process-wide event sink. Thread-safe; all spans/instants record
@@ -130,9 +82,6 @@ class Collector {
   /// Renders all events as a Chrome trace-event JSON document.
   std::string ChromeJson() const PSO_EXCLUDES(mu_);
 
-  /// Renders the deterministic text tree (see file comment).
-  std::string TextTree() const PSO_EXCLUDES(mu_);
-
   /// Writes ChromeJson() to `path`; false (with a stderr diagnostic) on
   /// I/O failure.
   bool WriteChromeJson(const std::string& path) const PSO_EXCLUDES(mu_);
@@ -149,7 +98,7 @@ class Collector {
   /// Monotonic nanoseconds since Enable() (0 when disabled).
   uint64_t NowNs() const PSO_EXCLUDES(mu_);
 
-  // Internals used by Span/Instant/CounterSample.
+  // Internals used by Span/Instant.
   void Record(Event event) PSO_EXCLUDES(mu_);
   uint64_t NextSpanId();
 
@@ -219,10 +168,6 @@ class Span {
 /// Records an instant event under the current span.
 void Instant(const char* name,
              std::vector<std::pair<std::string, std::string>> args = {});
-
-/// Records a counter sample (rendered as a Chrome "C" event) under the
-/// current span.
-void CounterSample(const char* name, double value);
 
 }  // namespace pso::trace
 

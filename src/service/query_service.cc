@@ -66,17 +66,4 @@ std::vector<QueryOutcome> QueryService::AnswerBatch(
   return outcomes;
 }
 
-void AsyncBatchExecutor::Submit(uint64_t client,
-                                std::vector<recon::SubsetQuery> queries,
-                                BatchCallback done) {
-  auto batch =
-      std::make_shared<std::vector<recon::SubsetQuery>>(std::move(queries));
-  auto callback = std::make_shared<BatchCallback>(std::move(done));
-  group_.Submit([this, client, batch, callback] {
-    std::vector<QueryOutcome> outcomes =
-        service_->AnswerBatch(client, *batch);
-    if (*callback) (*callback)(std::move(outcomes));
-  });
-}
-
 }  // namespace pso::service

@@ -21,19 +21,16 @@
 // load replays bit-identically at any parallelism.
 //
 // Thread safety: Answer/AnswerBatch are safe to call concurrently for
-// any mix of clients. AsyncBatchExecutor runs batches on a ThreadPool
-// via common/parallel's TaskGroup and is the in-process analogue of the
-// socket server's per-connection handlers.
+// any mix of clients; the socket server (server.h) answers batches from
+// its connection handlers on a ThreadPool.
 
 #ifndef PSO_SERVICE_QUERY_SERVICE_H_
 #define PSO_SERVICE_QUERY_SERVICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/parallel.h"
 #include "common/result.h"
 #include "dp/budget.h"
 #include "recon/oracle.h"
@@ -104,31 +101,6 @@ class QueryService {
   metrics::Counter& rejections_counter_;
   metrics::Histogram& answer_hist_;
   metrics::Histogram& batch_size_hist_;
-};
-
-/// Runs request batches for many clients asynchronously on a ThreadPool
-/// — the service's async executor. Submit() enqueues one (client, batch)
-/// unit of work; `done` (optional) runs on the worker with the batch's
-/// outcomes. Drain() blocks until every submitted batch has completed.
-/// With a null pool everything runs inline on the calling thread, in
-/// submission order — the exact serial behavior.
-class AsyncBatchExecutor {
- public:
-  using BatchCallback = std::function<void(std::vector<QueryOutcome>)>;
-
-  AsyncBatchExecutor(QueryService* service, ThreadPool* pool)
-      : service_(service), group_(pool) {}
-
-  /// Executes `queries` for `client` on a worker; `done` may be empty.
-  void Submit(uint64_t client, std::vector<recon::SubsetQuery> queries,
-              BatchCallback done = nullptr);
-
-  /// Blocks until all submitted batches have finished.
-  void Drain() { group_.Wait(); }
-
- private:
-  QueryService* service_;
-  TaskGroup group_;
 };
 
 }  // namespace pso::service

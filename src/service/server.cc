@@ -98,8 +98,16 @@ Status QueryServer::Start() {
       return Status::Internal(
           StrFormat("open %s: %s", tmp.c_str(), ErrnoMessage(errno).c_str()));
     }
-    std::fprintf(f, "%d\n", port_);
-    std::fclose(f);
+    // A short write sits in the stdio buffer, so a failed write (full
+    // disk, file-size limit) may surface only at fclose.
+    const bool wrote = std::fprintf(f, "%d\n", port_) > 0;
+    const bool closed = std::fclose(f) == 0;
+    if (!wrote || !closed) {
+      const int err = errno;
+      ::unlink(tmp.c_str());
+      return Status::Internal(
+          StrFormat("write %s: %s", tmp.c_str(), ErrnoMessage(err).c_str()));
+    }
     if (std::rename(tmp.c_str(), options_.port_file.c_str()) != 0) {
       return Status::Internal(StrFormat("rename %s: %s",
                                         options_.port_file.c_str(),

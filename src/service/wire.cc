@@ -1,8 +1,10 @@
 #include "service/wire.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <system_error>
 
 #include "common/str_util.h"
@@ -27,6 +29,12 @@ bool ParseDouble(const std::string& s, double* out) {
   char* end = nullptr;
   double v = std::strtod(s.c_str(), &end);
   if (end == s.c_str() || *end != '\0') return false;
+  // %.17g prints every NaN as "nan" or "-nan" and drops a payload such as
+  // "nan(0x7)". Keep only the sign, so a parsed line and its formatted
+  // form parse to the same bits.
+  if (std::isnan(v)) {
+    v = std::copysign(std::numeric_limits<double>::quiet_NaN(), v);
+  }
   *out = v;
   return true;
 }
@@ -94,10 +102,11 @@ std::string FormatAnswerLine(uint64_t client, const Result<double>& outcome) {
     return StrFormat("A %llu %.17g",
                      static_cast<unsigned long long>(client), *outcome);
   }
-  return StrFormat("E %llu %s %s",
-                   static_cast<unsigned long long>(client),
-                   StatusCodeName(outcome.status().code()),
-                   outcome.status().message().c_str());
+  // Appended, not formatted through %s, so a NUL byte in the message
+  // survives.
+  return StrFormat("E %llu %s ", static_cast<unsigned long long>(client),
+                   StatusCodeName(outcome.status().code())) +
+         outcome.status().message();
 }
 
 Result<Result<double>> ParseAnswerLine(const std::string& line) {

@@ -1,7 +1,6 @@
 #include "solver/cdcl.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -146,7 +145,8 @@ class CdclSearch {
         activity_(inst.num_vars, 0.0),
         watches_(2 * static_cast<size_t>(inst.num_vars)) {}
 
-  trace::RingBuffer<SatStep>* step_ring = nullptr;
+  // The solve span's active(): gates the capped sat.* instants.
+  bool tracing = false;
   sat_internal::SearchStats stats;
   size_t instants_emitted = 0;
 
@@ -154,7 +154,7 @@ class CdclSearch {
     SatSolution out;
     if (inst_.trivially_unsat) {
       out.satisfiable = false;
-      Finish(out);
+      stats.CopyTo(out);
       return out;
     }
 
@@ -167,7 +167,7 @@ class CdclSearch {
       if (c.size() == 1) {
         if (!RootEnqueue(c[0])) {
           out.satisfiable = false;
-          Finish(out);
+          stats.CopyTo(out);
           return out;
         }
       } else {
@@ -177,7 +177,7 @@ class CdclSearch {
     }
     if (Propagate() != kNoReason) {
       out.satisfiable = false;
-      Finish(out);
+      stats.CopyTo(out);
       return out;
     }
 
@@ -203,7 +203,7 @@ class CdclSearch {
              {"restarts", static_cast<double>(stats.restarts)}});
         if (DecisionLevel() == 0) {
           out.satisfiable = false;  // conflict with no decisions: UNSAT
-          Finish(out);
+          stats.CopyTo(out);
           return out;
         }
         std::vector<Lit> learnt;
@@ -213,16 +213,12 @@ class CdclSearch {
         ++stats.backtracks;
         EmitConflictInstant(learnt.size(), backjump_level);
         BacktrackTo(backjump_level, &heap);
-        RecordStep(SatStep::Kind::kBacktrack, LitVar(learnt[0]),
-                   LitPositive(learnt[0]), trail_.size());
         if (learnt.size() == 1) {
           // Learned unit: asserted at the root, permanent. The UIP
           // variable was just unassigned by the backjump, so the enqueue
           // cannot itself conflict.
           PSO_CHECK(backjump_level == 0);
           ++stats.propagations;
-          RecordStep(SatStep::Kind::kPropagation, LitVar(learnt[0]),
-                     LitPositive(learnt[0]), trail_.size());
           const bool asserted = RootEnqueue(learnt[0]);
           PSO_CHECK_MSG(asserted, "learned unit conflicted at the root");
         } else {
@@ -232,8 +228,6 @@ class CdclSearch {
           // The learned clause is asserting: lits[0] is forced now.
           const Clause& c = clauses_.back();
           ++stats.propagations;
-          RecordStep(SatStep::Kind::kPropagation, LitVar(c.lits[0]),
-                     LitPositive(c.lits[0]), trail_.size());
           EnqueueLit(c.lits[0], clauses_.size() - 1);
         }
         DecayActivities();
@@ -271,7 +265,7 @@ class CdclSearch {
         for (uint32_t v = 0; v < inst_.num_vars; ++v) {
           out.assignment[v] = (values_[v] == Assign::kTrue);
         }
-        Finish(out);
+        stats.CopyTo(out);
         return out;
       }
 
@@ -295,8 +289,6 @@ class CdclSearch {
             StrFormat("SAT decision budget of %zu exceeded (cdcl)",
                       options_.max_decisions));
       }
-      RecordStep(SatStep::Kind::kDecision, decision_var,
-                 saved_phase_[decision_var], trail_.size());
       EmitDecisionInstant(decision_var);
       trail_limits_.push_back(trail_.size());
       EnqueueLit(MakeLit(decision_var, saved_phase_[decision_var]),
@@ -388,8 +380,6 @@ class CdclSearch {
         }
         // Unit: lits[0] is forced.
         ++stats.propagations;
-        RecordStep(SatStep::Kind::kPropagation, LitVar(c.lits[0]),
-                   LitPositive(c.lits[0]), trail_.size());
         EnqueueLit(c.lits[0], ci);
       }
       watch_list.resize(keep);
@@ -548,15 +538,8 @@ class CdclSearch {
            reasons_[LitVar(first)] == ci;
   }
 
-  void RecordStep(SatStep::Kind kind, uint32_t var, bool value,
-                  size_t trail_depth) {
-    if (step_ring != nullptr) {
-      step_ring->Push(SatStep{kind, var, value, trail_depth});
-    }
-  }
-
   bool InstantBudget() {
-    if (step_ring == nullptr || !trace::Enabled()) return false;
+    if (!tracing || !trace::Enabled()) return false;
     if (instants_emitted >= kMaxSatInstants) return false;
     ++instants_emitted;
     return true;
@@ -582,11 +565,6 @@ class CdclSearch {
     trace::Instant("sat.restart",
                    {{"conflicts", std::to_string(stats.conflicts)},
                     {"learned", std::to_string(stats.learned_clauses)}});
-  }
-
-  void Finish(SatSolution& out) {
-    stats.CopyTo(out);
-    if (step_ring != nullptr) out.step_trace = step_ring->Drain();
   }
 
   const SatInstance& inst_;
@@ -615,13 +593,10 @@ Result<SatSolution> SolveCdcl(const SatInstance& inst,
   CdclSearch search(inst, options);
 
   PSO_NAMED_SPAN(solve_span, "sat.solve");
-  std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
-  if (solve_span.active()) {
+  search.tracing = solve_span.active();
+  if (search.tracing) {
     solve_span.Arg("vars", std::to_string(inst.num_vars));
     solve_span.Arg("clauses", std::to_string(inst.clauses.size()));
-    step_ring =
-        std::make_unique<trace::RingBuffer<SatStep>>(kSatStepTraceCapacity);
-    search.step_ring = step_ring.get();
   }
 
   sat_internal::MetricsPublisher publish{&search.stats, /*cdcl=*/true};

@@ -26,33 +26,12 @@ namespace pso {
 /// Relation of a linear constraint.
 enum class Relation { kLessEq, kGreaterEq, kEqual };
 
-/// One simplex pivot, as recorded by the introspection trace: which
-/// column entered, which basis variable left, and the objective after
-/// the pivot. A replayable audit record of the solver's path. Column
-/// numbering is solver-internal (structural columns first, then the
-/// solver's slack/logical columns).
-struct LpPivotStep {
-  uint8_t phase = 2;        ///< 1 = feasibility phase, 2 = optimization.
-  size_t iteration = 0;     ///< Global pivot index within the solve.
-  size_t entering = 0;      ///< Column entering the basis.
-  size_t leaving = 0;       ///< Basis variable leaving (pre-pivot).
-  double objective = 0.0;   ///< Objective value after the pivot.
-};
-
 /// Outcome of an LP solve.
 struct LpSolution {
   std::vector<double> values;  ///< Optimal variable assignment.
   double objective = 0.0;      ///< Optimal objective value.
   size_t iterations = 0;       ///< Simplex pivots performed.
-  /// Pivot-by-pivot audit trail: the most recent kPivotTraceCapacity
-  /// pivots (a bounded ring). Collected only while tracing is enabled
-  /// (trace::Enabled()); empty otherwise, so the default path pays
-  /// nothing.
-  std::vector<LpPivotStep> pivot_trace;
 };
-
-/// Ring capacity of LpSolution::pivot_trace.
-inline constexpr size_t kPivotTraceCapacity = 256;
 
 /// A plain-data LP instance: the unit the simplex consumes. Build one
 /// through LpProblem, which validates every variable and row.

@@ -2,10 +2,10 @@
 //
 // Not part of the public solver surface — include only from simplex
 // implementations (the revised simplex here, and the reference engines
-// the tests compare it against). Provides the pivot-trace sink feeding
-// LpSolution::pivot_trace plus the common per-solve counter scope, so
-// every simplex publishes one metric vocabulary (lp.solves, lp.pivots,
-// lp.pivot_work, per-phase iteration counts).
+// the tests compare it against). Provides the per-phase sink of capped
+// lp.pivot trace instants plus the common per-solve counter scope, so
+// every simplex publishes one trace and metric vocabulary (lp.solves,
+// lp.pivots, lp.pivot_work, per-phase iteration counts).
 
 #ifndef PSO_SOLVER_LP_INTERNAL_H_
 #define PSO_SOLVER_LP_INTERNAL_H_
@@ -19,29 +19,26 @@
 
 namespace pso::lp_internal {
 
-// Per-pivot instants emitted into the trace timeline per solve; the ring
-// buffer keeps recording past this.
+// Per-pivot instants emitted into the trace timeline per simplex phase;
+// later pivots are counted (lp.pivots) but not traced.
 inline constexpr size_t kMaxPivotInstants = 256;
 
-// Pivot-trace sink handed to a simplex pivot loop: a bounded ring of
-// audit records plus per-pivot trace instants. Null ring =>
-// introspection off, OnPivot costs one branch.
+// Per-phase sink of lp.pivot instants handed to a simplex pivot loop.
+// `tracing` is the solve span's active(); when false, Wants() costs one
+// branch and the caller skips computing the objective.
 struct PivotSink {
-  trace::RingBuffer<LpPivotStep>* ring = nullptr;
-  uint8_t phase = 2;
+  bool tracing = false;
   size_t instants_emitted = 0;
 
-  void OnPivot(size_t iteration, size_t entering, size_t leaving,
-               double objective) {
-    if (ring == nullptr) return;
-    ring->Push(LpPivotStep{phase, iteration, entering, leaving, objective});
-    if (instants_emitted < kMaxPivotInstants && trace::Enabled()) {
-      ++instants_emitted;
-      trace::Instant("lp.pivot",
-                     {{"enter", std::to_string(entering)},
-                      {"leave", std::to_string(leaving)},
-                      {"obj", StrFormat("%.9g", objective)}});
-    }
+  bool Wants() const {
+    return tracing && instants_emitted < kMaxPivotInstants;
+  }
+
+  void OnPivot(size_t entering, size_t leaving, double objective) {
+    ++instants_emitted;
+    trace::Instant("lp.pivot", {{"enter", std::to_string(entering)},
+                                {"leave", std::to_string(leaving)},
+                                {"obj", StrFormat("%.9g", objective)}});
   }
 };
 

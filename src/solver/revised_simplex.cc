@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -540,11 +539,9 @@ class SimplexState {
     metrics::GetCounter("lp.eta_updates").Add(1);
     ++pivots_since_refactor_;
     *degenerate_streak = r.t <= kEps ? *degenerate_streak + 1 : 0;
-    size_t pivot_index = iterations_;
     ++iterations_;
-    if (sink != nullptr && sink->ring != nullptr) {
-      sink->OnPivot(pivot_index, q, leaving,
-                    phase1 ? TotalViolation() : Objective());
+    if (sink->Wants()) {
+      sink->OnPivot(q, leaving, phase1 ? TotalViolation() : Objective());
     }
     if (pivots_since_refactor_ >= kRefactorInterval) {
       if (!Refactorize()) {
@@ -558,8 +555,7 @@ class SimplexState {
   // ---- Driver ------------------------------------------------------
 
   Result<LpSolution> Run(const LpSolveOptions& options,
-                         lp_internal::SolveScope& scope,
-                         trace::RingBuffer<LpPivotStep>* ring) {
+                         lp_internal::SolveScope& scope, bool tracing) {
     bool warm = false;
     if (options.warm_start != nullptr && !options.warm_start->empty()) {
       warm = WarmStart(*options.warm_start);
@@ -584,7 +580,7 @@ class SimplexState {
     // a zero-pivot phase 1 documents "feasible by construction".
     {
       trace::Span phase1_span("lp.phase1");
-      lp_internal::PivotSink sink{ring, /*phase=*/1};
+      lp_internal::PivotSink sink{tracing};
       while (true) {
         if (++steps > kMaxIterations) {
           PSO_LOG(WARN).Field("iterations", iterations_)
@@ -621,7 +617,7 @@ class SimplexState {
 
     // ---- Phase 2: optimize. ----
     trace::Span phase2_span("lp.phase2");
-    lp_internal::PivotSink sink{ring, /*phase=*/2};
+    lp_internal::PivotSink sink{tracing};
     degenerate_streak = 0;
     while (true) {
       if (++steps > kMaxIterations) {
@@ -697,17 +693,14 @@ Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
                                        const LpSolveOptions& options) {
   lp_internal::SolveScope scope;
   PSO_NAMED_SPAN(solve_span, "lp.solve");
-  std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
-  if (solve_span.active()) {
+  const bool tracing = solve_span.active();
+  if (tracing) {
     solve_span.Arg("vars", std::to_string(model.variables.size()));
     solve_span.Arg("constraints", std::to_string(model.rows.size()));
-    pivot_ring =
-        std::make_unique<trace::RingBuffer<LpPivotStep>>(kPivotTraceCapacity);
   }
   SimplexState state(model, &scope.pivot_work);
-  Result<LpSolution> result = state.Run(options, scope, pivot_ring.get());
-  if (result.ok() && pivot_ring != nullptr) {
-    result->pivot_trace = pivot_ring->Drain();
+  Result<LpSolution> result = state.Run(options, scope, tracing);
+  if (result.ok() && tracing) {
     solve_span.Arg("pivots", std::to_string(result->iterations));
   }
   return result;

@@ -30,30 +30,6 @@ inline uint32_t LitVar(Lit l) { return l >> 1; }
 inline bool LitPositive(Lit l) { return (l & 1u) == 0; }
 inline Lit LitNegate(Lit l) { return l ^ 1u; }
 
-/// One step of a SAT search, as recorded by the introspection trace.
-///
-/// `trail_depth` convention (every engine, all step kinds): the number of
-/// assignments on the trail immediately BEFORE this step's own assignment
-/// lands. A decision records the trail length at the moment of branching;
-/// a propagation records the length before its forced literal is pushed;
-/// a backtrack/backjump records the length after unwinding — i.e. the
-/// depth the search resumes from before re-assigning. Pinned by
-/// trace_test's SatStepTrailDepthConvention.
-struct SatStep {
-  enum class Kind : uint8_t {
-    kDecision = 0,     ///< Branching decision.
-    kPropagation = 1,  ///< Forced assignment from unit propagation.
-    kBacktrack = 2,    ///< Conflict-driven backjump (or chronological flip).
-  };
-  Kind kind = Kind::kDecision;
-  uint32_t var = 0;        ///< Variable acted on.
-  bool value = false;      ///< Value assigned (false for a flip's target).
-  size_t trail_depth = 0;  ///< See the convention in the struct comment.
-};
-
-/// Ring capacity of SatSolution::step_trace.
-inline constexpr size_t kSatStepTraceCapacity = 512;
-
 /// Result of a SAT solve.
 struct SatSolution {
   bool satisfiable = false;
@@ -64,12 +40,6 @@ struct SatSolution {
   size_t conflicts = 0;          ///< Conflicts hit during the search.
   size_t learned_clauses = 0;    ///< Clauses learned.
   size_t restarts = 0;           ///< Restarts performed.
-  /// Step-by-step audit trail of the search: the most recent
-  /// kSatStepTraceCapacity decision/propagation/backtrack steps (a
-  /// bounded ring). Collected only while tracing is enabled
-  /// (trace::Enabled()); empty otherwise, so the default path pays one
-  /// null check per step.
-  std::vector<SatStep> step_trace;
 };
 
 /// A plain-data CNF instance: the unit the search consumes. Build one

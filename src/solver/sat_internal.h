@@ -18,7 +18,7 @@ namespace pso::sat_internal {
 enum class Assign : int8_t { kUnset = -1, kFalse = 0, kTrue = 1 };
 
 /// Per-solve cap on decision/conflict/restart instants emitted into the
-/// trace timeline; the step ring keeps recording past this.
+/// trace timeline; later events are counted (sat.*) but not traced.
 inline constexpr size_t kMaxSatInstants = 256;
 
 /// Search totals an engine accumulates during one solve. The totals are

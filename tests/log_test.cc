@@ -1,17 +1,13 @@
 // Tests for the structured logger (common/log.h): level filtering, JSON
-// line shape, concurrent writers, and the deterministic rank-ordered mode
-// that makes output byte-identical across thread counts.
+// line shape and concurrent writers.
 
 #include "common/log.h"
 
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "common/parallel.h"
 
 namespace pso {
 namespace {
@@ -25,7 +21,6 @@ class LogTest : public ::testing::Test {
     log::SetMinLevel(log::Level::kDebug);
   }
   void TearDown() override {
-    log::SetDeterministic(false);
     log::TakeCaptured();
     log::CaptureToString(false);
     log::SetMinLevel(log::Level::kWarn);
@@ -125,67 +120,6 @@ TEST_F(LogTest, ConcurrentWritersEmitOneLineEach) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
   }
-}
-
-TEST_F(LogTest, DeterministicModeOmitsRunDependentFields) {
-  log::SetDeterministic(true);
-  PSO_LOG(WARN) << "stable";
-  log::Flush();
-  std::string out = log::TakeCaptured();
-  EXPECT_NE(out.find("\"msg\":\"stable\""), std::string::npos);
-  EXPECT_EQ(out.find("\"ts_us\""), std::string::npos);
-  EXPECT_EQ(out.find("\"thread\""), std::string::npos);
-}
-
-// The deterministic workload: chunked parallel loop logging one line per
-// item, keyed by the chunk rank machinery inside ParallelFor.
-std::string RunDeterministicLogWorkload(size_t threads) {
-  log::SetDeterministic(true);
-  auto pool = threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-  ParallelFor(pool.get(), 60, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      PSO_LOG(INFO).Field("item", i) << "visit";
-    }
-  });
-  log::Flush();
-  log::SetDeterministic(false);
-  return log::TakeCaptured();
-}
-
-TEST_F(LogTest, DeterministicModeByteIdenticalAcrossThreadCounts) {
-  std::string serial = RunDeterministicLogWorkload(1);
-  std::string parallel = RunDeterministicLogWorkload(8);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
-  // Items must appear in index order: chunk ranks sort by chunk index and
-  // in-chunk sequence numbers preserve program order.
-  std::vector<std::string> lines = Lines(serial);
-  ASSERT_EQ(lines.size(), 60u);
-  for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_NE(lines[i].find("\"item\":\"" + std::to_string(i) + "\""),
-              std::string::npos)
-        << "line " << i << ": " << lines[i];
-  }
-}
-
-TEST_F(LogTest, RankScopeOrdersFlushByRankNotArrival) {
-  log::SetDeterministic(true);
-  std::vector<uint64_t> region = log::AllocateRegionKey();
-  {
-    log::RankScope scope(region, 1);
-    PSO_LOG(INFO) << "second";
-  }
-  {
-    log::RankScope scope(region, 0);
-    PSO_LOG(INFO) << "first";
-  }
-  log::Flush();
-  std::string out = log::TakeCaptured();
-  size_t first = out.find("\"msg\":\"first\"");
-  size_t second = out.find("\"msg\":\"second\"");
-  ASSERT_NE(first, std::string::npos);
-  ASSERT_NE(second, std::string::npos);
-  EXPECT_LT(first, second);
 }
 
 TEST_F(LogTest, InitializedAfterConfiguration) {

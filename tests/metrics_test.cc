@@ -1,8 +1,8 @@
 // Tests for the metrics registry: counter/histogram/span semantics,
 // concurrent increments under ParallelFor (the TSan `parallel` lane runs
-// this suite), merge determinism at 1 vs N threads, the log-bucketed
-// histogram (fixed boundaries, exact shard merges, quantile brackets),
-// and the JSON / Prometheus renderings.
+// this suite), shared-registry determinism at 1 vs N threads, the
+// log-bucketed histogram (fixed boundaries, quantile brackets), and the
+// JSON / Prometheus renderings.
 
 #include <gtest/gtest.h>
 
@@ -124,28 +124,6 @@ TEST(MetricsTest, ResetAllZeroesButKeepsHandles) {
   EXPECT_EQ(snap.histograms.at("h").count, 1u);
 }
 
-TEST(MetricsTest, MergeFromAddsCountersAndHistogramsOverwritesGauges) {
-  metrics::Registry dst;
-  dst.GetCounter("shared").Add(10);
-  dst.SetGauge("g", 1.0);
-
-  metrics::Registry src;
-  src.GetCounter("shared").Add(5);
-  src.GetCounter("fresh").Add(2);
-  src.GetSpanHistogram("t").Record(0.5);
-  src.GetSpanHistogram("t").Record(0.25);
-  src.SetGauge("g", 3.0);
-
-  dst.MergeFrom(src.TakeSnapshot());
-  metrics::Snapshot snap = dst.TakeSnapshot();
-  EXPECT_EQ(snap.counters.at("shared"), 15u);
-  EXPECT_EQ(snap.counters.at("fresh"), 2u);
-  EXPECT_EQ(snap.histograms.at("t").count, 2u);
-  EXPECT_NEAR(snap.histograms.at("t").sum(), 0.75, 1e-6);
-  EXPECT_TRUE(snap.histograms.at("t").durations);
-  EXPECT_EQ(snap.gauges.at("g"), 3.0);
-}
-
 // Concurrent increments: every ParallelFor worker hammers the same
 // counters through the registry. Run under PSO_SANITIZE=thread to prove
 // the registry race-free; the totals check exactness (no lost updates).
@@ -167,42 +145,25 @@ TEST(MetricsTest, ConcurrentIncrementsUnderParallelForAreExact) {
   EXPECT_EQ(snap.histograms.at("spans").count, NumChunks(n));
 }
 
-// Merge determinism: worker-local registries merged in chunk order must
-// produce the same counter totals no matter how many threads ran, and
-// the same totals as direct shared-registry accumulation.
+// Shared-registry determinism: ParallelFor workers record into one
+// registry, and the rendered snapshot (counter totals, histogram buckets,
+// fixed-point sum, min/max) is identical at 1 and 4 threads.
 TEST(MetricsTest, MergeDeterminismOneVsManyThreads) {
   const size_t n = 20000;
   auto run_at = [&](size_t threads) {
     ThreadPool pool(threads);
-    const size_t chunk = DefaultChunkSize(n);
-    // One local registry per chunk, merged in chunk-index order.
-    std::vector<metrics::Registry> locals(NumChunks(n, chunk));
-    ParallelFor(
-        &pool, n,
-        [&](size_t begin, size_t end) {
-          metrics::Registry& local = locals[begin / chunk];
-          for (size_t i = begin; i < end; ++i) {
-            local.GetCounter("events").Add(i % 7 == 0 ? 3 : 1);
-          }
-          local.GetSpanHistogram("chunk").Record(0.001);
-        },
-        chunk);
-    metrics::Registry merged;
-    for (metrics::Registry& local : locals) {
-      merged.MergeFrom(local.TakeSnapshot());
-    }
-    return merged.TakeSnapshot();
+    metrics::Registry reg;
+    metrics::Counter& events = reg.GetCounter("events");
+    metrics::Histogram& chunk = reg.GetSpanHistogram("chunk");
+    ParallelFor(&pool, n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) events.Add(i % 7 == 0 ? 3 : 1);
+      chunk.Record(0.001);
+    });
+    return metrics::SnapshotToJson(reg.TakeSnapshot());
   };
-
-  metrics::Snapshot at1 = run_at(1);
-  metrics::Snapshot at4 = run_at(4);
-  EXPECT_EQ(at1.counters.at("events"), at4.counters.at("events"));
-  EXPECT_EQ(at1.histograms.at("chunk").count,
-            at4.histograms.at("chunk").count);
-  EXPECT_EQ(at1.histograms.at("chunk").sum_fp,
-            at4.histograms.at("chunk").sum_fp);
-  EXPECT_EQ(metrics::SnapshotToJson(at1).find("\"events\""),
-            metrics::SnapshotToJson(at4).find("\"events\""));
+  const std::string at1 = run_at(1);
+  EXPECT_NE(at1.find("\"events\""), std::string::npos);
+  EXPECT_EQ(at1, run_at(4));
 }
 
 TEST(MetricsTest, JsonEscaping) {
@@ -301,35 +262,6 @@ TEST(HistogramTest, UnderOverflowAndNonFiniteLandInEdgeBuckets) {
   EXPECT_EQ(h.max(), 1.0);
 }
 
-// The tentpole determinism claim: merging N per-shard histograms is
-// bit-identical to recording every value into one histogram — the whole
-// rendered snapshot matches, buckets, fixed-point sum, min/max and all.
-TEST(HistogramTest, MergeOfShardsIsBitIdenticalToSingleRecording) {
-  const size_t n = 10000;
-  auto value_at = [](size_t i) {
-    // Deterministic spread over several octaves, incl. edge cases.
-    if (i % 97 == 0) return 0.0;
-    return 1e-6 * static_cast<double>((i * 2654435761u) % 1000003);
-  };
-
-  metrics::Registry single;
-  metrics::Histogram& all = single.GetHistogram("lat");
-  for (size_t i = 0; i < n; ++i) all.Record(value_at(i));
-
-  const size_t kShards = 8;
-  std::vector<metrics::Registry> shards(kShards);
-  for (size_t i = 0; i < n; ++i) {
-    shards[i % kShards].GetHistogram("lat").Record(value_at(i));
-  }
-  metrics::Registry merged;
-  for (metrics::Registry& shard : shards) {
-    merged.MergeFrom(shard.TakeSnapshot());
-  }
-
-  EXPECT_EQ(metrics::SnapshotToJson(single.TakeSnapshot()),
-            metrics::SnapshotToJson(merged.TakeSnapshot()));
-}
-
 // Concurrent recording into one shared histogram: run under
 // PSO_SANITIZE=thread (the `parallel` ctest lane) to prove the CAS
 // min/max and atomic tallies race-free; the totals check exactness.
@@ -352,30 +284,21 @@ TEST(HistogramTest, ConcurrentRecordingIsExact) {
   EXPECT_EQ(tally, n);
 }
 
-// Merge determinism at 1 vs N threads with worker-local registries —
-// the histogram analogue of MergeDeterminismOneVsManyThreads, gated on
-// the full JSON rendering (bucket tallies, sum_fp, min, max, quantiles).
+// Histogram determinism at 1 vs N threads, recording into one shared
+// registry, gated on the full JSON rendering (bucket tallies, sum_fp,
+// min, max, quantiles).
 TEST(HistogramTest, OneVsManyThreadsBitIdentical) {
   const size_t n = 20000;
   auto run_at = [&](size_t threads) {
     ThreadPool pool(threads);
-    const size_t chunk = DefaultChunkSize(n);
-    std::vector<metrics::Registry> locals(NumChunks(n, chunk));
-    ParallelFor(
-        &pool, n,
-        [&](size_t begin, size_t end) {
-          metrics::Histogram& h =
-              locals[begin / chunk].GetHistogram("work");
-          for (size_t i = begin; i < end; ++i) {
-            h.Record(0.5 + static_cast<double>(i % 331) / 256.0);
-          }
-        },
-        chunk);
-    metrics::Registry merged;
-    for (metrics::Registry& local : locals) {
-      merged.MergeFrom(local.TakeSnapshot());
-    }
-    return metrics::SnapshotToJson(merged.TakeSnapshot());
+    metrics::Registry reg;
+    metrics::Histogram& h = reg.GetHistogram("work");
+    ParallelFor(&pool, n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        h.Record(0.5 + static_cast<double>(i % 331) / 256.0);
+      }
+    });
+    return metrics::SnapshotToJson(reg.TakeSnapshot());
   };
   EXPECT_EQ(run_at(1), run_at(4));
 }

@@ -6,7 +6,6 @@
 // flips the most recent decision that has an untried phase.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,9 +31,6 @@ struct DpllSearch {
   std::vector<double> activity;
   std::vector<Lit> trail;
   sat_internal::SearchStats stats;
-  // Introspection sink: points at a Solve-local ring while tracing is
-  // enabled, null otherwise (Enqueue checks it on each propagation).
-  trace::RingBuffer<SatStep>* step_ring = nullptr;
 
   explicit DpllSearch(const SatInstance& instance)
       : inst(instance),
@@ -97,12 +93,6 @@ struct DpllSearch {
           return false;  // conflict
         }
         ++stats.propagations;
-        // trail_depth pre-push: the step ring records the trail length
-        // before the forced literal lands (see SatStep's convention).
-        if (step_ring != nullptr) {
-          step_ring->Push(SatStep{SatStep::Kind::kPropagation, LitVar(unit),
-                                  LitPositive(unit), trail.size()});
-        }
         values[LitVar(unit)] =
             LitPositive(unit) ? Assign::kTrue : Assign::kFalse;
         trail.push_back(unit);
@@ -123,31 +113,21 @@ Result<SatSolution> Search(const SatInstance& inst,
                            const SatSolveOptions& options) {
   DpllSearch search(inst);
 
-  // Introspection ring: created only while tracing is on.
   PSO_NAMED_SPAN(solve_span, "sat.solve");
-  std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
-  if (solve_span.active()) {
+  const bool tracing = solve_span.active();
+  if (tracing) {
     solve_span.Arg("vars", std::to_string(inst.num_vars));
     solve_span.Arg("clauses", std::to_string(inst.clauses.size()));
-    step_ring =
-        std::make_unique<trace::RingBuffer<SatStep>>(kSatStepTraceCapacity);
-    search.step_ring = step_ring.get();
   }
   size_t instants_emitted = 0;
 
   // Publish this solve's search statistics on every exit path.
   sat_internal::MetricsPublisher publish{&search.stats};
 
-  // Attaches the retained steps to a finished solution.
-  auto attach = [&](SatSolution& s) {
-    search.stats.CopyTo(s);
-    if (step_ring != nullptr) s.step_trace = step_ring->Drain();
-  };
-
   SatSolution out;
   if (inst.trivially_unsat) {
     out.satisfiable = false;
-    attach(out);
+    search.stats.CopyTo(out);
     return out;
   }
 
@@ -156,7 +136,7 @@ Result<SatSolution> Search(const SatInstance& inst,
     if (clause.size() == 1) {
       if (!search.Enqueue(clause[0])) {
         out.satisfiable = false;
-        attach(out);
+        search.stats.CopyTo(out);
         return out;
       }
     }
@@ -192,7 +172,7 @@ Result<SatSolution> Search(const SatInstance& inst,
       for (uint32_t i = 0; i < inst.num_vars; ++i) {
         out.assignment[i] = (search.values[i] == Assign::kTrue);
       }
-      attach(out);
+      search.stats.CopyTo(out);
       return out;
     }
 
@@ -203,16 +183,11 @@ Result<SatSolution> Search(const SatInstance& inst,
           StrFormat("SAT decision budget of %zu exceeded (dpll)",
                     options.max_decisions));
     }
-    if (search.step_ring != nullptr) {
-      search.step_ring->Push(SatStep{SatStep::Kind::kDecision,
-                                     static_cast<uint32_t>(v), true,
-                                     search.trail.size()});
-      if (instants_emitted < kMaxSatInstants && trace::Enabled()) {
-        ++instants_emitted;
-        trace::Instant("sat.decision",
-                       {{"var", std::to_string(v)},
-                        {"depth", std::to_string(stack.size())}});
-      }
+    if (tracing && instants_emitted < kMaxSatInstants && trace::Enabled()) {
+      ++instants_emitted;
+      trace::Instant("sat.decision",
+                     {{"var", std::to_string(v)},
+                      {"depth", std::to_string(stack.size())}});
     }
 
     stack.push_back(
@@ -227,23 +202,19 @@ Result<SatSolution> Search(const SatInstance& inst,
       }
       if (stack.empty()) {
         out.satisfiable = false;
-        attach(out);
+        search.stats.CopyTo(out);
         return out;
       }
       Frame& frame = stack.back();
       search.Unwind(frame.trail_size);
       frame.tried_second = true;
       ++search.stats.backtracks;
-      if (search.step_ring != nullptr) {
-        search.step_ring->Push(SatStep{SatStep::Kind::kBacktrack,
-                                       frame.var, false,
-                                       search.trail.size()});
-        if (instants_emitted < kMaxSatInstants && trace::Enabled()) {
-          ++instants_emitted;
-          trace::Instant("sat.backtrack",
-                         {{"var", std::to_string(frame.var)},
-                          {"depth", std::to_string(stack.size())}});
-        }
+      if (tracing && instants_emitted < kMaxSatInstants &&
+          trace::Enabled()) {
+        ++instants_emitted;
+        trace::Instant("sat.backtrack",
+                       {{"var", std::to_string(frame.var)},
+                        {"depth", std::to_string(stack.size())}});
       }
       ok = search.Enqueue(MakeLit(frame.var, false));
     }

@@ -8,7 +8,6 @@
 // LpSolveOptions is accepted and ignored.
 
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -132,8 +131,8 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
     basis[leave] = enter;
     // The tableau stores the negated running objective in the corner
     // cell; report the natural sign so traces read "objective fell".
-    if (sink != nullptr) {
-      sink->OnPivot(*iterations + iter, enter, leaving_var, -t.ObjValue());
+    if (sink != nullptr && sink->Wants()) {
+      sink->OnPivot(enter, leaving_var, -t.ObjValue());
     }
   }
   return false;
@@ -142,14 +141,10 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
 Result<LpSolution> SolveTableau(const LpInstance& model) {
   lp_internal::SolveScope scope;
   PSO_NAMED_SPAN(solve_span, "lp.solve");
-  // Introspection ring: one per solve, shared by both phases, collected
-  // only while tracing is on (the default path allocates nothing).
-  std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
-  if (solve_span.active()) {
+  const bool tracing = solve_span.active();
+  if (tracing) {
     solve_span.Arg("vars", std::to_string(model.variables.size()));
     solve_span.Arg("constraints", std::to_string(model.rows.size()));
-    pivot_ring =
-        std::make_unique<trace::RingBuffer<LpPivotStep>>(kPivotTraceCapacity);
   }
   const size_t n = model.variables.size();
 
@@ -279,7 +274,7 @@ Result<LpSolution> SolveTableau(const LpInstance& model) {
         }
       }
       std::vector<bool> allowed(cols, true);
-      lp_internal::PivotSink sink{pivot_ring.get(), /*phase=*/1};
+      lp_internal::PivotSink sink{tracing};
       bool phase1_done = RunSimplex(t, basis, allowed, &iterations,
                                     &scope.pivot_work, &sink);
       scope.phase1_iterations = iterations;
@@ -332,7 +327,7 @@ Result<LpSolution> SolveTableau(const LpInstance& model) {
   }
   std::vector<bool> allowed(cols, true);
   for (size_t c = art_begin; c < cols; ++c) allowed[c] = false;
-  lp_internal::PivotSink phase2_sink{pivot_ring.get(), /*phase=*/2};
+  lp_internal::PivotSink phase2_sink{tracing};
   bool phase2_done = RunSimplex(t, basis, allowed, &iterations,
                                 &scope.pivot_work, &phase2_sink);
   scope.total_iterations = iterations;
@@ -377,10 +372,7 @@ Result<LpSolution> SolveTableau(const LpInstance& model) {
   }
   sol.objective = obj;
   sol.iterations = iterations;
-  if (pivot_ring != nullptr) {
-    sol.pivot_trace = pivot_ring->Drain();
-    solve_span.Arg("pivots", std::to_string(iterations));
-  }
+  if (tracing) solve_span.Arg("pivots", std::to_string(iterations));
   return sol;
 }
 

@@ -33,7 +33,7 @@ namespace pso::oracles {
 /// occurrence-count branching. Returns solver.build_status() when the
 /// formula is malformed. Leaves learned_clauses and restarts at zero and
 /// reports conflicts == backtracks (every conflict is one chronological
-/// flip); a kBacktrack step's trail_depth is taken before the flip lands.
+/// flip).
 [[nodiscard]] Result<SatSolution> Dpll(const SatSolver& solver,
                                        const SatSolveOptions& options = {});
 

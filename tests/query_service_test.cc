@@ -5,12 +5,18 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <csignal>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -282,34 +288,6 @@ TEST(QueryServiceTest, TranscriptReplayIsThreadCountInvariant) {
   EXPECT_EQ(serial.rejected(), 12u * 2u);
 }
 
-TEST(QueryServiceTest, AsyncBatchExecutorMatchesDirectCalls) {
-  QueryServiceOptions opts;
-  opts.eps_per_query = 0.5;
-  opts.noise_seed = 3;
-  std::vector<uint8_t> secret = {1, 1, 0, 0, 1, 0, 1, 0};
-  std::vector<recon::SubsetQuery> batch = {{1, 1, 1, 1, 0, 0, 0, 0},
-                                           {0, 0, 1, 1, 1, 1, 0, 0}};
-  QueryService direct_svc(secret, opts);
-  std::vector<QueryOutcome> direct = direct_svc.AnswerBatch(1, batch);
-
-  ThreadPool pool(2);
-  QueryService async_svc(secret, opts);
-  service::AsyncBatchExecutor executor(&async_svc, &pool);
-  Mutex mu;
-  std::vector<QueryOutcome> async_outcomes;
-  executor.Submit(1, batch, [&](std::vector<QueryOutcome> got) {
-    MutexLock lock(mu);
-    async_outcomes = std::move(got);
-  });
-  executor.Drain();
-  MutexLock lock(mu);
-  ASSERT_EQ(async_outcomes.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    ASSERT_TRUE(async_outcomes[i].ok());
-    EXPECT_EQ(*async_outcomes[i], *direct[i]);
-  }
-}
-
 // Exact service -> perfect reconstruction from the transcript alone;
 // DP service -> degraded reconstruction and budget rejections.
 TEST(QueryServiceTest, TranscriptDecodeEndToEnd) {
@@ -399,6 +377,24 @@ TEST(WireTest, AnswerLineRoundTripsExactly) {
   EXPECT_EQ(**parsed, value);  // bitwise round-trip through %.17g
 }
 
+// %.17g prints any NaN as "nan"/"-nan", so a payload cannot survive a
+// format; the parser keeps only the sign, and the line re-parses from
+// its formatted form to the same bits.
+TEST(WireTest, NanPayloadParsesToSignedCanonicalNan) {
+  for (const char* line : {"A 1 nan(0x7)", "A 1 -nan(0x7)"}) {
+    Result<Result<double>> parsed = service::ParseAnswerLine(line);
+    ASSERT_TRUE(parsed.ok() && parsed->ok()) << line;
+    ASSERT_TRUE(std::isnan(**parsed)) << line;
+    EXPECT_EQ(std::signbit(**parsed), line[4] == '-') << line;
+    Result<Result<double>> again =
+        service::ParseAnswerLine(service::FormatAnswerLine(1, *parsed));
+    ASSERT_TRUE(again.ok() && again->ok()) << line;
+    EXPECT_EQ(std::bit_cast<uint64_t>(**again),
+              std::bit_cast<uint64_t>(**parsed))
+        << line;
+  }
+}
+
 TEST(WireTest, ErrorLineCarriesCodeAndMessage) {
   Result<double> refusal(Status::ResourceExhausted("client 3 over budget"));
   std::string line = service::FormatAnswerLine(3, refusal);
@@ -408,6 +404,13 @@ TEST(WireTest, ErrorLineCarriesCodeAndMessage) {
   EXPECT_EQ(parsed->status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(parsed->status().message(), "client 3 over budget");
   EXPECT_FALSE(service::ParseAnswerLine("X 1 2").ok());
+  // The message is carried byte for byte, NUL included.
+  const std::string nul_message("over\0budget", 11);
+  parsed = service::ParseAnswerLine(service::FormatAnswerLine(
+      3, Result<double>(Status::ResourceExhausted(nul_message))));
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_FALSE(parsed->ok());
+  EXPECT_EQ(parsed->status().message(), nul_message);
 }
 
 TEST(WireTest, InfoLineRoundTrips) {
@@ -569,6 +572,49 @@ TEST(QueryServerTest, UnterminatedLineIsRefusedAndClosed) {
   ASSERT_TRUE(parsed.ok()) << reply;
   ASSERT_FALSE(parsed->ok());
   EXPECT_EQ(parsed->status().code(), StatusCode::kInvalidArgument);
+}
+
+// A port file that cannot be written fails Start and is not published: a
+// poller must never read an empty port. With a zero file-size limit and
+// SIGXFSZ ignored, the buffered write fails only at fclose.
+TEST(QueryServerTest, PortFileWriteFailureFailsStart) {
+  Rng rng(4);
+  QueryService svc(recon::RandomBits(16, rng), QueryServiceOptions{});
+  {
+    service::QueryServer probe(&svc, service::QueryServerOptions{});
+    Status started = probe.Start();
+    if (!started.ok()) {
+      GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+    }
+  }
+  const std::string port_file = ::testing::TempDir() + "pso_port_file." +
+                                std::to_string(::getpid());
+  const std::string tmp_file = port_file + ".tmp";
+  std::remove(port_file.c_str());
+  std::remove(tmp_file.c_str());
+  service::QueryServerOptions sopts;
+  sopts.port_file = port_file;
+  service::QueryServer server(&svc, sopts);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit limited = saved;
+  limited.rlim_cur = 0;
+  auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_NE(old_handler, SIG_ERR);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  Status started = server.Start();
+  const int restored = ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  ASSERT_EQ(restored, 0);
+
+  EXPECT_FALSE(started.ok());
+  EXPECT_EQ(started.code(), StatusCode::kInternal) << started.ToString();
+  struct stat st {};
+  EXPECT_NE(::stat(port_file.c_str(), &st), 0) << "port file was published";
+  EXPECT_NE(::stat(tmp_file.c_str(), &st), 0) << "temp file left behind";
+  std::remove(port_file.c_str());
+  std::remove(tmp_file.c_str());
 }
 
 }  // namespace

@@ -1,24 +1,30 @@
 // Tests for the hierarchical trace collector (common/trace.h): span
 // nesting, parent propagation into ParallelFor workers, Chrome-JSON
-// well-formedness, the determinism of the text-tree export across thread
-// counts, ring-buffer semantics, and the LP/SAT introspection traces.
+// well-formedness, the determinism of the logical event tree across
+// thread counts, and the capped LP/SAT per-step instants.
 
 #include "common/trace.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "oracles/oracles.h"
+#include "common/rng.h"
+#include "recon/attacks.h"
+#include "recon/oracle.h"
 #include "solver/lp.h"
+#include "solver/lp_internal.h"
 #include "solver/sat.h"
+#include "solver/sat_internal.h"
 
 namespace pso {
 namespace {
@@ -58,6 +64,15 @@ const Event* FindSpan(const std::vector<Event>& events,
   return nullptr;
 }
 
+size_t CountInstants(const std::vector<Event>& events,
+                     const std::string& name) {
+  size_t n = 0;
+  for (const Event& e : events) {
+    n += (e.kind == Event::Kind::kInstant && e.name == name) ? 1 : 0;
+  }
+  return n;
+}
+
 TEST(TraceTest, DisabledRecordsNothing) {
   Collector::Global().Disable();
   Collector::Global().Clear();
@@ -66,7 +81,6 @@ TEST(TraceTest, DisabledRecordsNothing) {
     EXPECT_FALSE(span.active());
     EXPECT_EQ(span.id(), 0u);
     trace::Instant("neither.this");
-    trace::CounterSample("nor.this", 1.0);
   }
   EXPECT_TRUE(Collector::Global().TakeEvents().empty());
 }
@@ -95,18 +109,16 @@ TEST(TraceTest, NestedSpansLinkParentToChild) {
   EXPECT_GE(outer->dur_ns, inner->dur_ns);
 }
 
-TEST(TraceTest, InstantsAndCountersAttachToCurrentSpan) {
+TEST(TraceTest, InstantsAttachToCurrentSpan) {
   ScopedTracing tracing;
   {
     trace::Span span("holder");
     trace::Instant("tick", {{"k", "v"}});
-    trace::CounterSample("gauge", 42.5);
   }
   std::vector<Event> events = Collector::Global().TakeEvents();
   const Event* holder = FindSpan(events, "holder");
   ASSERT_NE(holder, nullptr);
   bool saw_instant = false;
-  bool saw_counter = false;
   for (const Event& e : events) {
     if (e.kind == Event::Kind::kInstant && e.name == "tick") {
       saw_instant = true;
@@ -115,14 +127,8 @@ TEST(TraceTest, InstantsAndCountersAttachToCurrentSpan) {
       EXPECT_EQ(e.args[0].first, "k");
       EXPECT_EQ(e.args[0].second, "v");
     }
-    if (e.kind == Event::Kind::kCounter && e.name == "gauge") {
-      saw_counter = true;
-      EXPECT_EQ(e.parent, holder->id);
-      EXPECT_DOUBLE_EQ(e.value, 42.5);
-    }
   }
   EXPECT_TRUE(saw_instant);
-  EXPECT_TRUE(saw_counter);
 }
 
 TEST(TraceTest, ParallelForChunksNestUnderRegionSpan) {
@@ -270,7 +276,6 @@ TEST(TraceTest, ChromeJsonIsWellFormed) {
     trace::Span span("outer \"quoted\" name");
     span.Arg("note", "value with \\ and \"quotes\" and\nnewline");
     trace::Instant("mark", {{"x", "1"}});
-    trace::CounterSample("c", -0.5);
     ParallelFor(&pool, 16, [&](size_t, size_t) {});
   }
   std::string json = Collector::Global().ChromeJson();
@@ -302,45 +307,43 @@ void RunDeterministicWorkload(ThreadPool* pool) {
   });
 }
 
+// The run-independent shape of a trace: for every event, its
+// root-to-event name path and kind, sorted. Ids, tracks and timestamps
+// are left out; they depend on scheduling.
+std::vector<std::pair<std::string, Event::Kind>> LogicalTree(
+    const std::vector<Event>& events) {
+  const std::map<uint64_t, Event> spans = SpansById(events);
+  std::vector<std::pair<std::string, Event::Kind>> out;
+  for (const Event& e : events) {
+    std::string path = e.name;
+    for (auto it = spans.find(e.parent); it != spans.end();
+         it = spans.find(it->second.parent)) {
+      path = it->second.name + "/" + path;
+    }
+    out.emplace_back(std::move(path), e.kind);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(TraceTest, TextTreeIsByteIdenticalAcrossThreadCounts) {
-  std::string tree_serial;
+  std::vector<std::pair<std::string, Event::Kind>> tree_serial;
   {
     ScopedTracing tracing;
     RunDeterministicWorkload(nullptr);
-    tree_serial = Collector::Global().TextTree();
+    tree_serial = LogicalTree(Collector::Global().TakeEvents());
   }
-  std::string tree_parallel;
+  std::vector<std::pair<std::string, Event::Kind>> tree_parallel;
   {
     ScopedTracing tracing;
     ThreadPool pool(8);
     RunDeterministicWorkload(&pool);
-    tree_parallel = Collector::Global().TextTree();
+    tree_parallel = LogicalTree(Collector::Global().TakeEvents());
   }
   EXPECT_EQ(tree_serial, tree_parallel);
-  EXPECT_NE(tree_serial.find("workload"), std::string::npos);
-  EXPECT_NE(tree_serial.find("chunk"), std::string::npos);
-}
-
-TEST(TraceTest, RingBufferKeepsMostRecent) {
-  trace::RingBuffer<int> ring(3);
-  for (int i = 1; i <= 5; ++i) ring.Push(i);
-  EXPECT_EQ(ring.total(), 5u);
-  EXPECT_EQ(ring.size(), 3u);
-  std::vector<int> kept = ring.Drain();
-  ASSERT_EQ(kept.size(), 3u);
-  EXPECT_EQ(kept[0], 3);
-  EXPECT_EQ(kept[1], 4);
-  EXPECT_EQ(kept[2], 5);
-}
-
-TEST(TraceTest, RingBufferUnderCapacity) {
-  trace::RingBuffer<int> ring(8);
-  ring.Push(7);
-  ring.Push(9);
-  std::vector<int> kept = ring.Drain();
-  ASSERT_EQ(kept.size(), 2u);
-  EXPECT_EQ(kept[0], 7);
-  EXPECT_EQ(kept[1], 9);
+  const std::pair<std::string, Event::Kind> item{
+      "workload/parallel.for/chunk/item", Event::Kind::kInstant};
+  EXPECT_EQ(std::count(tree_serial.begin(), tree_serial.end(), item), 96);
 }
 
 // A small LP whose solve needs at least one pivot: minimize -x - y
@@ -359,17 +362,14 @@ TEST(TraceTest, LpPivotTraceRecordedWhenEnabled) {
   const uint64_t solves_before = solves.count();
   auto solved = SolveSmallLp();
   ASSERT_TRUE(solved.ok());
-  ASSERT_FALSE(solved->pivot_trace.empty());
-  EXPECT_EQ(solved->pivot_trace.size(), solved->iterations);
-  for (const LpPivotStep& step : solved->pivot_trace) {
-    EXPECT_TRUE(step.phase == 1 || step.phase == 2);
-  }
-  // The span tree shows the phase pair under lp.solve.
+  ASSERT_GT(solved->iterations, 0u);
+  // One lp.pivot instant per pivot while under the cap.
   std::vector<Event> events = Collector::Global().TakeEvents();
-  auto spans = SpansById(events);
+  EXPECT_EQ(CountInstants(events, "lp.pivot"), solved->iterations);
   // One solve is one span and one histogram interval, never a stack.
   EXPECT_EQ(CountSpans(events, "lp.solve"), 1u);
   EXPECT_EQ(solves.count(), solves_before + 1);
+  // The span tree shows the phase pair under lp.solve.
   const Event* solve = FindSpan(events, "lp.solve");
   const Event* phase1 = FindSpan(events, "lp.phase1");
   const Event* phase2 = FindSpan(events, "lp.phase2");
@@ -378,20 +378,6 @@ TEST(TraceTest, LpPivotTraceRecordedWhenEnabled) {
   ASSERT_NE(phase2, nullptr);
   EXPECT_EQ(phase1->parent, solve->id);
   EXPECT_EQ(phase2->parent, solve->id);
-  bool saw_pivot_instant = false;
-  for (const Event& e : events) {
-    if (e.kind == Event::Kind::kInstant && e.name == "lp.pivot") {
-      saw_pivot_instant = true;
-    }
-  }
-  EXPECT_TRUE(saw_pivot_instant);
-}
-
-TEST(TraceTest, LpPivotTraceEmptyWhenDisabled) {
-  Collector::Global().Disable();
-  auto solved = SolveSmallLp();
-  ASSERT_TRUE(solved.ok());
-  EXPECT_TRUE(solved->pivot_trace.empty());
 }
 
 TEST(TraceTest, SatStepTraceRecordedWhenEnabled) {
@@ -405,87 +391,88 @@ TEST(TraceTest, SatStepTraceRecordedWhenEnabled) {
   auto solved = solver.Solve();
   ASSERT_TRUE(solved.ok());
   ASSERT_TRUE(solved->satisfiable);
-  ASSERT_FALSE(solved->step_trace.empty());
-  size_t decisions = 0;
-  size_t propagations = 0;
-  for (const SatStep& step : solved->step_trace) {
-    if (step.kind == SatStep::Kind::kDecision) ++decisions;
-    if (step.kind == SatStep::Kind::kPropagation) ++propagations;
-  }
-  EXPECT_EQ(decisions, solved->decisions);
-  EXPECT_EQ(propagations, solved->propagations);
-  EXPECT_EQ(CountSpans(Collector::Global().TakeEvents(), "sat.solve"), 1u);
+  ASSERT_GT(solved->decisions, 0u);
+  // One sat.decision instant per decision while under the cap.
+  std::vector<Event> events = Collector::Global().TakeEvents();
+  EXPECT_EQ(CountInstants(events, "sat.decision"), solved->decisions);
+  EXPECT_EQ(CountSpans(events, "sat.solve"), 1u);
   EXPECT_EQ(solves.count(), solves_before + 1);
 }
 
-TEST(TraceTest, SatStepTrailDepthConvention) {
-  // Pins the SatStep::trail_depth convention documented in sat.h for
-  // BOTH engines: decisions and propagations record the trail
-  // length immediately before their own assignment lands; a backtrack
-  // records the post-unwind length. Replaying the trace with a simulated
-  // trail length must therefore match every recorded depth. DPLL's
-  // backtrack step carries the chronological flip (one assignment lands
-  // as part of the step); CDCL's backjump is a pure unwind whose
-  // asserting literal arrives as a separate propagation step.
-  for (const oracles::SatEngine& engine : oracles::kSatEngines) {
-    const std::string name = engine.name;
-    ScopedTracing tracing;
-    // Pigeonhole 4->3: no unit clauses (the replayed trail starts
-    // empty), UNSAT, and small enough that CDCL never restarts.
-    const uint32_t pigeons = 4;
-    const uint32_t holes = 3;
-    SatSolver solver(pigeons * holes);
-    for (uint32_t p = 0; p < pigeons; ++p) {
-      std::vector<Lit> somewhere;
-      for (uint32_t h = 0; h < holes; ++h) {
-        somewhere.push_back(MakeLit(p * holes + h, true));
-      }
-      solver.AddClause(somewhere);
-    }
-    for (uint32_t h = 0; h < holes; ++h) {
-      for (uint32_t p1 = 0; p1 < pigeons; ++p1) {
-        for (uint32_t p2 = p1 + 1; p2 < pigeons; ++p2) {
-          solver.AddBinary(MakeLit(p1 * holes + h, false),
-                          MakeLit(p2 * holes + h, false));
-        }
-      }
-    }
-    auto solved = engine.solve(solver, {});
-    ASSERT_TRUE(solved.ok());
-    EXPECT_FALSE(solved->satisfiable);
-    ASSERT_LE(solved->step_trace.size(), kSatStepTraceCapacity)
-        << name << ": trace truncation would break the replay";
-    size_t trail = 0;
-    size_t backtracks_seen = 0;
-    for (const SatStep& step : solved->step_trace) {
-      switch (step.kind) {
-        case SatStep::Kind::kDecision:
-        case SatStep::Kind::kPropagation:
-          EXPECT_EQ(step.trail_depth, trail)
-              << name << ": pre-push depth on var " << step.var;
-          ++trail;
-          break;
-        case SatStep::Kind::kBacktrack:
-          ++backtracks_seen;
-          EXPECT_LT(step.trail_depth, trail)
-              << name << ": a backtrack must shrink the trail";
-          trail = step.trail_depth;
-          if (name == "dpll") ++trail;  // the flip lands with the step
-          break;
-      }
-    }
-    EXPECT_GT(backtracks_seen, 0u) << name;
-    Collector::Global().TakeEvents();
+// Past kMaxPivotInstants pivots in a phase, the LP stops tracing pivots:
+// the cap is the bound on per-step trace volume. An exact-answer L1
+// decode at n=32, m=5n pivots well past it.
+TEST(TraceTest, LpPivotInstantsStopAtCap) {
+  ScopedTracing tracing;
+  Rng rng(7);
+  const size_t n = 32;
+  const std::vector<uint8_t> secret = recon::RandomBits(n, rng);
+  std::vector<recon::SubsetQuery> queries;
+  std::vector<double> answers;
+  for (size_t j = 0; j < 5 * n; ++j) {
+    recon::SubsetQuery q = recon::RandomBits(n, rng);
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) sum += q[i] != 0 ? secret[i] : 0.0;
+    queries.push_back(std::move(q));
+    answers.push_back(sum);
   }
+  const uint64_t pivots_before = metrics::GetCounter("lp.pivots").value();
+  auto rec = recon::LpDecodeRecorded(n, queries, answers);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  const uint64_t pivots =
+      metrics::GetCounter("lp.pivots").value() - pivots_before;
+  std::vector<Event> events = Collector::Global().TakeEvents();
+  const Event* phase1 = FindSpan(events, "lp.phase1");
+  const Event* phase2 = FindSpan(events, "lp.phase2");
+  ASSERT_NE(phase1, nullptr);
+  ASSERT_NE(phase2, nullptr);
+  std::map<uint64_t, size_t> instants_under;
+  for (const Event& e : events) {
+    if (e.kind == Event::Kind::kInstant && e.name == "lp.pivot") {
+      ++instants_under[e.parent];
+    }
+  }
+  ASSERT_EQ(instants_under[phase1->id], 0u)
+      << "the crash basis is feasible, so all pivots are phase 2";
+  ASSERT_GT(pivots, lp_internal::kMaxPivotInstants);
+  EXPECT_EQ(CountInstants(events, "lp.pivot"),
+            lp_internal::kMaxPivotInstants);
+  EXPECT_EQ(instants_under[phase2->id], lp_internal::kMaxPivotInstants);
 }
 
-TEST(TraceTest, SatStepTraceEmptyWhenDisabled) {
-  Collector::Global().Disable();
-  SatSolver solver(2);
-  solver.AddClause({MakeLit(0, true), MakeLit(1, true)});
+// The CDCL search shares one kMaxSatInstants budget between its
+// decision, conflict and restart instants. Pigeonhole 6->5 is UNSAT and
+// spends far more than that.
+TEST(TraceTest, SatInstantsStopAtCap) {
+  ScopedTracing tracing;
+  const uint32_t pigeons = 6;
+  const uint32_t holes = 5;
+  SatSolver solver(pigeons * holes);
+  for (uint32_t p = 0; p < pigeons; ++p) {
+    std::vector<Lit> somewhere;
+    for (uint32_t h = 0; h < holes; ++h) {
+      somewhere.push_back(MakeLit(p * holes + h, true));
+    }
+    solver.AddClause(somewhere);
+  }
+  for (uint32_t h = 0; h < holes; ++h) {
+    for (uint32_t p1 = 0; p1 < pigeons; ++p1) {
+      for (uint32_t p2 = p1 + 1; p2 < pigeons; ++p2) {
+        solver.AddBinary(MakeLit(p1 * holes + h, false),
+                         MakeLit(p2 * holes + h, false));
+      }
+    }
+  }
   auto solved = solver.Solve();
   ASSERT_TRUE(solved.ok());
-  EXPECT_TRUE(solved->step_trace.empty());
+  EXPECT_FALSE(solved->satisfiable);
+  ASSERT_GT(solved->decisions + solved->conflicts + solved->restarts,
+            sat_internal::kMaxSatInstants);
+  std::vector<Event> events = Collector::Global().TakeEvents();
+  EXPECT_EQ(CountInstants(events, "sat.decision") +
+                CountInstants(events, "sat.conflict") +
+                CountInstants(events, "sat.restart"),
+            sat_internal::kMaxSatInstants);
 }
 
 TEST(TraceTest, DroppedEventsAreCounted) {

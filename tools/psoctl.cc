@@ -54,7 +54,8 @@
 //
 // --trace FILE records a hierarchical execution trace (pipeline spans,
 // per-chunk parallel regions, LP pivot / SAT decision events) and writes
-// it as Chrome trace-event JSON — load it at ui.perfetto.dev. --log-level
+// it as Chrome trace-event JSON — load it at ui.perfetto.dev; a trace that
+// cannot be written makes an otherwise successful run exit 1. --log-level
 // {debug,info,warn,error} sets the structured-log threshold (default
 // warn; JSON lines on stderr).
 //
@@ -717,6 +718,8 @@ int Main(int argc, char** argv) {
   if (!trace_path.empty()) {
     if (trace::Collector::Global().WriteChromeJson(trace_path)) {
       std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());
+    } else if (rc == 0) {
+      rc = 1;  // the requested trace is lost: not a success
     }
     trace::Collector::Global().Disable();
   }
