@@ -3,10 +3,11 @@
 //
 // Rule: a thread may only acquire a mutex of STRICTLY LOWER rank than
 // every mutex it already holds. Outermost locks carry the highest rank
-// (kService), leaf locks the lowest (kParallel). The motivating nesting
-// is a service handler charging the budget ledger, which in turn bumps a
-// metrics counter: service > budget > metrics, so that chain is legal in
-// exactly one direction. Two mutexes of the SAME rank must never nest.
+// (kBudget), leaf locks the lowest (kParallel). The budget ledger
+// outranks every observability lock: code holding it may log or bump a
+// metrics counter, never the reverse, so the chain budget > log >
+// metrics is legal in exactly one direction. Two mutexes of the SAME
+// rank must never nest.
 //
 // The order is enforced three ways:
 //   1. Statically: PSO_LOCK_ORDER(rank) chains every ranked mutex into a
@@ -41,9 +42,7 @@ enum class LockRank : int8_t {
   kMetrics = 1,    ///< metrics::Registry.
   kTrace = 2,      ///< trace::Collector.
   kLog = 3,        ///< log sink core.
-  kProgress = 4,   ///< progress::Watchdog (may log under its lock).
-  kBudget = 5,     ///< dp::BudgetLedger.
-  kService = 6,    ///< Service-layer locks (none today). Outermost.
+  kBudget = 4,     ///< dp::BudgetLedger. Outermost.
 };
 
 /// Human-readable rank name for verifier witnesses and docs.
@@ -54,9 +53,7 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kMetrics: return "metrics";
     case LockRank::kTrace: return "trace";
     case LockRank::kLog: return "log";
-    case LockRank::kProgress: return "progress";
     case LockRank::kBudget: return "budget";
-    case LockRank::kService: return "service";
   }
   return "invalid";
 }
@@ -72,13 +69,9 @@ class PSO_CAPABILITY("mutex") LockRankBoundary {};
 // (descending rank). A mutex of rank r sits between above_<r> and
 // below_<r>, so any rank-r mutex is transitively acquired_before every
 // mutex of rank < r — across modules that never include each other.
-inline LockRankBoundary above_kService;
-inline LockRankBoundary below_kService PSO_ACQUIRED_AFTER(above_kService);
-inline LockRankBoundary above_kBudget PSO_ACQUIRED_AFTER(below_kService);
+inline LockRankBoundary above_kBudget;
 inline LockRankBoundary below_kBudget PSO_ACQUIRED_AFTER(above_kBudget);
-inline LockRankBoundary above_kProgress PSO_ACQUIRED_AFTER(below_kBudget);
-inline LockRankBoundary below_kProgress PSO_ACQUIRED_AFTER(above_kProgress);
-inline LockRankBoundary above_kLog PSO_ACQUIRED_AFTER(below_kProgress);
+inline LockRankBoundary above_kLog PSO_ACQUIRED_AFTER(below_kBudget);
 inline LockRankBoundary below_kLog PSO_ACQUIRED_AFTER(above_kLog);
 inline LockRankBoundary above_kTrace PSO_ACQUIRED_AFTER(below_kLog);
 inline LockRankBoundary below_kTrace PSO_ACQUIRED_AFTER(above_kTrace);
@@ -97,7 +90,7 @@ inline LockRankBoundary below_kParallel PSO_ACQUIRED_AFTER(above_kParallel);
 ///   mutable Mutex mu_ PSO_LOCK_ORDER(kMetrics){LockRank::kMetrics,
 ///                                              "metrics.registry"};
 ///
-/// The token must be a LockRank enumerator name (kService .. kParallel).
+/// The token must be a LockRank enumerator name (kBudget .. kParallel).
 #define PSO_LOCK_ORDER(rank_token)                              \
   PSO_ACQUIRED_AFTER(::pso::lock_order::above_##rank_token)     \
   PSO_ACQUIRED_BEFORE(::pso::lock_order::below_##rank_token)

@@ -22,7 +22,6 @@
 #ifndef PSO_COMMON_MUTEX_H_
 #define PSO_COMMON_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -147,20 +146,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // caller's MutexLock still owns the mutex
-  }
-
-  /// Blocks until notified or `timeout` elapses. Returns true if
-  /// notified, false on timeout. Same locking contract as Wait(); like
-  /// Wait(), callers must re-check their predicate either way (spurious
-  /// wakeups). Powers periodic pollers (the stall watchdog) that must
-  /// still shut down promptly on notify.
-  template <class Rep, class Period>
-  bool WaitFor(Mutex& mu, std::chrono::duration<Rep, Period> timeout)
-      PSO_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(lock, timeout);
-    lock.release();  // caller's MutexLock still owns the mutex
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -1,12 +1,10 @@
 #include "common/progress.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/log.h"
 #include "common/metrics.h"
 #include "common/str_util.h"
 #include "common/trace.h"
@@ -27,138 +25,23 @@ std::string StatValue(double v) {
 
 }  // namespace
 
-ProgressReporter::ProgressReporter(const char* name, uint64_t every)
-    : name_(name), every_(std::max<uint64_t>(1, every)), next_at_(every_) {
-  Watchdog::Global().NotifyProgress();  // construction is progress
-}
-
-ProgressReporter::~ProgressReporter() {
-  // Final beat: even a solve killed before its first cadence boundary
-  // (tiny decision budget) leaves heartbeat evidence behind.
-  if (last_work_ > 0) {
-    Emit("final", last_work_, last_stats_, num_last_stats_);
+void EmitInstant(const char* engine, const char* phase, uint64_t work,
+                 std::initializer_list<Stat> stats) {
+  std::vector<std::pair<std::string, std::string>> args;
+  args.reserve(stats.size() + 3);
+  args.emplace_back("engine", engine);
+  args.emplace_back("phase", phase);
+  args.emplace_back("work", StrFormat("%llu",
+                                      static_cast<unsigned long long>(work)));
+  for (const Stat& stat : stats) {
+    args.emplace_back(stat.key, StatValue(stat.value));
   }
-  Watchdog::Global().NotifyProgress();
+  trace::Instant("progress.heartbeat", std::move(args));
 }
 
-void ProgressReporter::Tick(uint64_t work, std::initializer_list<Stat> stats) {
-  last_work_ = work;
-  num_last_stats_ = std::min<int>(kMaxStats, static_cast<int>(stats.size()));
-  std::copy_n(stats.begin(), num_last_stats_, last_stats_);
-  if (work < next_at_) return;
-  // Next boundary strictly after `work`, so bursty work counters (a
-  // backjump skipping many levels) emit one beat, not a backlog.
-  next_at_ = (work / every_ + 1) * every_;
-  ++heartbeats_;
-  Emit("tick", work, last_stats_, num_last_stats_);
-}
-
-void ProgressReporter::Emit(const char* phase, uint64_t work,
-                            const Stat* stats, int num_stats) {
-  metrics::GetCounter("progress.heartbeats").Add(1);
-  Watchdog::Global().NotifyProgress();
-  if (trace::Enabled()) {
-    std::vector<std::pair<std::string, std::string>> args;
-    args.reserve(static_cast<size_t>(num_stats) + 3);
-    args.emplace_back("engine", name_);
-    args.emplace_back("phase", phase);
-    args.emplace_back("work", StrFormat("%llu",
-                                        static_cast<unsigned long long>(work)));
-    for (int i = 0; i < num_stats; ++i) {
-      args.emplace_back(stats[i].key, StatValue(stats[i].value));
-    }
-    trace::Instant("progress.heartbeat", std::move(args));
-  }
-  // PSO_LOG is statement-shaped; build the message directly so the
-  // variable-length stat list can attach as fields.
-  if (log::ShouldLog(log::kDEBUG)) {
-    log::LogMessage msg(log::kDEBUG, __FILE__, __LINE__);
-    msg.Field("engine", name_).Field("phase", phase).Field("work", work);
-    for (int i = 0; i < num_stats; ++i) {
-      msg.Field(stats[i].key, stats[i].value);
-    }
-    msg << "progress heartbeat";
-  }
-}
-
-Watchdog& Watchdog::Global() {
-  static Watchdog* instance = new Watchdog();  // never destroyed
-  return *instance;
-}
-
-void Watchdog::Start(int64_t interval_ms) {
-  if (interval_ms <= 0) {
-    Stop();
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    if (running_) return;
-    running_ = true;
-    stop_requested_ = false;
-    stalls_.store(0, std::memory_order_relaxed);
-    progress_marks_.store(0, std::memory_order_relaxed);
-    thread_ = std::thread([this, interval_ms] { Run(interval_ms); });
-  }
-  // Log after release (like Stop): the sink serializes on its own lock,
-  // and mu_ protects thread state, not the announcement.
-  PSO_LOG(INFO).Field("interval_ms", interval_ms) << "solver watchdog armed";
-}
-
-void Watchdog::Stop() {
-  std::thread joinable;
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-    cv_.NotifyAll();
-    joinable = std::move(thread_);
-    running_ = false;
-  }
-  joinable.join();
-  PSO_LOG(INFO).Field("stalls", stalls())
-      << "solver watchdog disarmed";
-}
-
-bool Watchdog::armed() const {
-  MutexLock lock(mu_);
-  return running_;
-}
-
-void Watchdog::Run(int64_t interval_ms) {
-  uint64_t last_marks = progress_marks_.load(std::memory_order_relaxed);
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      if (!stop_requested_) {
-        cv_.WaitFor(mu_, std::chrono::milliseconds(interval_ms));
-      }
-      if (stop_requested_) return;
-    }
-    const uint64_t marks = progress_marks_.load(std::memory_order_relaxed);
-    const uint64_t active = active_solves_.load(std::memory_order_relaxed);
-    if (active > 0 && marks == last_marks) {
-      // An interval elapsed with solves in flight and zero heartbeats:
-      // the diagnostic a silent hang would otherwise swallow. Mirrors
-      // StatusCode::kResourceExhausted phrasing but never interrupts.
-      stalls_.fetch_add(1, std::memory_order_relaxed);
-      metrics::GetCounter("watchdog.stalls").Add(1);
-      PSO_LOG(WARN)
-              .Field("interval_ms", interval_ms)
-              .Field("active_solves", static_cast<uint64_t>(active))
-          << "RESOURCE_EXHAUSTED: solver made no progress within the "
-             "watchdog interval (possible stall)";
-      if (trace::Enabled()) {
-        trace::Instant(
-            "watchdog.stall",
-            {{"interval_ms",
-              StrFormat("%lld", static_cast<long long>(interval_ms))},
-             {"active_solves",
-              StrFormat("%llu", static_cast<unsigned long long>(active))}});
-      }
-    }
-    last_marks = marks;
-  }
+void PublishDelta(const char* name, size_t total, size_t* published) {
+  metrics::GetCounter(name).Add(total - *published);
+  *published = total;
 }
 
 }  // namespace pso::progress

@@ -23,7 +23,7 @@ constexpr size_t kNoReason = static_cast<size_t>(-1);
 
 // Heartbeat cadence in work units (decisions + conflicts). A work-count
 // boundary, never a timer, so heartbeats replay deterministically.
-constexpr uint64_t kCdclProgressEvery = 64;
+constexpr uint64_t kCdclHeartbeatEvery = 64;
 
 // luby(2, x): the reluctant-doubling sequence 1 1 2 1 1 2 4 1 1 2 1 1 2
 // 4 8 ... governing the restart schedule.
@@ -187,20 +187,13 @@ class CdclSearch {
     size_t conflicts_this_restart = 0;
     size_t reduce_limit =
         std::max(kCdclReduceFloor, inst_.clauses.size() / 3);
-    progress::ScopedSolve solve_guard;
-    progress::ProgressReporter progress("cdcl", kCdclProgressEvery);
 
     for (;;) {
       size_t confl = Propagate();
       if (confl != kNoReason) {
         ++stats.conflicts;
         ++conflicts_this_restart;
-        progress.Tick(
-            stats.decisions + stats.conflicts,
-            {{"conflicts", static_cast<double>(stats.conflicts)},
-             {"decisions", static_cast<double>(stats.decisions)},
-             {"learned", static_cast<double>(stats.learned_clauses)},
-             {"restarts", static_cast<double>(stats.restarts)}});
+        CountWork();
         if (DecisionLevel() == 0) {
           out.satisfiable = false;  // conflict with no decisions: UNSAT
           stats.CopyTo(out);
@@ -270,12 +263,7 @@ class CdclSearch {
       }
 
       ++stats.decisions;
-      progress.Tick(
-          stats.decisions + stats.conflicts,
-          {{"conflicts", static_cast<double>(stats.conflicts)},
-           {"decisions", static_cast<double>(stats.decisions)},
-           {"learned", static_cast<double>(stats.learned_clauses)},
-           {"restarts", static_cast<double>(stats.restarts)}});
+      CountWork();
       if (options_.max_decisions > 0 &&
           stats.decisions > options_.max_decisions) {
         PSO_LOG(WARN)
@@ -294,6 +282,12 @@ class CdclSearch {
       EnqueueLit(MakeLit(decision_var, saved_phase_[decision_var]),
                  kNoReason);
     }
+  }
+
+  // Emits the final heartbeat of a traced solve that made any decision
+  // or conflict, repeating the stats of the last one.
+  void FinalBeat() {
+    if (heartbeat_.work() > 0) EmitHeartbeat("final");
   }
 
  private:
@@ -538,6 +532,24 @@ class CdclSearch {
            reasons_[LitVar(first)] == ci;
   }
 
+  // Called after each decision and conflict: at the cadence boundary,
+  // publishes the counters so far and traces a heartbeat.
+  void CountWork() {
+    if (tracing) beat_stats_ = stats;
+    if (!heartbeat_.Due(stats.decisions + stats.conflicts)) return;
+    publisher_.Publish();
+    if (tracing) EmitHeartbeat("tick");
+  }
+
+  void EmitHeartbeat(const char* beat) {
+    progress::EmitInstant(
+        "cdcl", beat, heartbeat_.work(),
+        {{"conflicts", static_cast<double>(beat_stats_.conflicts)},
+         {"decisions", static_cast<double>(beat_stats_.decisions)},
+         {"learned", static_cast<double>(beat_stats_.learned_clauses)},
+         {"restarts", static_cast<double>(beat_stats_.restarts)}});
+  }
+
   bool InstantBudget() {
     if (!tracing || !trace::Enabled()) return false;
     if (instants_emitted >= kMaxSatInstants) return false;
@@ -584,6 +596,11 @@ class CdclSearch {
   double clause_inc_ = 1.0;
   // Set once the branch heap exists so VSIDS bumps restore heap order.
   VsidsHeap* bump_heap_ = nullptr;
+  progress::Heartbeat heartbeat_{kCdclHeartbeatEvery};
+  // `stats` at the last decision or conflict, kept while tracing for the
+  // heartbeat args.
+  sat_internal::SearchStats beat_stats_;
+  sat_internal::MetricsPublisher publisher_{&stats, /*cdcl=*/true};
 };
 
 }  // namespace
@@ -599,8 +616,9 @@ Result<SatSolution> SolveCdcl(const SatInstance& inst,
     solve_span.Arg("clauses", std::to_string(inst.clauses.size()));
   }
 
-  sat_internal::MetricsPublisher publish{&search.stats, /*cdcl=*/true};
-  return search.Run();
+  Result<SatSolution> result = search.Run();
+  if (search.tracing) search.FinalBeat();
+  return result;
 }
 
 }  // namespace pso

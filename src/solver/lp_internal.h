@@ -3,9 +3,10 @@
 // Not part of the public solver surface — include only from simplex
 // implementations (the revised simplex here, and the reference engines
 // the tests compare it against). Provides the per-phase sink of capped
-// lp.pivot trace instants plus the common per-solve counter scope, so
-// every simplex publishes one trace and metric vocabulary (lp.solves,
-// lp.pivots, lp.pivot_work, per-phase iteration counts).
+// lp.pivot trace instants plus the per-solve counter scope, so every
+// simplex publishes one trace and metric vocabulary (lp.solves,
+// lp.pivots, lp.pivot_work, per-phase iteration counts, and the revised
+// simplex's eta updates, bound flips, refactorizations and warm starts).
 
 #ifndef PSO_SOLVER_LP_INTERNAL_H_
 #define PSO_SOLVER_LP_INTERNAL_H_
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "common/metrics.h"
+#include "common/progress.h"
 #include "common/str_util.h"
 #include "common/trace.h"
 #include "solver/lp.h"
@@ -42,9 +44,12 @@ struct PivotSink {
   }
 };
 
-// Publishes one solve's shared counters to the global registry on every
-// exit path (optimal, infeasible, unbounded, iteration limit). Counters
-// are seed-deterministic totals; the wall-clock span is reported
+// Owns one solve's lp.* counters and publishes them to the global
+// registry: the engine calls Publish() at its heartbeat cadence, so a
+// registry read mid-solve sees the solve's progress, and the destructor
+// publishes the remainder on every exit path (optimal, infeasible,
+// unbounded, iteration limit), so totals do not depend on the cadence.
+// Counters are seed-deterministic; the wall-clock span is reported
 // separately. `pivot_work` is the solver's FLOPs-equivalent tally: the
 // number of matrix/vector cells it actually touched while pivoting (the
 // revised simplex counts traversed nonzeros), so simplex implementations
@@ -53,15 +58,41 @@ struct SolveScope {
   size_t phase1_iterations = 0;
   size_t total_iterations = 0;
   size_t pivot_work = 0;
+  // Revised-simplex events; each counter appears in the registry only
+  // once its event has happened.
+  size_t eta_updates = 0;
+  size_t bound_flips = 0;
+  size_t refactorizations = 0;
+  size_t warm_starts = 0;
 
   ~SolveScope() {
     metrics::GetCounter("lp.solves").Add(1);
-    metrics::GetCounter("lp.pivots").Add(total_iterations);
-    metrics::GetCounter("lp.phase1_iterations").Add(phase1_iterations);
-    metrics::GetCounter("lp.phase2_iterations")
-        .Add(total_iterations - phase1_iterations);
-    metrics::GetCounter("lp.pivot_work").Add(pivot_work);
+    Publish();
   }
+
+  // Adds each counter's growth since the previous Publish.
+  void Publish() {
+    static constexpr const char* kNames[kCounters] = {
+        "lp.pivots",            "lp.phase1_iterations",
+        "lp.phase2_iterations", "lp.pivot_work",
+        "lp.eta_updates",       "lp.bound_flips",
+        "lp.refactorizations",  "lp.warm_starts"};
+    const size_t totals[kCounters] = {
+        total_iterations, phase1_iterations,
+        total_iterations - phase1_iterations, pivot_work, eta_updates,
+        bound_flips, refactorizations, warm_starts};
+    for (size_t i = 0; i < kCounters; ++i) {
+      // The first four exist after any solve; the revised-simplex event
+      // counters from their first event on.
+      if (i < 4 || totals[i] != published_[i]) {
+        progress::PublishDelta(kNames[i], totals[i], &published_[i]);
+      }
+    }
+  }
+
+ private:
+  static constexpr size_t kCounters = 8;
+  size_t published_[kCounters] = {};
 };
 
 }  // namespace pso::lp_internal

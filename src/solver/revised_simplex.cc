@@ -42,7 +42,7 @@ constexpr size_t kMaxIterations = 200000;
 
 // Heartbeat cadence in simplex steps (pricing rounds). A work-count
 // boundary, never a timer, so heartbeats replay deterministically.
-constexpr uint64_t kProgressEvery = 256;
+constexpr uint64_t kHeartbeatEvery = 256;
 
 // One product-form eta: the FTRAN image w = B^-1 A_q of an entering
 // column, split into the pivot element and the off-pivot nonzeros.
@@ -78,8 +78,8 @@ struct Ratio {
 // logical (one per row, identity coefficient).
 class SimplexState {
  public:
-  SimplexState(const LpInstance& model, size_t* pivot_work)
-      : pivot_work_(pivot_work) {
+  SimplexState(const LpInstance& model, lp_internal::SolveScope* scope)
+      : scope_(scope) {
     n_ = model.variables.size();
     m_ = model.rows.size();
     ncols_ = n_ + m_;
@@ -136,12 +136,12 @@ class SimplexState {
   void ApplyEtasForward(SparseVector& v) {
     for (const Eta& e : etas_) {
       double vp = v[e.pivot_row];
-      ++*pivot_work_;
+      ++scope_->pivot_work;
       if (vp == 0.0) continue;
       double t = vp / e.pivot_value;
       v.Set(e.pivot_row, t);
       for (const auto& [r, val] : e.others) v.Add(r, -val * t);
-      *pivot_work_ += e.others.size();
+      scope_->pivot_work += e.others.size();
     }
   }
 
@@ -152,7 +152,7 @@ class SimplexState {
       double acc = y[e.pivot_row];
       for (const auto& [r, val] : e.others) acc -= val * y[r];
       y[e.pivot_row] = acc / e.pivot_value;
-      *pivot_work_ += e.others.size() + 1;
+      scope_->pivot_work += e.others.size() + 1;
     }
   }
 
@@ -162,7 +162,7 @@ class SimplexState {
     for (size_t k = cols_.ColumnBegin(j); k < cols_.ColumnEnd(j); ++k) {
       work_.Add(cols_.EntryRow(k), cols_.EntryValue(k));
     }
-    *pivot_work_ += cols_.ColumnNnz(j);
+    scope_->pivot_work += cols_.ColumnNnz(j);
     ApplyEtasForward(work_);
   }
 
@@ -175,8 +175,7 @@ class SimplexState {
   // dropped from the basis and the logical of a still-unpivoted row takes
   // its place (basis repair). Returns false only if repair fails too.
   bool Refactorize() {
-    metrics::GetCounter("lp.refactorizations").Add(1);
-    ++refactor_count_;
+    ++scope_->refactorizations;
     etas_.clear();
     pivots_since_refactor_ = 0;
 
@@ -272,7 +271,7 @@ class SimplexState {
       for (size_t k = cols_.ColumnBegin(j); k < cols_.ColumnEnd(j); ++k) {
         work_.Add(cols_.EntryRow(k), -cols_.EntryValue(k) * x_[j]);
       }
-      *pivot_work_ += cols_.ColumnNnz(j);
+      scope_->pivot_work += cols_.ColumnNnz(j);
     }
     ApplyEtasForward(work_);
     for (size_t i = 0; i < m_; ++i) x_[basic_[i]] = work_[i];
@@ -362,7 +361,7 @@ class SimplexState {
       if (status_[j] != LpVarStatus::kBasic) x_[j] = NonbasicValue(j);
     }
     ComputeBasicValues();
-    metrics::GetCounter("lp.warm_starts").Add(1);
+    ++scope_->warm_starts;
     return true;
   }
 
@@ -399,7 +398,7 @@ class SimplexState {
       dual_[i] = cb;
       any_cb = any_cb || cb != 0.0;
     }
-    *pivot_work_ += m_;
+    scope_->pivot_work += m_;
     if (phase1 && !out.any_infeasible) return out;  // Feasible: phase done.
     if (any_cb) ApplyEtasTranspose(dual_);
 
@@ -412,7 +411,7 @@ class SimplexState {
         for (size_t k = cols_.ColumnBegin(j); k < cols_.ColumnEnd(j); ++k) {
           d -= dual_[cols_.EntryRow(k)] * cols_.EntryValue(k);
         }
-        *pivot_work_ += cols_.ColumnNnz(j);
+        scope_->pivot_work += cols_.ColumnNnz(j);
       }
       bool eligible = status_[j] == LpVarStatus::kAtLower ? d < -kEps
                                                           : d > kEps;
@@ -516,14 +515,14 @@ class SimplexState {
         if (wv == 0.0) continue;
         x_[basic_[p]] -= r.t * dir * wv;
       }
-      *pivot_work_ += work_.nonzeros().size();
+      scope_->pivot_work += work_.nonzeros().size();
     }
 
     if (!r.has_leave) {
       // Bound flip: q traverses its whole gap and parks on the other side.
       status_[q] = dir > 0.0 ? LpVarStatus::kAtUpper : LpVarStatus::kAtLower;
       x_[q] = NonbasicValue(q);
-      metrics::GetCounter("lp.bound_flips").Add(1);
+      ++scope_->bound_flips;
       return Status::Ok();
     }
 
@@ -536,15 +535,17 @@ class SimplexState {
     status_[q] = LpVarStatus::kBasic;
     AppendEta(p);
     basic_[p] = q;
-    metrics::GetCounter("lp.eta_updates").Add(1);
+    ++scope_->eta_updates;
     ++pivots_since_refactor_;
     *degenerate_streak = r.t <= kEps ? *degenerate_streak + 1 : 0;
-    ++iterations_;
+    ++scope_->total_iterations;
+    if (phase1) ++scope_->phase1_iterations;
     if (sink->Wants()) {
       sink->OnPivot(q, leaving, phase1 ? TotalViolation() : Objective());
     }
     if (pivots_since_refactor_ >= kRefactorInterval) {
       if (!Refactorize()) {
+        basis_lost_ = true;
         return Status::Internal("basis refactorization failed");
       }
       ComputeBasicValues();
@@ -554,8 +555,7 @@ class SimplexState {
 
   // ---- Driver ------------------------------------------------------
 
-  Result<LpSolution> Run(const LpSolveOptions& options,
-                         lp_internal::SolveScope& scope, bool tracing) {
+  Result<LpSolution> Run(const LpSolveOptions& options, bool tracing) {
     bool warm = false;
     if (options.warm_start != nullptr && !options.warm_start->empty()) {
       warm = WarmStart(*options.warm_start);
@@ -572,8 +572,6 @@ class SimplexState {
 
     size_t steps = 0;
     size_t degenerate_streak = 0;
-    progress::ScopedSolve solve_guard;
-    progress::ProgressReporter progress("simplex", kProgressEvery);
 
     // ---- Phase 1: drive out basic bound violations. ----
     // The span always opens, even for a feasible (crashed / warm) start:
@@ -583,7 +581,7 @@ class SimplexState {
       lp_internal::PivotSink sink{tracing};
       while (true) {
         if (++steps > kMaxIterations) {
-          PSO_LOG(WARN).Field("iterations", iterations_)
+          PSO_LOG(WARN).Field("iterations", scope_->total_iterations)
               << "LP phase-1 iteration limit exceeded";
           return Status::Internal("phase-1 iteration limit exceeded");
         }
@@ -601,17 +599,10 @@ class SimplexState {
         Status step = Step(pr.enter, /*phase1=*/true, &degenerate_streak,
                            &sink);
         if (!step.ok()) return step;
-        progress.Tick(
-            steps,
-            {{"pivots", static_cast<double>(iterations_)},
-             {"refactorizations", static_cast<double>(refactor_count_)},
-             {"objective", TotalViolation()},
-             {"phase", 1.0}});
+        StepDone(/*phase=*/1, steps, tracing);
       }
-      scope.phase1_iterations = iterations_;
-      scope.total_iterations = iterations_;
       if (phase1_span.active()) {
-        phase1_span.Arg("pivots", std::to_string(iterations_));
+        phase1_span.Arg("pivots", std::to_string(scope_->phase1_iterations));
       }
     }
 
@@ -621,7 +612,7 @@ class SimplexState {
     degenerate_streak = 0;
     while (true) {
       if (++steps > kMaxIterations) {
-        PSO_LOG(WARN).Field("iterations", iterations_)
+        PSO_LOG(WARN).Field("iterations", scope_->total_iterations)
             << "LP phase-2 iteration limit exceeded";
         return Status::Internal("phase-2 iteration limit exceeded");
       }
@@ -630,18 +621,12 @@ class SimplexState {
       Status step = Step(pr.enter, /*phase1=*/false, &degenerate_streak,
                          &sink);
       if (!step.ok()) return step;
-      progress.Tick(
-          steps,
-          {{"pivots", static_cast<double>(iterations_)},
-           {"refactorizations", static_cast<double>(refactor_count_)},
-           {"objective", Objective()},
-           {"phase", 2.0}});
-      scope.total_iterations = iterations_;
+      StepDone(/*phase=*/2, steps, tracing);
     }
-    scope.total_iterations = iterations_;
     if (phase2_span.active()) {
       phase2_span.Arg("pivots",
-                      std::to_string(iterations_ - scope.phase1_iterations));
+                      std::to_string(scope_->total_iterations -
+                                     scope_->phase1_iterations));
     }
 
     LpSolution sol;
@@ -656,15 +641,38 @@ class SimplexState {
     double obj = 0.0;
     for (size_t j = 0; j < n_; ++j) obj += cost_[j] * sol.values[j];
     sol.objective = obj;
-    sol.iterations = iterations_;
+    sol.iterations = scope_->total_iterations;
     if (options.final_basis != nullptr) ExportBasis(options.final_basis);
     return sol;
   }
 
-  size_t iterations() const { return iterations_; }
-  size_t refactor_count() const { return refactor_count_; }
+  // Emits the final heartbeat of a traced solve that completed any step.
+  // It repeats the last completed step's stats: nothing has moved since,
+  // except after a failed refactorization, which leaves no basis to
+  // evaluate and so no final beat.
+  void FinalBeat() {
+    if (heartbeat_.work() > 0 && !basis_lost_) EmitHeartbeat("final");
+  }
 
  private:
+  // Called after each completed step of phase `phase`: at the cadence
+  // boundary, publishes the counters so far and traces a heartbeat.
+  void StepDone(int phase, size_t steps, bool tracing) {
+    last_phase_ = phase;
+    if (!heartbeat_.Due(steps)) return;
+    scope_->Publish();
+    if (tracing) EmitHeartbeat("tick");
+  }
+
+  void EmitHeartbeat(const char* beat) {
+    progress::EmitInstant(
+        "simplex", beat, heartbeat_.work(),
+        {{"pivots", static_cast<double>(scope_->total_iterations)},
+         {"refactorizations", static_cast<double>(scope_->refactorizations)},
+         {"objective", last_phase_ == 1 ? TotalViolation() : Objective()},
+         {"phase", static_cast<double>(last_phase_)}});
+  }
+
   size_t n_ = 0;
   size_t m_ = 0;
   size_t ncols_ = 0;
@@ -682,9 +690,10 @@ class SimplexState {
   SparseVector work_;
   std::vector<double> dual_;
   size_t pivots_since_refactor_ = 0;
-  size_t iterations_ = 0;
-  size_t refactor_count_ = 0;
-  size_t* pivot_work_;
+  lp_internal::SolveScope* scope_;
+  progress::Heartbeat heartbeat_{kHeartbeatEvery};
+  int last_phase_ = 0;       // Phase of the last completed step.
+  bool basis_lost_ = false;  // A refactorization failed mid-solve.
 };
 
 }  // namespace
@@ -698,8 +707,9 @@ Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
     solve_span.Arg("vars", std::to_string(model.variables.size()));
     solve_span.Arg("constraints", std::to_string(model.rows.size()));
   }
-  SimplexState state(model, &scope.pivot_work);
-  Result<LpSolution> result = state.Run(options, scope, tracing);
+  SimplexState state(model, &scope);
+  Result<LpSolution> result = state.Run(options, tracing);
+  if (tracing) state.FinalBeat();
   if (result.ok() && tracing) {
     solve_span.Arg("pivots", std::to_string(result->iterations));
   }

@@ -1,7 +1,7 @@
 // Internals shared by SAT search implementations (the CDCL engine here,
 // and the reference engines the tests compare it against): the
-// tri-state assignment cell, the per-solve trace budget, and the scope
-// guard publishing search counters on every exit path.
+// tri-state assignment cell, the per-solve trace budget, and the
+// publisher of the search counters.
 
 #ifndef PSO_SOLVER_SAT_INTERNAL_H_
 #define PSO_SOLVER_SAT_INTERNAL_H_
@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "common/metrics.h"
+#include "common/progress.h"
 #include "solver/sat.h"
 
 namespace pso::sat_internal {
@@ -43,24 +44,40 @@ struct SearchStats {
   }
 };
 
-/// Publishes one solve's counters on destruction (every exit path,
-/// including kResourceExhausted). The clause-learning counters are
+/// Publishes one solve's sat.* counters to the global registry: the
+/// engine calls Publish() at its heartbeat cadence, so a registry read
+/// mid-solve sees the search's progress, and the destructor publishes the
+/// remainder on every exit path (including kResourceExhausted), so totals
+/// do not depend on the cadence. The clause-learning counters are
 /// published only when `cdcl` is set, so a search without learning does
 /// not materialize them in the registry.
 struct MetricsPublisher {
   const SearchStats* stats;
   bool cdcl = false;
+  SearchStats published{};  ///< Totals already added to the registry.
 
   ~MetricsPublisher() {
     metrics::GetCounter("sat.solves").Add(1);
-    metrics::GetCounter("sat.decisions").Add(stats->decisions);
-    metrics::GetCounter("sat.propagations").Add(stats->propagations);
-    metrics::GetCounter("sat.backtracks").Add(stats->backtracks);
-    metrics::GetCounter("sat.conflicts").Add(stats->conflicts);
+    Publish();
+  }
+
+  /// Adds each counter's growth since the previous Publish.
+  void Publish() {
+    progress::PublishDelta("sat.decisions", stats->decisions,
+                           &published.decisions);
+    progress::PublishDelta("sat.propagations", stats->propagations,
+                           &published.propagations);
+    progress::PublishDelta("sat.backtracks", stats->backtracks,
+                           &published.backtracks);
+    progress::PublishDelta("sat.conflicts", stats->conflicts,
+                           &published.conflicts);
     if (cdcl) {
-      metrics::GetCounter("sat.learned_clauses").Add(stats->learned_clauses);
-      metrics::GetCounter("sat.restarts").Add(stats->restarts);
-      metrics::GetCounter("sat.backjump_levels").Add(stats->backjump_levels);
+      progress::PublishDelta("sat.learned_clauses", stats->learned_clauses,
+                             &published.learned_clauses);
+      progress::PublishDelta("sat.restarts", stats->restarts,
+                             &published.restarts);
+      progress::PublishDelta("sat.backjump_levels", stats->backjump_levels,
+                             &published.backjump_levels);
     }
   }
 };

@@ -20,13 +20,17 @@ namespace {
 #if PSO_DEADLOCK_CHECK
 
 TEST(DeadlockCheckTest, DescendingRankAcquisitionRuns) {
-  Mutex service_mu{LockRank::kService, "test.order_service"};
-  Mutex budget_mu{LockRank::kBudget, "test.order_budget"};
-  Mutex metrics_mu{LockRank::kMetrics, "test.order_metrics"};
+  // Static storage: on the stack these could reuse the addresses of the
+  // mutexes ObservedPairCycleDies locks in the opposite order, and
+  // ThreadSanitizer, which never sees a std::mutex destroyed, would report
+  // that as a lock-order inversion.
+  static Mutex budget_mu{LockRank::kBudget, "test.order_budget"};
+  static Mutex log_mu{LockRank::kLog, "test.order_log"};
+  static Mutex metrics_mu{LockRank::kMetrics, "test.order_metrics"};
   EXPECT_EQ(deadlock::HeldCount(), 0);
   {
-    MutexLock service(service_mu);
     MutexLock budget(budget_mu);
+    MutexLock log(log_mu);
     MutexLock metrics(metrics_mu);
     EXPECT_EQ(deadlock::HeldCount(), 3);
   }
@@ -48,7 +52,7 @@ TEST(DeadlockCheckDeathTest, RankInversionDiesNamingBothMutexes) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   Mutex budget_mu{LockRank::kBudget, "test.inv_budget"};
   Mutex metrics_mu{LockRank::kMetrics, "test.inv_metrics"};
-  // Acquiring budget (rank 5) under metrics (rank 1) inverts the global
+  // Acquiring budget (rank 4) under metrics (rank 1) inverts the global
   // order. The witness head line must name both mutexes and both ranks.
   EXPECT_DEATH(
       {

@@ -47,7 +47,7 @@ class Handler {
   }
 
  private:
-  Mutex mu_ PSO_LOCK_ORDER(kService){LockRank::kService, "fixture.blocking"};
+  Mutex mu_ PSO_LOCK_ORDER(kBudget){LockRank::kBudget, "fixture.blocking"};
   CondVar cv_;
   int pending_ PSO_GUARDED_BY(mu_) = 0;
   std::chrono::milliseconds default_timeout_{5};

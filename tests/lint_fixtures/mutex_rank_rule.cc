@@ -9,7 +9,7 @@
 namespace pso {
 
 class RankedMember {
-  Mutex mu_ PSO_LOCK_ORDER(kService){LockRank::kService, "fixture.ranked"};
+  Mutex mu_ PSO_LOCK_ORDER(kLog){LockRank::kLog, "fixture.ranked"};
 };
 
 class RankedMultiLine {

@@ -1,7 +1,7 @@
 // Fixture for the `sleep` rule: no sleep_for/usleep-style polling in
 // src/ outside src/common/. A sleep loop cannot be interrupted by
 // notify/shutdown and turns every state change into worst-case latency;
-// wait on a pso::CondVar (WaitFor for periodic work) instead.
+// wait on a pso::CondVar instead.
 // pso-lint-fixture-path: src/solver/sleep_fixture.cc
 
 #include <atomic>

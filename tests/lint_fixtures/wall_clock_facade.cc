@@ -1,7 +1,7 @@
 // pso-lint-fixture-path: src/common/metrics.cc
 //
 // Negative fixture for the monotonic half of the `wall-clock` rule: the
-// timing facade (src/common/{metrics,trace,progress,parallel}) may read
+// timing facade (src/common/{metrics,trace,parallel}) may read
 // steady_clock / high_resolution_clock directly — that is where latency
 // recording is implemented. Calendar time stays forbidden even here.
 // The match is exact on the stem: src/common/metrics_helper.cc would

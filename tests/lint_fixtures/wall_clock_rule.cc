@@ -3,7 +3,7 @@
 // Fixture for the `wall-clock` rule: calendar time leaks run-dependent
 // values into library output. Monotonic clocks (steady_clock,
 // high_resolution_clock) are confined to the timing facade
-// (src/common/{metrics,trace,progress,parallel}); outside it they need
+// (src/common/{metrics,trace,parallel}); outside it they need
 // an explicit allow so latency measurement has one recording path.
 #include <chrono>
 #include <ctime>

@@ -1,165 +1,205 @@
-// Tests for solver progress heartbeats and the stall watchdog: the
-// deterministic work-count cadence, the final destructor beat (tiny
-// budgets still leave evidence), trace instants, and watchdog stall
-// detection. The watchdog spawns a real thread, so this suite also runs
-// in the TSan `parallel` lane.
+// Tests for solver liveness: the deterministic work-count cadence, the
+// heartbeat instant's args, the engines' final beat (tiny budgets still
+// leave evidence, no work leaves none), and the counters the solvers
+// publish to the registry while they run. The live-counter tests read
+// the registry from one thread while another solves, so this suite also
+// runs in the TSan `parallel` lane.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
-#include "common/log.h"
 #include "common/metrics.h"
 #include "common/progress.h"
+#include "common/rng.h"
 #include "common/trace.h"
+#include "recon/attacks.h"
+#include "recon/oracle.h"
+#include "solver/sat.h"
 
 namespace pso {
 namespace {
 
-uint64_t GlobalCounter(const std::string& name) {
-  return metrics::Registry::Global().TakeSnapshot().counters[name];
+// RAII enable/disable so a failing test cannot leak tracing into others.
+struct ScopedTracing {
+  ScopedTracing() { trace::Collector::Global().Enable(); }
+  ~ScopedTracing() { trace::Collector::Global().Disable(); }
+};
+
+// The "phase" arg ("tick" / "final") of every progress.heartbeat instant.
+std::vector<std::string> HeartbeatPhases(
+    const std::vector<trace::Event>& events) {
+  std::vector<std::string> phases;
+  for (const trace::Event& e : events) {
+    if (e.name != "progress.heartbeat") continue;
+    for (const auto& [k, v] : e.args) {
+      if (k == "phase") phases.push_back(v);
+    }
+  }
+  return phases;
 }
 
-TEST(ProgressReporterTest, HeartbeatsAtWorkCountCadence) {
-  progress::ProgressReporter reporter("test", /*every=*/10);
+// Pigeonhole: `pigeons` pigeons in `pigeons - 1` holes. Unsatisfiable,
+// and CDCL needs exponentially many conflicts to prove it.
+SatSolver Pigeonhole(uint32_t pigeons) {
+  const uint32_t holes = pigeons - 1;
+  SatSolver solver(pigeons * holes);
+  for (uint32_t p = 0; p < pigeons; ++p) {
+    std::vector<Lit> somewhere;
+    for (uint32_t h = 0; h < holes; ++h) {
+      somewhere.push_back(MakeLit(p * holes + h, true));
+    }
+    solver.AddClause(somewhere);
+  }
+  for (uint32_t h = 0; h < holes; ++h) {
+    for (uint32_t p1 = 0; p1 < pigeons; ++p1) {
+      for (uint32_t p2 = p1 + 1; p2 < pigeons; ++p2) {
+        solver.AddBinary(MakeLit(p1 * holes + h, false),
+                         MakeLit(p2 * holes + h, false));
+      }
+    }
+  }
+  return solver;
+}
+
+// Runs `solve` on another thread while this one polls counter `name`.
+// Returns the smallest value seen above `before` (0 if none), which the
+// caller compares with the final total: a value strictly between the two
+// was published while the solve was running.
+template <class Solve>
+uint64_t SmallestValueSeenWhileSolving(const std::string& name,
+                                       uint64_t before, Solve solve) {
+  metrics::Counter& counter = metrics::GetCounter(name);
+  std::atomic<bool> done{false};
+  std::thread solver([&] {
+    solve();
+    done.store(true, std::memory_order_release);
+  });
+  uint64_t smallest = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    const uint64_t value = counter.value();
+    if (value > before && (smallest == 0 || value < smallest)) {
+      smallest = value;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  solver.join();
+  return smallest;
+}
+
+TEST(HeartbeatTest, DueAtWorkCountCadence) {
+  progress::Heartbeat beat(/*every=*/10);
+  int beats = 0;
   for (uint64_t work = 1; work <= 35; ++work) {
-    reporter.Tick(work, {{"work", static_cast<double>(work)}});
+    if (beat.Due(work)) ++beats;
   }
   // Boundaries crossed at 10, 20, 30 — deterministic in the work count,
   // independent of how long the loop took.
-  EXPECT_EQ(reporter.heartbeats(), 3u);
+  EXPECT_EQ(beats, 3);
+  EXPECT_EQ(beat.work(), 35u);
 }
 
-TEST(ProgressReporterTest, BurstyWorkEmitsOneBeatNotABacklog) {
-  progress::ProgressReporter reporter("test", /*every=*/10);
-  reporter.Tick(95, {});  // one jump over nine boundaries
-  EXPECT_EQ(reporter.heartbeats(), 1u);
-  reporter.Tick(99, {});  // next boundary is 100, not 20
-  EXPECT_EQ(reporter.heartbeats(), 1u);
-  reporter.Tick(100, {});
-  EXPECT_EQ(reporter.heartbeats(), 2u);
+TEST(HeartbeatTest, BurstyWorkIsOneBeatNotABacklog) {
+  progress::Heartbeat beat(/*every=*/10);
+  EXPECT_TRUE(beat.Due(95));   // one jump over nine boundaries
+  EXPECT_FALSE(beat.Due(99));  // next boundary is 100, not 20
+  EXPECT_TRUE(beat.Due(100));
 }
 
-TEST(ProgressReporterTest, DestructorEmitsFinalBeatForTinyBudgets) {
-  const uint64_t before = GlobalCounter("progress.heartbeats");
-  {
-    progress::ProgressReporter reporter("tiny", /*every=*/1000);
-    reporter.Tick(3, {{"conflicts", 3.0}});
-    EXPECT_EQ(reporter.heartbeats(), 0u);  // never reached the cadence
-  }
-  // The destructor still emitted one "final" heartbeat.
-  EXPECT_EQ(GlobalCounter("progress.heartbeats"), before + 1);
+TEST(HeartbeatTest, WorkBelowTheCadenceIsStillRecorded) {
+  // A solve that stops before its first boundary (tiny budget) still
+  // owes a final beat: work() says how far it got.
+  progress::Heartbeat beat(/*every=*/1000);
+  EXPECT_FALSE(beat.Due(3));
+  EXPECT_EQ(beat.work(), 3u);
 }
 
-TEST(ProgressReporterTest, NoWorkMeansNoFinalBeat) {
-  const uint64_t before = GlobalCounter("progress.heartbeats");
-  { progress::ProgressReporter reporter("idle", /*every=*/10); }
-  EXPECT_EQ(GlobalCounter("progress.heartbeats"), before);
+TEST(HeartbeatTest, NoWorkRecordsNothing) {
+  progress::Heartbeat beat(/*every=*/10);
+  EXPECT_EQ(beat.work(), 0u);
 }
 
-TEST(ProgressReporterTest, HeartbeatInstantsCarryEngineAndStats) {
-  trace::Collector::Global().Enable();
-  {
-    progress::ProgressReporter reporter("cdcl", /*every=*/5);
-    reporter.Tick(5, {{"conflicts", 5.0}, {"decisions", 12.0}});
-  }
+TEST(HeartbeatTest, InstantCarriesEngineAndStats) {
+  ScopedTracing tracing;
+  progress::EmitInstant("cdcl", "tick", 5,
+                        {{"conflicts", 5.0}, {"objective", 0.25}});
   std::vector<trace::Event> events = trace::Collector::Global().TakeEvents();
-  trace::Collector::Global().Disable();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "progress.heartbeat");
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"engine", "cdcl"}, {"phase", "tick"},  {"work", "5"},
+      {"conflicts", "5"}, {"objective", "0.25"}};
+  EXPECT_EQ(events[0].args, want);
+}
 
-  int ticks = 0;
-  int finals = 0;
-  for (const trace::Event& e : events) {
-    if (e.name != "progress.heartbeat") continue;
-    bool engine_ok = false;
-    std::string phase;
-    for (const auto& [k, v] : e.args) {
-      if (k == "engine" && v == "cdcl") engine_ok = true;
-      if (k == "phase") phase = v;
-      if (k == "conflicts") EXPECT_EQ(v, "5");
+TEST(HeartbeatTest, EngineEmitsFinalBeatForTinyBudgets) {
+  ScopedTracing tracing;
+  // Three decisions stay below the 64-unit CDCL cadence.
+  auto solved = Pigeonhole(6).Solve(/*max_decisions=*/3);
+  EXPECT_FALSE(solved.ok());
+  EXPECT_EQ(HeartbeatPhases(trace::Collector::Global().TakeEvents()),
+            std::vector<std::string>{"final"});
+}
+
+TEST(HeartbeatTest, EngineWithoutWorkEmitsNoBeat) {
+  ScopedTracing tracing;
+  SatSolver solver(2);  // decided by unit propagation alone
+  solver.AddClause({MakeLit(0, true)});
+  solver.AddClause({MakeLit(0, false), MakeLit(1, true)});
+  auto solved = solver.Solve();
+  ASSERT_TRUE(solved.ok());
+  EXPECT_TRUE(solved->satisfiable);
+  EXPECT_TRUE(HeartbeatPhases(trace::Collector::Global().TakeEvents())
+                  .empty());
+}
+
+TEST(LiveCountersTest, LpPivotsRiseDuringTheSolve) {
+  const size_t n = 40;  // tens of thousands of pivots, under a second
+  Rng rng(7);
+  const std::vector<uint8_t> secret = recon::RandomBits(n, rng);
+  std::vector<recon::SubsetQuery> queries(5 * n);
+  std::vector<double> answers;
+  for (recon::SubsetQuery& q : queries) {
+    q.resize(n);
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      q[i] = rng.Bernoulli(0.5) ? 1 : 0;
+      sum += q[i] * secret[i];
     }
-    EXPECT_TRUE(engine_ok);
-    if (phase == "tick") ++ticks;
-    if (phase == "final") ++finals;
+    answers.push_back(sum);  // exact answers
   }
-  EXPECT_EQ(ticks, 1);
-  EXPECT_EQ(finals, 1);
+  metrics::Counter& pivots = metrics::GetCounter("lp.pivots");
+  const uint64_t before = pivots.value();
+  const uint64_t seen =
+      SmallestValueSeenWhileSolving("lp.pivots", before, [&] {
+        auto decoded = recon::LpDecodeRecorded(n, queries, answers);
+        ASSERT_TRUE(decoded.ok());
+        EXPECT_EQ(recon::FractionAgree(decoded->estimate, secret), 1.0);
+      });
+  const uint64_t after = pivots.value();
+  EXPECT_GT(seen, before);
+  EXPECT_LT(seen, after) << "lp.pivots moved only when the solve returned";
 }
 
-TEST(WatchdogTest, ArmDisarmLifecycle) {
-  progress::Watchdog& dog = progress::Watchdog::Global();
-  EXPECT_FALSE(dog.armed());
-  dog.Start(50);
-  EXPECT_TRUE(dog.armed());
-  dog.Start(50);  // idempotent while armed
-  EXPECT_TRUE(dog.armed());
-  dog.Stop();
-  EXPECT_FALSE(dog.armed());
-  dog.Stop();  // safe when already stopped
-  dog.Start(0);  // <= 0 disarms instead of arming
-  EXPECT_FALSE(dog.armed());
-}
-
-TEST(WatchdogTest, FlagsStallWhenActiveSolveStopsTicking) {
-  progress::Watchdog& dog = progress::Watchdog::Global();
-  dog.Start(20);
-  {
-    progress::ScopedSolve solve;  // active solve, never ticks
-    // Sleep in test code only: we are deliberately simulating a wedged
-    // solver so the wall-clock watchdog has something to catch.
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  }
-  dog.Stop();
-  EXPECT_GE(dog.stalls(), 1u);
-}
-
-TEST(WatchdogTest, NoStallWhileHeartbeatsFlow) {
-  progress::Watchdog& dog = progress::Watchdog::Global();
-  dog.Start(30);
-  {
-    progress::ScopedSolve solve;
-    progress::ProgressReporter reporter("live", /*every=*/1);
-    for (int i = 1; i <= 15; ++i) {
-      reporter.Tick(static_cast<uint64_t>(i), {});
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-  dog.Stop();
-  EXPECT_EQ(dog.stalls(), 0u);
-}
-
-TEST(WatchdogTest, IdleProcessIsNotStalled) {
-  progress::Watchdog& dog = progress::Watchdog::Global();
-  dog.Start(20);
-  // No active solves: intervals elapse but nothing is "stalled".
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  dog.Stop();
-  EXPECT_EQ(dog.stalls(), 0u);
-}
-
-TEST(WatchdogTest, StallEmitsResourceExhaustedDiagnostic) {
-  log::SetMinLevel(log::kWARN);
-  log::CaptureToString(true);
-  trace::Collector::Global().Enable();
-  progress::Watchdog& dog = progress::Watchdog::Global();
-  dog.Start(20);
-  {
-    progress::ScopedSolve solve;
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  }
-  dog.Stop();
-  const std::string logs = log::TakeCaptured();
-  log::CaptureToString(false);
-  std::vector<trace::Event> events = trace::Collector::Global().TakeEvents();
-  trace::Collector::Global().Disable();
-
-  EXPECT_NE(logs.find("RESOURCE_EXHAUSTED"), std::string::npos) << logs;
-  bool stall_instant = false;
-  for (const trace::Event& e : events) {
-    if (e.name == "watchdog.stall") stall_instant = true;
-  }
-  EXPECT_TRUE(stall_instant);
+TEST(LiveCountersTest, SatConflictsRiseDuringTheSolve) {
+  const SatSolver solver = Pigeonhole(9);  // about a second of search
+  metrics::Counter& conflicts = metrics::GetCounter("sat.conflicts");
+  const uint64_t before = conflicts.value();
+  const uint64_t seen =
+      SmallestValueSeenWhileSolving("sat.conflicts", before, [&] {
+        auto solved = solver.Solve();
+        ASSERT_TRUE(solved.ok());
+        EXPECT_FALSE(solved->satisfiable);
+      });
+  const uint64_t after = conflicts.value();
+  EXPECT_GT(seen, before);
+  EXPECT_LT(seen, after) << "sat.conflicts moved only when the solve returned";
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ rules:
                         leaks run-dependent values into output. Monotonic
                         clocks (steady_clock, high_resolution_clock) are
                         confined to the timing facade —
-                        src/common/{metrics,trace,progress,parallel} —
+                        src/common/{metrics,trace,parallel} —
                         so all latency measurement flows through
                         PSO_SPAN / histograms / trace spans;
                         elsewhere they need an explicit
@@ -47,8 +47,8 @@ rules:
                         section instead.
   sleep                 sleep_for/usleep-style polling in src/ outside
                         src/common/. Sleep loops hide latency and races;
-                        wait on a pso::CondVar (WaitFor for periodic
-                        work) so shutdown can interrupt the wait.
+                        wait on a pso::CondVar so shutdown can interrupt
+                        the wait.
   span-stack            A trace::Span / PSO_TRACE_SPAN whose literal name
                         is also a PSO_SPAN's in the same file. PSO_SPAN
                         already opens that trace span, so stacking both
@@ -253,7 +253,6 @@ MONOTONIC_CLOCK_RE = re.compile(
 MONOTONIC_CLOCK_FACADE = (
     "src/common/metrics",
     "src/common/trace",
-    "src/common/progress",
     "src/common/parallel",
 )
 
@@ -287,7 +286,7 @@ def check_wall_clock(lines, _text, rel, _raw):
         if m:
             out.append((no, f"monotonic clock `{m.group(0)}` outside the "
                             "timing facade (src/common/{metrics,trace,"
-                            "progress,parallel}); route timing through "
+                            "parallel}); route timing through "
                             "PSO_SPAN / metrics::Histogram / trace spans"))
     return out
 
@@ -449,8 +448,8 @@ def check_sleep(lines, _text, _rel, _raw):
         if m:
             what = m.group(1) or "sleep"
             out.append((no, f"`{what}` polling in library code; wait on a "
-                            "pso::CondVar (WaitFor for periodic work) so "
-                            "notify/shutdown can interrupt the wait"))
+                            "pso::CondVar so notify/shutdown can interrupt "
+                            "the wait"))
     return out
 
 

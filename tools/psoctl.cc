@@ -47,11 +47,6 @@
 // tallies are deterministic given --seed and --threads; gauges and span
 // durations are wall-clock artifacts.
 //
-// --solver-watchdog-ms N arms a stall watchdog: any interval of N ms in
-// which an active solver reports no progress heartbeat is flagged with a
-// RESOURCE_EXHAUSTED-style diagnostic log line and a watchdog.stall trace
-// instant (0 = disabled).
-//
 // --trace FILE records a hierarchical execution trace (pipeline spans,
 // per-chunk parallel regions, LP pivot / SAT decision events) and writes
 // it as Chrome trace-event JSON — load it at ui.perfetto.dev; a trace that
@@ -61,6 +56,9 @@
 //
 // Unknown or malformed flags are rejected: each subcommand declares the
 // flags it accepts, and anything else prints usage and exits non-zero.
+// Out-of-range values (a count below its minimum, a negative epsilon,
+// --n above 24 for --decoder exhaustive) print "invalid flags: ..." and
+// exit 2.
 
 #include <algorithm>
 #include <atomic>
@@ -76,7 +74,6 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/progress.h"
 #include "common/str_util.h"
 #include "common/table.h"
 #include "common/trace.h"
@@ -121,7 +118,6 @@ const std::vector<FlagSpec> kCommonFlags = {
     {"seed", FlagSpec::Type::kInt},
     {"metrics", FlagSpec::Type::kBool},
     {"metrics-format", FlagSpec::Type::kString},
-    {"solver-watchdog-ms", FlagSpec::Type::kInt},
     {"trace", FlagSpec::Type::kString},
     {"log-level", FlagSpec::Type::kString},
 };
@@ -345,13 +341,20 @@ int RunCensus(const Flags& flags) {
 }
 
 int RunLinkage(const Flags& flags) {
+  const double coverage = flags.GetDouble("coverage", 0.75);
+  if (flags.GetInt("n", 10000) < 1 || flags.GetInt("k", 0) < 0 ||
+      !(coverage >= 0.0 && coverage <= 1.0)) {
+    std::fprintf(stderr,
+                 "invalid flags: need --n >= 1, --k >= 0, "
+                 "0 <= --coverage <= 1\n");
+    return 2;
+  }
   Universe u = MakeGicMedicalUniverse(200);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   linkage::IdentifiedPopulation pop = linkage::SamplePopulation(
       u, static_cast<size_t>(flags.GetInt("n", 10000)), rng);
   std::vector<size_t> qi = {0, 1, 2, 3};
-  auto voters = linkage::BuildVoterFile(
-      pop, qi, flags.GetDouble("coverage", 0.75), rng);
+  auto voters = linkage::BuildVoterFile(pop, qi, coverage, rng);
 
   const size_t k = static_cast<size_t>(flags.GetInt("k", 0));
   linkage::LinkageReport report;
@@ -382,14 +385,23 @@ int RunLinkage(const Flags& flags) {
 }
 
 int RunRecon(const Flags& flags) {
-  const size_t n = static_cast<size_t>(flags.GetInt("n", 64));
+  const std::string decoder = flags.GetString("decoder", "lsq");
+  const int64_t n_flag = flags.GetInt("n", 64);
+  if (n_flag < 1 || (decoder == "exhaustive" && n_flag > 24) ||
+      flags.GetInt("queries", 320) < 1 ||
+      !(flags.GetDouble("alpha", 2.0) >= 0.0)) {
+    std::fprintf(stderr,
+                 "invalid flags: need --n >= 1 (<= 24 for --decoder "
+                 "exhaustive), --queries >= 1, --alpha >= 0\n");
+    return 2;
+  }
+  const size_t n = static_cast<size_t>(n_flag);
   const size_t queries = static_cast<size_t>(flags.GetInt("queries", 320));
   const double alpha = flags.GetDouble("alpha", 2.0);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   auto secret = recon::RandomBits(n, rng);
   recon::BoundedNoiseOracle oracle(secret, alpha, 17);
 
-  std::string decoder = flags.GetString("decoder", "lsq");
   recon::Reconstruction result;
   if (decoder == "lp") {
     auto r = recon::LpReconstruct(oracle, queries, rng);
@@ -415,6 +427,11 @@ int RunRecon(const Flags& flags) {
 }
 
 int RunAudit(const Flags& flags) {
+  if (flags.GetInt("trials", 300000) < 1 ||
+      !(flags.GetDouble("eps", 1.0) > 0.0)) {
+    std::fprintf(stderr, "invalid flags: need --trials >= 1, --eps > 0\n");
+    return 2;
+  }
   const double eps = flags.GetDouble("eps", 1.0);
   const size_t trials = static_cast<size_t>(flags.GetInt("trials", 300000));
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
@@ -433,6 +450,14 @@ int RunAudit(const Flags& flags) {
 }
 
 int RunMembership(const Flags& flags) {
+  if (flags.GetInt("attrs", 300) < 1 || flags.GetInt("pool", 50) < 2 ||
+      flags.GetInt("trials", 200) < 1 ||
+      !(flags.GetDouble("eps", 0.0) >= 0.0)) {
+    std::fprintf(stderr,
+                 "invalid flags: need --attrs >= 1, --pool >= 2, "
+                 "--trials >= 1, --eps >= 0\n");
+    return 2;
+  }
   Universe u = MakeGenotypeUniverse(flags.GetInt("attrs", 300),
                                     /*freq_seed=*/0x6e0);
   auto workers = MakePool(flags);
@@ -691,10 +716,6 @@ int Main(int argc, char** argv) {
                  metrics_format.c_str());
     return Usage();
   }
-  const int64_t watchdog_ms = flags.GetInt("solver-watchdog-ms", 0);
-  if (watchdog_ms > 0) {
-    progress::Watchdog::Global().Start(watchdog_ms);
-  }
   const std::string trace_path = flags.GetString("trace", "");
   if (!trace_path.empty()) {
     trace::Collector::Global().Enable();
@@ -703,7 +724,6 @@ int Main(int argc, char** argv) {
   }
 
   int rc = Dispatch(command, flags);
-  if (watchdog_ms > 0) progress::Watchdog::Global().Stop();
   if (flags.GetBool("metrics", false)) {
     const metrics::Snapshot snap = metrics::Registry::Global().TakeSnapshot();
     if (metrics_format == "json") {
