@@ -73,6 +73,28 @@ void BM_LpDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_LpDecode)->Arg(24)->Arg(48);
 
+// Least-squares decode of a recorded transcript of m = 4n exact answers:
+// one pass over the queries builds the Gram matrix, then 400
+// projected-gradient steps run on it.
+void BM_LsqDecode(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(7);
+  recon::ExactOracle oracle(recon::RandomBits(n, rng));
+  std::vector<recon::SubsetQuery> queries;
+  std::vector<double> answers;
+  for (size_t j = 0; j < 4 * n; ++j) {
+    recon::SubsetQuery q(n);
+    for (auto& bit : q) bit = rng.Bernoulli(0.5) ? 1 : 0;
+    answers.push_back(oracle.Answer(q));
+    queries.push_back(std::move(q));
+  }
+  for (auto _ : state) {
+    auto r = recon::LeastSquaresDecodeRecorded(n, queries, answers);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_LsqDecode)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+
 // Decoder-shaped L1-fit LP (n box variables, 5n equality rows with u/v
 // residual splits) built once and solved per iteration.
 LpProblem BuildL1FitLp(size_t n, uint64_t seed) {

@@ -36,7 +36,8 @@ struct Reconstruction {
 /// Theorem 1.1(i). Issues all 2^n subset queries (n <= 24 enforced), then
 /// searches all 2^n candidates for one whose subset sums match every
 /// answer within `alpha`. Returns the first consistent candidate, or the
-/// minimum-max-violation candidate if none is fully consistent. The
+/// earliest minimum-max-violation candidate if none is fully consistent;
+/// the second case rescans every candidate, and so is far slower. The
 /// candidate scan is pure, so a non-null `pool` splits it across workers;
 /// per-chunk winners merge in chunk order, reproducing the serial
 /// "earliest candidate wins" result at any thread count.
@@ -69,7 +70,8 @@ struct LpDecodeOptions {
 
 /// Least-squares decoder: minimizes ||Qx - a||_2^2 over [0,1]^n by
 /// projected gradient (step from a power-iteration bound on ||Q||^2),
-/// then rounds. `iterations` gradient steps.
+/// then rounds. `iterations` gradient steps. The queries are read once,
+/// into the n x n Gram matrix Q^T Q; each step then costs O(n^2).
 Reconstruction LeastSquaresReconstruct(SubsetSumOracle& oracle,
                                        size_t num_queries, Rng& rng,
                                        size_t iterations = 400);

@@ -670,7 +670,7 @@ class SimplexState {
         {{"pivots", static_cast<double>(scope_->total_iterations)},
          {"refactorizations", static_cast<double>(scope_->refactorizations)},
          {"objective", last_phase_ == 1 ? TotalViolation() : Objective()},
-         {"phase", static_cast<double>(last_phase_)}});
+         {"lp_phase", static_cast<double>(last_phase_)}});
   }
 
   size_t n_ = 0;
