@@ -128,24 +128,6 @@ void BM_LpSolveCold(benchmark::State& state) {
 }
 BENCHMARK(BM_LpSolveCold)->Arg(24)->Arg(48);
 
-// Warm restart of an already-optimal basis: the floor of a warm-started
-// re-solve (factorize + price, zero pivots).
-void BM_LpSolveSparseWarm(benchmark::State& state) {
-  LpProblem lp = BuildL1FitLp(static_cast<size_t>(state.range(0)), 6);
-  LpBasis basis;
-  LpSolveOptions seed_options;
-  seed_options.final_basis = &basis;
-  auto seed_solve = lp.Solve(seed_options);
-  benchmark::DoNotOptimize(seed_solve);
-  LpSolveOptions warm;
-  warm.warm_start = &basis;
-  for (auto _ : state) {
-    auto sol = lp.Solve(warm);
-    benchmark::DoNotOptimize(sol);
-  }
-}
-BENCHMARK(BM_LpSolveSparseWarm)->Arg(24)->Arg(48);
-
 void BM_AdaptiveCountAttack(benchmark::State& state) {
   Universe u = MakeGicMedicalUniverse(100);
   Rng rng(5);

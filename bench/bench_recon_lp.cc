@@ -4,8 +4,7 @@
 // crossover from near-perfect to failed reconstruction sits at
 // alpha/sqrt(n) of order 1.
 //
-// The LP decodes run on the sparse revised simplex with the warm-start
-// basis threaded across same-shaped decode LPs.
+// Every LP decode solves cold on the sparse revised simplex.
 
 #include <cmath>
 #include <cstdio>
@@ -15,7 +14,6 @@
 #include "common/table.h"
 #include "recon/attacks.h"
 #include "recon/oracle.h"
-#include "solver/lp.h"
 
 namespace pso {
 namespace {
@@ -32,8 +30,7 @@ struct DecodePoint {
   bool ok = false;
 };
 
-DecodePoint LpDecodeAt(size_t n, double c, size_t trial,
-                       const recon::LpDecodeOptions& options) {
+DecodePoint LpDecodeAt(size_t n, double c, size_t trial) {
   const size_t queries = 5 * n;
   const double alpha = c * std::sqrt(static_cast<double>(n));
   Rng rng(500 + 17 * trial + n);
@@ -41,13 +38,13 @@ DecodePoint LpDecodeAt(size_t n, double c, size_t trial,
   DecodePoint out;
   if (alpha == 0.0) {
     recon::ExactOracle oracle(secret);
-    auto r = recon::LpReconstruct(oracle, queries, rng, options);
+    auto r = recon::LpReconstruct(oracle, queries, rng);
     if (!r.ok()) return out;
     out.ok = true;
     out.accuracy = recon::FractionAgree(r->estimate, secret);
   } else {
     recon::BoundedNoiseOracle oracle(secret, alpha, 31 + trial);
-    auto r = recon::LpReconstruct(oracle, queries, rng, options);
+    auto r = recon::LpReconstruct(oracle, queries, rng);
     if (!r.ok()) return out;
     out.ok = true;
     out.accuracy = recon::FractionAgree(r->estimate, secret);
@@ -74,9 +71,6 @@ int Run(int argc, char** argv) {
 
   for (size_t n : kNs) {
     const size_t queries = 5 * n;
-    LpBasis basis;  // warm-start slot shared by this n's decodes
-    recon::LpDecodeOptions lp_options;
-    lp_options.basis = &basis;
     for (double c : kCs) {
       double alpha = c * std::sqrt(static_cast<double>(n));
       RunningStats lp_acc;
@@ -84,7 +78,7 @@ int Run(int argc, char** argv) {
       const size_t trials = 3;
       for (size_t t = 0; t < trials; ++t) {
         DecodePoint p = bench::TimedIteration(
-            [&] { return LpDecodeAt(n, c, t, lp_options); });
+            [&] { return LpDecodeAt(n, c, t); });
         if (p.ok) lp_acc.Add(p.accuracy);
         // The LSQ decoder re-draws the same oracle/query stream.
         Rng rng(500 + 17 * t + n);

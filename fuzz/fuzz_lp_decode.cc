@@ -34,7 +34,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     double objectives[2] = {0.0, 0.0};
     for (int b = 0; b < 2; ++b) {
       pso::Result<pso::LpSolution> sol =
-          pso::oracles::kLpEngines[b].solve(lp, pso::LpSolveOptions{});
+          pso::oracles::kLpEngines[b].solve(lp);
       codes[b] = sol.ok() ? pso::StatusCode::kOk : sol.status().code();
       if (sol.ok()) {
         objectives[b] = sol->objective;

@@ -179,20 +179,13 @@ Reconstruction ExhaustiveReconstruct(SubsetSumOracle& oracle, double alpha,
 
 Result<Reconstruction> LpReconstruct(SubsetSumOracle& oracle,
                                      size_t num_queries, Rng& rng) {
-  return LpReconstruct(oracle, num_queries, rng, LpDecodeOptions{});
-}
-
-Result<Reconstruction> LpReconstruct(SubsetSumOracle& oracle,
-                                     size_t num_queries, Rng& rng,
-                                     const LpDecodeOptions& options) {
   QuerySet qs = DrawRandomQueries(oracle, num_queries, rng);
-  return LpDecodeRecorded(oracle.n(), qs.queries, qs.answers, options);
+  return LpDecodeRecorded(oracle.n(), qs.queries, qs.answers);
 }
 
 Result<Reconstruction> LpDecodeRecorded(size_t n,
                                         const std::vector<SubsetQuery>& queries,
-                                        const std::vector<double>& answers,
-                                        const LpDecodeOptions& options) {
+                                        const std::vector<double>& answers) {
   Status shape = CheckTranscriptShape(n, queries, answers);
   if (!shape.ok()) return shape;
   const size_t num_queries = queries.size();
@@ -208,7 +201,8 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
   // Residual-splitting L1 fit: minimize sum_j (u_j + v_j) subject to
   //   <q_j, x> + u_j - v_j = a_j,  x in [0,1]^n,  u, v >= 0.
   // u_j / v_j are row-singleton columns, so the simplex crash basis makes
-  // every row basic immediately (no artificials, no phase 1).
+  // every row basic immediately (no artificials), and with each x_i at 1
+  // that basis is dual feasible: the dual phase solves the fit.
   std::vector<size_t> x_vars(n);
   for (size_t i = 0; i < n; ++i) x_vars[i] = lp.AddVariable(0.0, 1.0, 0.0);
   for (size_t j = 0; j < num_queries; ++j) {
@@ -223,12 +217,7 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
     lp.AddConstraint(row, Relation::kEqual, answers[j]);
   }
 
-  LpSolveOptions solve_options;
-  if (options.basis != nullptr) {
-    if (!options.basis->empty()) solve_options.warm_start = options.basis;
-    solve_options.final_basis = options.basis;
-  }
-  Result<LpSolution> solved = lp.Solve(solve_options);
+  Result<LpSolution> solved = lp.Solve();
   if (!solved.ok()) return solved.status();
 
   Reconstruction out;

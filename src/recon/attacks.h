@@ -21,7 +21,6 @@
 
 namespace pso {
 class ThreadPool;
-struct LpBasis;
 }
 
 namespace pso::recon {
@@ -44,29 +43,12 @@ struct Reconstruction {
 Reconstruction ExhaustiveReconstruct(SubsetSumOracle& oracle, double alpha,
                                      ThreadPool* pool = nullptr);
 
-/// Tuning knobs for LpReconstruct. Defaults reproduce the plain call:
-/// a cold-started solve.
-struct LpDecodeOptions {
-  /// Borrowed basis slot threaded across repeated decodes. When non-null:
-  /// a non-empty basis warm-starts the solve (decode LPs of one
-  /// experiment share n and query count, hence shape), and the final
-  /// basis is written back after an optimal solve. The caller owns the
-  /// LpBasis and resets it when the LP shape changes.
-  LpBasis* basis = nullptr;
-};
-
 /// Theorem 1.1(ii) by LP decoding. Issues `num_queries` uniformly random
 /// subset queries (each index included w.p. 1/2), solves
 ///   min sum_j t_j  s.t.  |<q_j, x> - a_j| <= t_j,  x in [0,1]^n
 /// with the simplex solver, and rounds x at 1/2.
 [[nodiscard]] Result<Reconstruction> LpReconstruct(SubsetSumOracle& oracle,
                                      size_t num_queries, Rng& rng);
-
-/// As above with an optional warm-start basis carried across calls (see
-/// LpDecodeOptions).
-[[nodiscard]] Result<Reconstruction> LpReconstruct(
-    SubsetSumOracle& oracle, size_t num_queries, Rng& rng,
-    const LpDecodeOptions& options);
 
 /// Least-squares decoder: minimizes ||Qx - a||_2^2 over [0,1]^n by
 /// projected gradient (step from a power-iteration bound on ||Q||^2),
@@ -85,8 +67,13 @@ Reconstruction LeastSquaresReconstruct(SubsetSumOracle& oracle,
 /// service released for query j; any other shape is InvalidArgument.
 [[nodiscard]] Result<Reconstruction> LpDecodeRecorded(
     size_t n, const std::vector<SubsetQuery>& queries,
-    const std::vector<double>& answers,
-    const LpDecodeOptions& options = LpDecodeOptions{});
+    const std::vector<double>& answers);
+
+/// The LP decoder has no options: every decode solves cold, and the
+/// simplex's dual phase makes that fast. The empty type remains because
+/// bench/suite passes one to service::DecodeTranscript; it goes with the
+/// next change to that harness.
+struct LpDecodeOptions {};
 
 /// Least-squares decoding over a recorded transcript (see
 /// LpDecodeRecorded, including its InvalidArgument shape check); scales

@@ -118,7 +118,7 @@ Result<Transcript> RunLoad(const LoadGenOptions& options,
 
 Result<recon::Reconstruction> DecodeTranscript(
     const Transcript& transcript, Decoder decoder,
-    const recon::LpDecodeOptions& lp_options, size_t lsq_iterations) {
+    const recon::LpDecodeOptions& /*lp_options*/, size_t lsq_iterations) {
   PSO_TRACE_SPAN("loadgen.decode");
   std::vector<recon::SubsetQuery> queries;
   std::vector<double> answers;
@@ -134,7 +134,7 @@ Result<recon::Reconstruction> DecodeTranscript(
         "transcript has no answered queries to decode");
   }
   if (decoder == Decoder::kLp) {
-    return recon::LpDecodeRecorded(transcript.n, queries, answers, lp_options);
+    return recon::LpDecodeRecorded(transcript.n, queries, answers);
   }
   return recon::LeastSquaresDecodeRecorded(transcript.n, queries, answers,
                                            lsq_iterations);

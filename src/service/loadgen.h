@@ -129,7 +129,8 @@ enum class Decoder {
 
 /// Feeds the transcript's ANSWERED entries to the chosen decoder and
 /// returns its reconstruction. kFailedPrecondition when the transcript
-/// holds no answered entries at all.
+/// holds no answered entries at all. `lp_options` is empty and unused
+/// (see recon::LpDecodeOptions).
 [[nodiscard]] Result<recon::Reconstruction> DecodeTranscript(
     const Transcript& transcript, Decoder decoder,
     const recon::LpDecodeOptions& lp_options = recon::LpDecodeOptions{},

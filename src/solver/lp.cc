@@ -62,11 +62,9 @@ void LpProblem::AddConstraint(
   instance_.rows.push_back(LpInstance::Row{coeffs, rel, rhs});
 }
 
-Result<LpSolution> LpProblem::Solve() const { return Solve(LpSolveOptions{}); }
-
-Result<LpSolution> LpProblem::Solve(const LpSolveOptions& options) const {
+Result<LpSolution> LpProblem::Solve() const {
   if (!build_status_.ok()) return build_status_;
-  return SolveRevisedSimplex(instance_, options);
+  return SolveRevisedSimplex(instance_);
 }
 
 }  // namespace pso

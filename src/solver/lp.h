@@ -13,7 +13,7 @@
 #ifndef PSO_SOLVER_LP_H_
 #define PSO_SOLVER_LP_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <limits>
 #include <string>
 #include <utility>
@@ -48,36 +48,6 @@ struct LpInstance {
   };
   std::vector<Variable> variables;
   std::vector<Row> rows;
-};
-
-/// Basis membership of one column, as snapshotted for warm starts.
-enum class LpVarStatus : uint8_t {
-  kAtLower = 0,  ///< Nonbasic at its lower bound.
-  kAtUpper = 1,  ///< Nonbasic at its upper bound.
-  kBasic = 2,    ///< In the basis.
-};
-
-/// A basis snapshot: one status per structural variable and one per row
-/// logical. Produced by an optimal solve and fed back into a later solve
-/// of a same-shaped (or grown) instance. A basis from a *smaller*
-/// instance warm-starts a grown one: appended rows start with their
-/// logical basic, appended variables start at their lower bound (the
-/// natural state after AddConstraint/AddVariable).
-struct LpBasis {
-  std::vector<LpVarStatus> structurals;
-  std::vector<LpVarStatus> logicals;
-
-  bool empty() const { return structurals.empty() && logicals.empty(); }
-};
-
-/// Per-solve options. Both pointers are borrowed; null = off.
-struct LpSolveOptions {
-  /// Basis hint from a previous solve. A singular or mis-shaped basis
-  /// silently cold-starts instead.
-  const LpBasis* warm_start = nullptr;
-  /// When non-null, the final basis is written here on an optimal solve
-  /// (left untouched otherwise).
-  LpBasis* final_basis = nullptr;
 };
 
 /// A linear program under construction.
@@ -122,10 +92,6 @@ class LpProblem {
   /// callers may treat it as a modeling error), and kInternal on
   /// iteration-limit exhaustion.
   [[nodiscard]] Result<LpSolution> Solve() const;
-
-  /// As Solve(), with per-solve options (warm-start basis in, final basis
-  /// out).
-  [[nodiscard]] Result<LpSolution> Solve(const LpSolveOptions& options) const;
 
  private:
   LpInstance instance_;

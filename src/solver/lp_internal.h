@@ -6,7 +6,8 @@
 // lp.pivot trace instants plus the per-solve counter scope, so every
 // simplex publishes one trace and metric vocabulary (lp.solves,
 // lp.pivots, lp.pivot_work, per-phase iteration counts, and the revised
-// simplex's eta updates, bound flips, refactorizations and warm starts).
+// simplex's eta updates, bound flips, refactorizations and dual
+// iterations).
 
 #ifndef PSO_SOLVER_LP_INTERNAL_H_
 #define PSO_SOLVER_LP_INTERNAL_H_
@@ -56,14 +57,18 @@ struct PivotSink {
 // compare on one axis.
 struct SolveScope {
   size_t phase1_iterations = 0;
-  size_t total_iterations = 0;
+  size_t total_iterations = 0;  // Pivots of every phase.
   size_t pivot_work = 0;
   // Revised-simplex events; each counter appears in the registry only
   // once its event has happened.
   size_t eta_updates = 0;
   size_t bound_flips = 0;
   size_t refactorizations = 0;
-  size_t warm_starts = 0;
+  size_t dual_iterations = 0;  // Dual-phase pivots.
+
+  size_t phase2_iterations() const {
+    return total_iterations - phase1_iterations - dual_iterations;
+  }
 
   ~SolveScope() {
     metrics::GetCounter("lp.solves").Add(1);
@@ -76,11 +81,11 @@ struct SolveScope {
         "lp.pivots",            "lp.phase1_iterations",
         "lp.phase2_iterations", "lp.pivot_work",
         "lp.eta_updates",       "lp.bound_flips",
-        "lp.refactorizations",  "lp.warm_starts"};
+        "lp.refactorizations",  "lp.dual_iterations"};
     const size_t totals[kCounters] = {
-        total_iterations, phase1_iterations,
-        total_iterations - phase1_iterations, pivot_work, eta_updates,
-        bound_flips, refactorizations, warm_starts};
+        total_iterations, phase1_iterations, phase2_iterations(),
+        pivot_work,       eta_updates,       bound_flips,
+        refactorizations, dual_iterations};
     for (size_t i = 0; i < kCounters; ++i) {
       // The first four exist after any solve; the revised-simplex event
       // counters from their first event on.

@@ -1,5 +1,7 @@
 // The LP engine: a bounded-variable revised simplex over column-sparse
-// constraint storage with a product-form (eta-file) basis inverse.
+// constraint storage with a product-form (eta-file) basis inverse, run as
+// a dual phase with a bound-flipping ratio test followed by the primal
+// phases.
 //
 // Where a tableau simplex updates every cell of an (m+1) x (cols+1) array
 // per pivot, this engine touches only the nonzeros that matter: FTRAN /
@@ -43,6 +45,36 @@ constexpr size_t kMaxIterations = 200000;
 // Heartbeat cadence in simplex steps (pricing rounds). A work-count
 // boundary, never a timer, so heartbeats replay deterministically.
 constexpr uint64_t kHeartbeatEvery = 256;
+
+// Basis membership of one column.
+enum class VarStatus : uint8_t {
+  kAtLower,  // Nonbasic at its lower bound.
+  kAtUpper,  // Nonbasic at its upper bound.
+  kBasic,    // In the basis.
+};
+
+// Dual pricing outcome: the leaving row (SIZE_MAX = the basis is primal
+// feasible), its bound violation, and the bound it leaves at.
+struct DualLeave {
+  size_t row = SIZE_MAX;
+  double violation = 0.0;
+  double target = 0.0;
+  bool to_upper = false;
+};
+
+// One dual ratio-test candidate: column `col` leaves dual feasibility
+// once the dual step passes `t`.
+struct Breakpoint {
+  double t = 0.0;
+  size_t col = 0;
+};
+
+// Dual ratio-test outcome: the entering column (SIZE_MAX = none) and how
+// many columns before it flip their bound.
+struct DualRatio {
+  size_t enter = SIZE_MAX;
+  size_t flips = 0;
+};
 
 // One product-form eta: the FTRAN image w = B^-1 A_q of an entering
 // column, split into the pivot element and the off-pivot nonzeros.
@@ -122,12 +154,16 @@ class SimplexState {
       }
     }
     cols_ = SparseMatrix::FromTriplets(m_, ncols_, triplets);
+    for (SparseTriplet& t : triplets) std::swap(t.row, t.col);
+    rows_ = SparseMatrix::FromTriplets(ncols_, m_, triplets);
 
-    status_.assign(ncols_, LpVarStatus::kAtLower);
+    status_.assign(ncols_, VarStatus::kAtLower);
     basic_.assign(m_, SIZE_MAX);
     x_.assign(ncols_, 0.0);
     work_.Resize(m_);
     dual_.assign(m_, 0.0);
+    reduced_.assign(ncols_, 0.0);
+    pivot_row_.Resize(ncols_);
   }
 
   // ---- Eta file ----------------------------------------------------
@@ -156,6 +192,16 @@ class SimplexState {
     }
   }
 
+  // c - dual_ . A_j, subtracting term by term: the reduced cost of column
+  // j under cost c.
+  double SubtractDualDot(double c, size_t j) {
+    for (size_t k = cols_.ColumnBegin(j); k < cols_.ColumnEnd(j); ++k) {
+      c -= dual_[cols_.EntryRow(k)] * cols_.EntryValue(k);
+    }
+    scope_->pivot_work += cols_.ColumnNnz(j);
+    return c;
+  }
+
   // work_ <- B^-1 A_j.
   void Ftran(size_t j) {
     work_.Clear();
@@ -173,7 +219,8 @@ class SimplexState {
   // Columns are processed in ascending-nnz order (ties by index) to keep
   // fill low; a column whose pivot candidates are all below kPivotTol is
   // dropped from the basis and the logical of a still-unpivoted row takes
-  // its place (basis repair). Returns false only if repair fails too.
+  // its place (basis repair, counted in repairs_). Returns false only if
+  // repair fails too.
   bool Refactorize() {
     ++scope_->refactorizations;
     etas_.clear();
@@ -182,7 +229,7 @@ class SimplexState {
     std::vector<size_t> cols;
     cols.reserve(m_);
     for (size_t j = 0; j < ncols_; ++j) {
-      if (status_[j] == LpVarStatus::kBasic) cols.push_back(j);
+      if (status_[j] == VarStatus::kBasic) cols.push_back(j);
     }
     PSO_CHECK(cols.size() == m_);
     std::sort(cols.begin(), cols.end(), [this](size_t a, size_t b) {
@@ -200,20 +247,21 @@ class SimplexState {
     for (size_t j : dropped) {
       // The column is dependent on earlier basis columns: park it at a
       // finite bound and promote the logical of some unpivoted row.
-      status_[j] = std::isfinite(lower_[j]) ? LpVarStatus::kAtLower
-                                            : LpVarStatus::kAtUpper;
+      ++repairs_;
+      status_[j] = std::isfinite(lower_[j]) ? VarStatus::kAtLower
+                                            : VarStatus::kAtUpper;
       x_[j] = NonbasicValue(j);
       bool repaired = false;
       for (size_t p = 0; p < m_ && !repaired; ++p) {
         if (row_assigned_[p]) continue;
-        if (status_[n_ + p] == LpVarStatus::kBasic) continue;
-        status_[n_ + p] = LpVarStatus::kBasic;
+        if (status_[n_ + p] == VarStatus::kBasic) continue;
+        status_[n_ + p] = VarStatus::kBasic;
         if (FactorColumn(n_ + p)) {
           repaired = true;
         } else {
           status_[n_ + p] = std::isfinite(lower_[n_ + p])
-                                ? LpVarStatus::kAtLower
-                                : LpVarStatus::kAtUpper;
+                                ? VarStatus::kAtLower
+                                : VarStatus::kAtUpper;
         }
       }
       if (!repaired) return false;
@@ -257,7 +305,7 @@ class SimplexState {
   // ---- State helpers -----------------------------------------------
 
   double NonbasicValue(size_t j) const {
-    return status_[j] == LpVarStatus::kAtUpper ? upper_[j] : lower_[j];
+    return status_[j] == VarStatus::kAtUpper ? upper_[j] : lower_[j];
   }
 
   // Solves B x_B = b - A_N x_N and installs the basic values.
@@ -267,7 +315,7 @@ class SimplexState {
       if (rhs_[i] != 0.0) work_.Set(i, rhs_[i]);
     }
     for (size_t j = 0; j < ncols_; ++j) {
-      if (status_[j] == LpVarStatus::kBasic || x_[j] == 0.0) continue;
+      if (status_[j] == VarStatus::kBasic || x_[j] == 0.0) continue;
       for (size_t k = cols_.ColumnBegin(j); k < cols_.ColumnEnd(j); ++k) {
         work_.Add(cols_.EntryRow(k), -cols_.EntryValue(k) * x_[j]);
       }
@@ -298,14 +346,15 @@ class SimplexState {
   // All-logical basis plus a singleton crash: an equality row whose
   // +1-coefficient structural appears in no other row (and has no upper
   // bound to violate) starts that structural basic. L1-fit instances
-  // (residual splitting u - v per query) crash completely this way and,
-  // with nonnegative query answers, start feasible — phase 1 is a no-op.
+  // (residual splitting u - v per query) crash completely this way: every
+  // u_j is basic, and the basis is dual feasible once each x_i is parked
+  // at its upper bound (MakeDualFeasible).
   void ColdStart() {
     for (size_t j = 0; j < n_; ++j) {
-      status_[j] = LpVarStatus::kAtLower;
+      status_[j] = VarStatus::kAtLower;
     }
     for (size_t i = 0; i < m_; ++i) {
-      status_[n_ + i] = LpVarStatus::kBasic;
+      status_[n_ + i] = VarStatus::kBasic;
     }
     // Crash pass, column-major: a structural with exactly one entry,
     // coefficient ~1, infinite upper bound, landing in an equality row
@@ -316,58 +365,239 @@ class SimplexState {
       if (std::fabs(cols_.EntryValue(k) - 1.0) > 1e-12) continue;
       size_t r = cols_.EntryRow(k);
       if (lower_[n_ + r] != 0.0 || upper_[n_ + r] != 0.0) continue;
-      if (status_[n_ + r] != LpVarStatus::kBasic) continue;
-      status_[n_ + r] = LpVarStatus::kAtLower;
-      status_[j] = LpVarStatus::kBasic;
+      if (status_[n_ + r] != VarStatus::kBasic) continue;
+      status_[n_ + r] = VarStatus::kAtLower;
+      status_[j] = VarStatus::kBasic;
     }
     for (size_t j = 0; j < ncols_; ++j) {
-      x_[j] = status_[j] == LpVarStatus::kBasic ? 0.0 : NonbasicValue(j);
+      x_[j] = status_[j] == VarStatus::kBasic ? 0.0 : NonbasicValue(j);
     }
   }
 
-  // Installs a warm-start basis. A basis from a smaller instance is
-  // padded (new rows -> logical basic, new variables -> at lower bound);
-  // statuses parked on an infinite bound are coerced to the finite side.
-  // Returns false (leaving state unspecified) if the basis is mis-shaped
-  // or singular — the caller cold-starts.
-  bool WarmStart(const LpBasis& basis) {
-    if (basis.structurals.size() > n_ || basis.logicals.size() > m_) {
-      return false;
-    }
-    for (size_t j = 0; j < n_; ++j) {
-      status_[j] = j < basis.structurals.size() ? basis.structurals[j]
-                                                : LpVarStatus::kAtLower;
-    }
+  // ---- Dual phase --------------------------------------------------
+
+  // reduced_ <- c - A^T B^-T c_B on the nonbasic columns, 0 on the basic
+  // ones.
+  void ComputeReducedCosts() {
+    bool any_cb = false;
     for (size_t i = 0; i < m_; ++i) {
-      status_[n_ + i] = i < basis.logicals.size() ? basis.logicals[i]
-                                                  : LpVarStatus::kBasic;
+      dual_[i] = cost_[basic_[i]];
+      any_cb = any_cb || dual_[i] != 0.0;
     }
-    size_t basics = 0;
+    scope_->pivot_work += m_;
+    if (any_cb) ApplyEtasTranspose(dual_);
     for (size_t j = 0; j < ncols_; ++j) {
-      if (status_[j] == LpVarStatus::kBasic) {
-        ++basics;
-        continue;
-      }
-      if (status_[j] == LpVarStatus::kAtLower && !std::isfinite(lower_[j])) {
-        status_[j] = LpVarStatus::kAtUpper;
-      } else if (status_[j] == LpVarStatus::kAtUpper &&
-                 !std::isfinite(upper_[j])) {
-        status_[j] = LpVarStatus::kAtLower;
+      if (status_[j] == VarStatus::kBasic) {
+        reduced_[j] = 0.0;
+      } else {
+        reduced_[j] = any_cb ? SubtractDualDot(cost_[j], j) : cost_[j];
       }
     }
-    if (basics != m_) return false;
-    if (!Refactorize()) return false;
+  }
+
+  // Parks every nonbasic column that can move at the bound its reduced
+  // cost prefers (upper for d < 0, lower for d > 0), which makes the
+  // basis dual feasible, and recomputes the basic values. Returns false,
+  // changing nothing, when some preferred bound is infinite: then no
+  // parking is dual feasible and the dual phase is skipped.
+  bool MakeDualFeasible() {
+    ComputeReducedCosts();
     for (size_t j = 0; j < ncols_; ++j) {
-      if (status_[j] != LpVarStatus::kBasic) x_[j] = NonbasicValue(j);
+      if (status_[j] == VarStatus::kBasic) continue;
+      if (reduced_[j] < -kEps && !std::isfinite(upper_[j])) return false;
+      if (reduced_[j] > kEps && !std::isfinite(lower_[j])) return false;
+    }
+    for (size_t j = 0; j < ncols_; ++j) {
+      if (status_[j] == VarStatus::kBasic) continue;
+      if (upper_[j] - lower_[j] <= 0.0) continue;  // Fixed: any d is fine.
+      if (reduced_[j] < -kEps) {
+        status_[j] = VarStatus::kAtUpper;
+      } else if (reduced_[j] > kEps) {
+        status_[j] = VarStatus::kAtLower;
+      }
+      x_[j] = NonbasicValue(j);
     }
     ComputeBasicValues();
-    ++scope_->warm_starts;
     return true;
   }
 
-  void ExportBasis(LpBasis* out) const {
-    out->structurals.assign(status_.begin(), status_.begin() + n_);
-    out->logicals.assign(status_.begin() + n_, status_.end());
+  // Dual pricing: the basic variable with the largest bound violation
+  // (lowest row on ties) leaves, at the bound it violates. row ==
+  // SIZE_MAX when none violates one by more than kFeasTol.
+  DualLeave DualPrice() {
+    DualLeave out;
+    out.violation = kFeasTol;
+    for (size_t i = 0; i < m_; ++i) {
+      const size_t j = basic_[i];
+      if (x_[j] < lower_[j] && lower_[j] - x_[j] > out.violation) {
+        out = DualLeave{i, lower_[j] - x_[j], lower_[j], false};
+      } else if (x_[j] > upper_[j] && x_[j] - upper_[j] > out.violation) {
+        out = DualLeave{i, x_[j] - upper_[j], upper_[j], true};
+      }
+    }
+    scope_->pivot_work += m_;
+    return out;
+  }
+
+  // pivot_row_ <- e_r^T B^-1 A over the nonbasic columns that can move.
+  // One BTRAN gives rho = B^-T e_r; the row is then summed row by row over
+  // rho's nonzeros, which are few while few structurals are basic.
+  void ComputePivotRow(size_t r) {
+    rho_.assign(m_, 0.0);
+    rho_[r] = 1.0;
+    ApplyEtasTranspose(rho_);
+    pivot_row_.Clear();
+    for (size_t i = 0; i < m_; ++i) {
+      if (rho_[i] == 0.0) continue;
+      for (size_t k = rows_.ColumnBegin(i); k < rows_.ColumnEnd(i); ++k) {
+        const size_t j = rows_.EntryRow(k);
+        if (status_[j] == VarStatus::kBasic) continue;
+        if (upper_[j] - lower_[j] <= 0.0) continue;  // Fixed: never enters.
+        pivot_row_.Add(j, rho_[i] * rows_.EntryValue(k));
+      }
+      scope_->pivot_work += rows_.ColumnNnz(i);
+    }
+    scope_->pivot_work += m_;
+  }
+
+  // The long-step (bound-flipping) ratio test on pivot_row_. A dual step
+  // t moves d_j to d_j - t * sign * alpha_j (sign = +1 when the leaving
+  // variable falls to its upper bound), so column j's breakpoint is where
+  // d_j reaches 0 against its bound. The breakpoints are walked in
+  // (ratio, column) order; the dual slope starts at the violation and
+  // drops by |alpha_j| (u_j - l_j) at each (to -inf for an infinite
+  // range). Columns passed with the slope still positive go first in
+  // breakpoints_ (`flips` of them), and the first one it does not pass
+  // enters (enter == SIZE_MAX: none does).
+  DualRatio DualRatioTest(const DualLeave& leave) {
+    const double sign = leave.to_upper ? 1.0 : -1.0;
+    breakpoints_.clear();
+    for (size_t j : pivot_row_.nonzeros()) {
+      const double a = sign * pivot_row_[j];
+      const bool at_lower = status_[j] == VarStatus::kAtLower;
+      if (at_lower ? a > kEps : a < -kEps) {
+        // Tolerance-level dual infeasibility is a zero step.
+        breakpoints_.push_back(
+            Breakpoint{std::max(0.0, reduced_[j] / a), j});
+      }
+    }
+    std::sort(breakpoints_.begin(), breakpoints_.end(),
+              [](const Breakpoint& a, const Breakpoint& b) {
+                return a.t != b.t ? a.t < b.t : a.col < b.col;
+              });
+    DualRatio out;
+    double slope = leave.violation;
+    for (const Breakpoint& b : breakpoints_) {
+      const double range = upper_[b.col] - lower_[b.col];
+      slope -= std::fabs(pivot_row_[b.col]) * range;
+      if (!(slope > 0.0)) {
+        out.enter = b.col;
+        break;
+      }
+      ++out.flips;
+    }
+    return out;
+  }
+
+  // Moves the first `count` breakpoint columns to their other bound and
+  // updates x_B with one FTRAN of sum_j A_j dx_j.
+  void FlipBounds(size_t count) {
+    if (count == 0) return;
+    work_.Clear();
+    for (size_t f = 0; f < count; ++f) {
+      const size_t j = breakpoints_[f].col;
+      const bool up = status_[j] == VarStatus::kAtLower;
+      const double dx = up ? upper_[j] - lower_[j] : lower_[j] - upper_[j];
+      for (size_t k = cols_.ColumnBegin(j); k < cols_.ColumnEnd(j); ++k) {
+        work_.Add(cols_.EntryRow(k), cols_.EntryValue(k) * dx);
+      }
+      scope_->pivot_work += cols_.ColumnNnz(j);
+      status_[j] = up ? VarStatus::kAtUpper : VarStatus::kAtLower;
+      x_[j] = NonbasicValue(j);
+    }
+    ApplyEtasForward(work_);
+    for (size_t p : work_.nonzeros()) x_[basic_[p]] -= work_[p];
+    scope_->pivot_work += work_.nonzeros().size();
+    scope_->bound_flips += count;
+  }
+
+  // The dual simplex from a dual-feasible basis: each iteration prices a
+  // leaving row, forms its pivot row, runs the long-step ratio test,
+  // flips the columns it passes and pivots on the one it stops at, which
+  // enters just far enough to bring the leaving variable onto its
+  // violated bound. Reduced costs are updated each step and recomputed
+  // after each refactorization. Returns why the phase stopped: "optimal"
+  // (no basic variable violates a bound) or a breakdown, after which the
+  // primal phases take over from the basis left here: "no_breakpoint"
+  // (the dual ray is unbounded), "small_pivot" (below kPivotTol),
+  // "repair" (a refactorization replaced a dependent column) or "stall"
+  // (more than kBlandStreak dual-degenerate pivots in a row). Errors are
+  // the iteration limit and a failed refactorization, as in the primal
+  // phases.
+  Result<const char*> RunDual(size_t* steps, bool tracing) {
+    lp_internal::PivotSink sink{tracing};
+    size_t degenerate_streak = 0;
+    while (true) {
+      if (++*steps > kMaxIterations) {
+        PSO_LOG(WARN).Field("iterations", scope_->total_iterations)
+            << "LP dual iteration limit exceeded";
+        return Status::Internal("dual iteration limit exceeded");
+      }
+      const DualLeave leave = DualPrice();
+      if (leave.row == SIZE_MAX) return "optimal";
+      ComputePivotRow(leave.row);
+      const DualRatio ratio = DualRatioTest(leave);
+      if (ratio.enter == SIZE_MAX) return "no_breakpoint";
+      const size_t q = ratio.enter;
+      const double alpha_q = pivot_row_[q];
+      if (std::fabs(alpha_q) < kPivotTol) return "small_pivot";
+      FlipBounds(ratio.flips);
+
+      const size_t r = leave.row;
+      const size_t leaving = basic_[r];
+      Ftran(q);
+      const double pivot = work_[r];
+      if (std::fabs(pivot) < kPivotTol) return "small_pivot";
+      const double step = (x_[leaving] - leave.target) / pivot;
+      for (size_t p : work_.nonzeros()) x_[basic_[p]] -= step * work_[p];
+      scope_->pivot_work += work_.nonzeros().size();
+      x_[q] += step;
+      const double dual_step = reduced_[q] / alpha_q;
+      degenerate_streak =
+          std::fabs(dual_step) <= kEps ? degenerate_streak + 1 : 0;
+      for (size_t j : pivot_row_.nonzeros()) {
+        reduced_[j] -= dual_step * pivot_row_[j];
+      }
+      reduced_[q] = 0.0;
+      reduced_[leaving] = -dual_step;
+      status_[leaving] =
+          leave.to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
+      x_[leaving] = NonbasicValue(leaving);
+      status_[q] = VarStatus::kBasic;
+      AppendEta(r);
+      basic_[r] = q;
+      ++scope_->eta_updates;
+      ++pivots_since_refactor_;
+      ++scope_->total_iterations;
+      ++scope_->dual_iterations;
+      if (sink.Wants()) sink.OnPivot(q, leaving, Objective());
+      bool repaired = false;
+      if (pivots_since_refactor_ >= kRefactorInterval) {
+        const size_t repairs = repairs_;
+        if (!Refactorize()) {
+          basis_lost_ = true;
+          return Status::Internal("basis refactorization failed");
+        }
+        ComputeBasicValues();
+        repaired = repairs_ != repairs;
+        if (!repaired) ComputeReducedCosts();
+      }
+      StepDone(/*phase=*/0, *steps, tracing);
+      if (repaired) return "repair";
+      // Ties in the ratio test give no anti-cycling guarantee; the primal
+      // phases have one (Bland's rule).
+      if (degenerate_streak > kBlandStreak) return "stall";
+    }
   }
 
   // ---- Simplex core ------------------------------------------------
@@ -404,16 +634,11 @@ class SimplexState {
 
     double best = kEps;
     for (size_t j = 0; j < ncols_; ++j) {
-      if (status_[j] == LpVarStatus::kBasic) continue;
+      if (status_[j] == VarStatus::kBasic) continue;
       if (upper_[j] - lower_[j] <= 0.0) continue;  // Fixed: cannot move.
       double d = phase1 ? 0.0 : cost_[j];
-      if (any_cb) {
-        for (size_t k = cols_.ColumnBegin(j); k < cols_.ColumnEnd(j); ++k) {
-          d -= dual_[cols_.EntryRow(k)] * cols_.EntryValue(k);
-        }
-        scope_->pivot_work += cols_.ColumnNnz(j);
-      }
-      bool eligible = status_[j] == LpVarStatus::kAtLower ? d < -kEps
+      if (any_cb) d = SubtractDualDot(d, j);
+      bool eligible = status_[j] == VarStatus::kAtLower ? d < -kEps
                                                           : d > kEps;
       if (!eligible) continue;
       if (bland) {  // First eligible index: guarantees termination.
@@ -494,7 +719,7 @@ class SimplexState {
   // (basic set update + eta append + periodic refactorization).
   Status Step(size_t q, bool phase1, size_t* degenerate_streak,
               lp_internal::PivotSink* sink) {
-    double dir = status_[q] == LpVarStatus::kAtLower ? 1.0 : -1.0;
+    double dir = status_[q] == VarStatus::kAtLower ? 1.0 : -1.0;
     Ftran(q);
     Ratio r = RatioTest(q, phase1, dir);
     if (r.unbounded) {
@@ -520,7 +745,7 @@ class SimplexState {
 
     if (!r.has_leave) {
       // Bound flip: q traverses its whole gap and parks on the other side.
-      status_[q] = dir > 0.0 ? LpVarStatus::kAtUpper : LpVarStatus::kAtLower;
+      status_[q] = dir > 0.0 ? VarStatus::kAtUpper : VarStatus::kAtLower;
       x_[q] = NonbasicValue(q);
       ++scope_->bound_flips;
       return Status::Ok();
@@ -530,9 +755,9 @@ class SimplexState {
     size_t leaving = basic_[p];
     x_[q] += dir * r.t;
     status_[leaving] =
-        r.leave_at_upper ? LpVarStatus::kAtUpper : LpVarStatus::kAtLower;
+        r.leave_at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
     x_[leaving] = NonbasicValue(leaving);  // Snap off rounding drift.
-    status_[q] = LpVarStatus::kBasic;
+    status_[q] = VarStatus::kBasic;
     AppendEta(p);
     basic_[p] = q;
     ++scope_->eta_updates;
@@ -555,27 +780,40 @@ class SimplexState {
 
   // ---- Driver ------------------------------------------------------
 
-  Result<LpSolution> Run(const LpSolveOptions& options, bool tracing) {
-    bool warm = false;
-    if (options.warm_start != nullptr && !options.warm_start->empty()) {
-      warm = WarmStart(*options.warm_start);
+  Result<LpSolution> Run(bool tracing) {
+    ColdStart();
+    if (!Refactorize()) {
+      // The cold basis is triangular by construction; this cannot fire
+      // unless the instance itself is numerically broken.
+      return Status::Internal("cold-start basis is singular");
     }
-    if (!warm) {
-      ColdStart();
-      if (!Refactorize()) {
-        // The cold basis is triangular by construction; this cannot fire
-        // unless the instance itself is numerically broken.
-        return Status::Internal("cold-start basis is singular");
-      }
-      ComputeBasicValues();
-    }
+    ComputeBasicValues();
 
     size_t steps = 0;
     size_t degenerate_streak = 0;
 
+    // ---- Dual phase: from a dual-feasible start, drive out basic bound
+    // violations while keeping dual feasibility. ----
+    // It ends optimal or in a breakdown; either way the primal phases
+    // below take over from its basis, so a clean finish costs them one
+    // pricing pass and no pivots.
+    if (MakeDualFeasible()) {
+      trace::Span dual_span("lp.dual");
+      Result<const char*> exit = RunDual(&steps, tracing);
+      if (!exit.ok()) return exit.status();
+      // The dual steps update x_B incrementally, and parking a column at
+      // a huge bound can swamp the small terms; the primal phases start
+      // from values solved afresh.
+      ComputeBasicValues();
+      if (dual_span.active()) {
+        dual_span.Arg("pivots", std::to_string(scope_->dual_iterations));
+        dual_span.Arg("exit", *exit);
+      }
+    }
+
     // ---- Phase 1: drive out basic bound violations. ----
-    // The span always opens, even for a feasible (crashed / warm) start:
-    // a zero-pivot phase 1 documents "feasible by construction".
+    // The span always opens, even for a feasible (crashed or dual-solved)
+    // start: a zero-pivot phase 1 documents "feasible on arrival".
     {
       trace::Span phase1_span("lp.phase1");
       lp_internal::PivotSink sink{tracing};
@@ -624,9 +862,7 @@ class SimplexState {
       StepDone(/*phase=*/2, steps, tracing);
     }
     if (phase2_span.active()) {
-      phase2_span.Arg("pivots",
-                      std::to_string(scope_->total_iterations -
-                                     scope_->phase1_iterations));
+      phase2_span.Arg("pivots", std::to_string(scope_->phase2_iterations()));
     }
 
     LpSolution sol;
@@ -642,7 +878,6 @@ class SimplexState {
     for (size_t j = 0; j < n_; ++j) obj += cost_[j] * sol.values[j];
     sol.objective = obj;
     sol.iterations = scope_->total_iterations;
-    if (options.final_basis != nullptr) ExportBasis(options.final_basis);
     return sol;
   }
 
@@ -655,8 +890,9 @@ class SimplexState {
   }
 
  private:
-  // Called after each completed step of phase `phase`: at the cadence
-  // boundary, publishes the counters so far and traces a heartbeat.
+  // Called after each completed step of phase `phase` (0 for the dual
+  // phase, 1 and 2 for the primal phases): at the cadence boundary,
+  // publishes the counters so far and traces a heartbeat.
   void StepDone(int phase, size_t steps, bool tracing) {
     last_phase_ = phase;
     if (!heartbeat_.Due(steps)) return;
@@ -677,29 +913,34 @@ class SimplexState {
   size_t m_ = 0;
   size_t ncols_ = 0;
   SparseMatrix cols_;
+  SparseMatrix rows_;  // The same matrix row-wise: column i is row i.
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<double> cost_;
   std::vector<double> rhs_;
 
-  std::vector<LpVarStatus> status_;
+  std::vector<VarStatus> status_;
   std::vector<size_t> basic_;
   std::vector<double> x_;
   std::vector<Eta> etas_;
   std::vector<bool> row_assigned_;
   SparseVector work_;
   std::vector<double> dual_;
+  std::vector<double> reduced_;  // Dual phase: reduced cost per column.
+  std::vector<double> rho_;      // Dual phase: B^-T e_r.
+  SparseVector pivot_row_;       // Dual phase: e_r^T B^-1 A.
+  std::vector<Breakpoint> breakpoints_;  // Dual phase: sorted ratios.
   size_t pivots_since_refactor_ = 0;
+  size_t repairs_ = 0;  // Columns Refactorize dropped from the basis.
   lp_internal::SolveScope* scope_;
   progress::Heartbeat heartbeat_{kHeartbeatEvery};
-  int last_phase_ = 0;       // Phase of the last completed step.
+  int last_phase_ = 0;       // Phase of the last completed step (StepDone).
   bool basis_lost_ = false;  // A refactorization failed mid-solve.
 };
 
 }  // namespace
 
-Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
-                                       const LpSolveOptions& options) {
+Result<LpSolution> SolveRevisedSimplex(const LpInstance& model) {
   lp_internal::SolveScope scope;
   PSO_NAMED_SPAN(solve_span, "lp.solve");
   const bool tracing = solve_span.active();
@@ -708,7 +949,7 @@ Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
     solve_span.Arg("constraints", std::to_string(model.rows.size()));
   }
   SimplexState state(model, &scope);
-  Result<LpSolution> result = state.Run(options, tracing);
+  Result<LpSolution> result = state.Run(tracing);
   if (tracing) state.FinalBeat();
   if (result.ok() && tracing) {
     solve_span.Arg("pivots", std::to_string(result->iterations));

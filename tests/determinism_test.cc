@@ -214,8 +214,7 @@ TEST(DeterminismTest, ExhaustiveReconstructIdenticalAcrossThreadCounts) {
 // ---------------------------------------------------------------------
 // LP engine determinism: neither simplex keeps global mutable state, so
 // the same instance must produce bit-identical pivot counts and
-// solution vectors whether solved serially, concurrently on a pool, or
-// repeatedly from a warm-start basis.
+// solution vectors whether solved serially or concurrently on a pool.
 // ---------------------------------------------------------------------
 
 // A seeded decoder-shaped L1-fit LP (box variables + u/v residual rows).
@@ -242,7 +241,7 @@ LpProblem SeededDecodeLp(uint64_t seed, size_t n, size_t q) {
 TEST(DeterminismTest, LpBackendsIdenticalAcrossThreadCounts) {
   for (const oracles::LpEngine& engine : oracles::kLpEngines) {
     LpProblem lp = SeededDecodeLp(/*seed=*/0x17D5, /*n=*/12, /*q=*/40);
-    Result<LpSolution> serial = engine.solve(lp, LpSolveOptions{});
+    Result<LpSolution> serial = engine.solve(lp);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
     // The same solve replayed concurrently on every pool (the per-solve
@@ -260,7 +259,7 @@ TEST(DeterminismTest, LpBackendsIdenticalAcrossThreadCounts) {
           pool.get(), kReplays,
           [&](size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) {
-              replays[i] = engine.solve(lp, LpSolveOptions{});
+              replays[i] = engine.solve(lp);
             }
           },
           /*chunk_size=*/1);
@@ -271,33 +270,6 @@ TEST(DeterminismTest, LpBackendsIdenticalAcrossThreadCounts) {
         EXPECT_EQ(r->objective, serial->objective) << engine.name;
       }
     }
-  }
-}
-
-TEST(DeterminismTest, WarmStartedSolvesReplayBitIdentically) {
-  LpProblem lp = SeededDecodeLp(/*seed=*/0xBA5E, /*n=*/10, /*q=*/30);
-
-  LpBasis basis;
-  LpSolveOptions seed_options;
-  seed_options.final_basis = &basis;
-  Result<LpSolution> cold = lp.Solve(seed_options);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  ASSERT_FALSE(basis.empty());
-
-  // Repeated warm-started solves from the same basis: the basis is read,
-  // re-exported identical (the solve is already optimal), and the pivot
-  // count and solution vector replay exactly.
-  LpSolveOptions warm_options;
-  warm_options.warm_start = &basis;
-  warm_options.final_basis = &basis;
-  Result<LpSolution> first = lp.Solve(warm_options);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  for (int replay = 0; replay < 3; ++replay) {
-    Result<LpSolution> again = lp.Solve(warm_options);
-    ASSERT_TRUE(again.ok()) << again.status().ToString();
-    EXPECT_EQ(again->iterations, first->iterations) << "replay " << replay;
-    EXPECT_EQ(again->values, first->values) << "replay " << replay;
-    EXPECT_EQ(again->objective, first->objective) << "replay " << replay;
   }
 }
 

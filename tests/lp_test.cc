@@ -20,7 +20,7 @@ namespace {
 class LpEngineTest : public ::testing::TestWithParam<oracles::LpEngine> {
  protected:
   Result<LpSolution> Solve(const LpProblem& lp) {
-    return GetParam().solve(lp, LpSolveOptions{});
+    return GetParam().solve(lp);
   }
 };
 
@@ -216,7 +216,7 @@ TEST_P(LpRandomTest, SolutionSatisfiesConstraints) {
     lp.AddConstraint(row.coeffs, row.rel, row.rhs);
     rows.push_back(std::move(row));
   }
-  auto sol = engine.solve(lp, LpSolveOptions{});
+  auto sol = engine.solve(lp);
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   for (const auto& row : rows) {
     double lhs = 0.0;

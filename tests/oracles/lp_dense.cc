@@ -3,9 +3,7 @@
 //
 // Internally variables are shifted to x' >= 0, upper bounds become rows,
 // and a two-phase tableau simplex (Dantzig pricing with a Bland's-rule
-// fallback after degenerate streaks) runs to optimality. Warm starts are
-// not supported — the tableau has no reusable factorization — so
-// LpSolveOptions is accepted and ignored.
+// fallback after degenerate streaks) runs to optimality.
 
 #include <cmath>
 #include <string>
@@ -380,9 +378,7 @@ Result<LpSolution> SolveTableau(const LpInstance& model) {
 
 namespace oracles {
 
-Result<LpSolution> DenseSimplex(const LpProblem& lp,
-                                const LpSolveOptions& options) {
-  (void)options;  // No factorization to reuse: warm starts are ignored.
+Result<LpSolution> DenseSimplex(const LpProblem& lp) {
   if (!lp.build_status().ok()) return lp.build_status();
   return SolveTableau(lp.instance());
 }

@@ -23,12 +23,9 @@
 namespace pso::oracles {
 
 /// The dense two-phase tableau simplex. Returns lp.build_status() when the
-/// problem is malformed; warm starts are ignored (there is no
-/// factorization to reuse), so options.final_basis is never written.
-/// Publishes lp.tableau_rows / lp.tableau_cols besides the shared lp.*
-/// counters.
-[[nodiscard]] Result<LpSolution> DenseSimplex(
-    const LpProblem& lp, const LpSolveOptions& options = {});
+/// problem is malformed. Publishes lp.tableau_rows / lp.tableau_cols
+/// besides the shared lp.* counters.
+[[nodiscard]] Result<LpSolution> DenseSimplex(const LpProblem& lp);
 
 /// Chronological DPLL with occurrence-list unit propagation and static
 /// occurrence-count branching. Returns solver.build_status() when the
@@ -39,9 +36,8 @@ namespace pso::oracles {
                                        const SatSolveOptions& options = {});
 
 /// The production LP engine behind the oracle's signature.
-[[nodiscard]] inline Result<LpSolution> RevisedSimplex(
-    const LpProblem& lp, const LpSolveOptions& options = {}) {
-  return lp.Solve(options);
+[[nodiscard]] inline Result<LpSolution> RevisedSimplex(const LpProblem& lp) {
+  return lp.Solve();
 }
 
 /// The production SAT engine behind the oracle's signature.
@@ -50,8 +46,7 @@ namespace pso::oracles {
   return solver.Solve(options.max_decisions);
 }
 
-using LpSolveFn = Result<LpSolution> (*)(const LpProblem&,
-                                         const LpSolveOptions&);
+using LpSolveFn = Result<LpSolution> (*)(const LpProblem&);
 using SatSolveFn = Result<SatSolution> (*)(const SatSolver&,
                                            const SatSolveOptions&);
 

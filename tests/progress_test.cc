@@ -160,7 +160,7 @@ TEST(HeartbeatTest, EngineWithoutWorkEmitsNoBeat) {
 }
 
 TEST(LiveCountersTest, LpPivotsRiseDuringTheSolve) {
-  const size_t n = 40;  // tens of thousands of pivots, under a second
+  const size_t n = 512;  // about 1,300 dual pivots: five heartbeats
   Rng rng(7);
   const std::vector<uint8_t> secret = recon::RandomBits(n, rng);
   std::vector<recon::SubsetQuery> queries(5 * n);

@@ -191,7 +191,7 @@ struct EngineOutcome {
 
 EngineOutcome SolveOn(oracles::LpSolveFn solve, const LpInstance& inst) {
   EngineOutcome out;
-  Result<LpSolution> got = solve(ToProblem(inst), LpSolveOptions{});
+  Result<LpSolution> got = solve(ToProblem(inst));
   if (got.ok()) {
     out.objective = got->objective;
   } else {

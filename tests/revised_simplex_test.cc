@@ -1,9 +1,7 @@
 // Targeted tests for the sparse revised simplex: anti-cycling on
 // classic degenerate instances, eta-file refactorization on long solves,
-// warm starts (identical instance and after appending constraints),
-// recovery from singular / mis-shaped warm bases, and the degenerate
-// shapes (empty, 1x1, all-slack) that never show up in the random
-// differential suites. The dense tableau oracle (tests/oracles) serves
+// and the degenerate shapes (empty, 1x1, all-slack) that never show up
+// in the random differential suites. The dense tableau oracle (tests/oracles) serves
 // as the reference throughout.
 
 #include <gtest/gtest.h>
@@ -43,16 +41,23 @@ LpProblem BealeCyclingLp() {
 
 TEST(RevisedSimplexTest, BealeDegenerateCyclingInstance) {
   LpProblem lp = BealeCyclingLp();
+  const uint64_t dual_before = CounterValue("lp.dual_iterations");
+  const uint64_t phase2_before = CounterValue("lp.phase2_iterations");
   Result<LpSolution> got = lp.Solve();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_NEAR(got->objective, -0.05, 1e-9);
   // Termination must come from optimality, not the iteration cap.
   EXPECT_LT(got->iterations, 1000u);
+  // x1 wants to rise without bound, so no parking is dual feasible: the
+  // primal phases, with their Bland fallback, do every pivot.
+  EXPECT_EQ(CounterValue("lp.dual_iterations"), dual_before);
+  EXPECT_EQ(CounterValue("lp.phase2_iterations") - phase2_before,
+            got->iterations);
 }
 
 // An L1-fit LP shaped exactly like the reconstruction decoder: n box
-// variables, q equality rows with +u -v residual splits. Long enough to
-// cross kRefactorInterval several times.
+// variables, q equality rows with +u -v residual splits, and random
+// answers.
 LpProblem L1FitLp(size_t n, size_t q, uint64_t seed) {
   Rng rng(seed);
   LpProblem lp;
@@ -73,8 +78,10 @@ LpProblem L1FitLp(size_t n, size_t q, uint64_t seed) {
   return lp;
 }
 
+// The dual phase solves an L1 fit in a few pivots per box variable, so
+// crossing kRefactorInterval takes n = 32.
 TEST(RevisedSimplexTest, LongSolveCrossesRefactorizationInterval) {
-  LpProblem lp = L1FitLp(/*n=*/16, /*q=*/96, /*seed=*/71);
+  LpProblem lp = L1FitLp(/*n=*/32, /*q=*/160, /*seed=*/71);
   const uint64_t refactors_before = CounterValue("lp.refactorizations");
   Result<LpSolution> sparse = lp.Solve();
   ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
@@ -88,100 +95,10 @@ TEST(RevisedSimplexTest, LongSolveCrossesRefactorizationInterval) {
   EXPECT_NEAR(sparse->objective, dense->objective, 1e-7);
 }
 
-TEST(RevisedSimplexTest, WarmRestartOfSolvedInstanceTakesNoPivots) {
-  LpProblem lp = L1FitLp(/*n=*/8, /*q=*/24, /*seed=*/5);
-  LpBasis basis;
-  LpSolveOptions first;
-  first.final_basis = &basis;
-  Result<LpSolution> cold = lp.Solve(first);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  ASSERT_FALSE(basis.empty());
-
-  const uint64_t warms_before = CounterValue("lp.warm_starts");
-  LpSolveOptions second;
-  second.warm_start = &basis;
-  Result<LpSolution> warm = lp.Solve(second);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_EQ(CounterValue("lp.warm_starts") - warms_before, 1u);
-  // The optimal basis re-prices as optimal: zero pivots, same vertex (the
-  // fresh factorization may clean sub-tolerance residue off the cold
-  // path's basic values, so "same point" is up to tolerance here; exact
-  // replay determinism is warm-vs-warm, below).
-  EXPECT_EQ(warm->iterations, 0u);
-  EXPECT_EQ(warm->objective, cold->objective);
-  ASSERT_EQ(warm->values.size(), cold->values.size());
-  for (size_t i = 0; i < warm->values.size(); ++i) {
-    EXPECT_NEAR(warm->values[i], cold->values[i], 1e-9) << "value " << i;
-  }
-
-  Result<LpSolution> warm2 = lp.Solve(second);
-  ASSERT_TRUE(warm2.ok()) << warm2.status().ToString();
-  EXPECT_EQ(warm2->iterations, warm->iterations);
-  EXPECT_EQ(warm2->values, warm->values);  // bit-identical replay
-}
-
-TEST(RevisedSimplexTest, WarmStartAfterConstraintAppend) {
-  const size_t n = 8;
-  auto build = [&](size_t q) { return L1FitLp(n, q, /*seed=*/43); };
-  LpBasis basis;
-  LpSolveOptions first;
-  first.final_basis = &basis;
-  LpProblem base = build(20);
-  Result<LpSolution> base_solve = base.Solve(first);
-  ASSERT_TRUE(base_solve.ok()) << base_solve.status().ToString();
-
-  // Same instance grown by four more rows (and their u/v columns): the
-  // smaller basis must pad (new rows basic on their logical, new columns
-  // at lower bound) and still reach the optimum.
-  LpProblem grown = build(24);
-  LpSolveOptions warm;
-  warm.warm_start = &basis;
-  Result<LpSolution> warm_solve = grown.Solve(warm);
-  ASSERT_TRUE(warm_solve.ok()) << warm_solve.status().ToString();
-  Result<LpSolution> oracle = oracles::DenseSimplex(grown);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-  EXPECT_NEAR(warm_solve->objective, oracle->objective, 1e-7);
-}
-
-TEST(RevisedSimplexTest, SingularWarmBasisFallsBackToColdStart) {
-  // Two identical columns: marking both basic makes the warm basis
-  // numerically singular, which the solver must detect and repair (or
-  // cold-start) rather than produce garbage.
-  LpProblem lp;
-  size_t a = lp.AddVariable(0.0, 10.0, -1.0);
-  size_t b = lp.AddVariable(0.0, 10.0, -1.0);
-  lp.AddConstraint({{a, 1.0}, {b, 1.0}}, Relation::kLessEq, 5.0);
-  lp.AddConstraint({{a, 1.0}, {b, 1.0}}, Relation::kLessEq, 7.0);
-
-  LpBasis singular;
-  singular.structurals = {LpVarStatus::kBasic, LpVarStatus::kBasic};
-  singular.logicals = {LpVarStatus::kAtLower, LpVarStatus::kAtLower};
-  LpSolveOptions options;
-  options.warm_start = &singular;
-  Result<LpSolution> got = lp.Solve(options);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_NEAR(got->objective, -5.0, 1e-9);
-}
-
-TEST(RevisedSimplexTest, MisshapedWarmBasisIsIgnored) {
-  LpProblem lp;
-  size_t x = lp.AddVariable(0.0, 1.0, -1.0);
-  lp.AddConstraint({{x, 1.0}}, Relation::kLessEq, 0.5);
-
-  LpBasis wrong;  // basic count != row count: unusable as a basis
-  wrong.structurals = {LpVarStatus::kBasic};
-  wrong.logicals = {LpVarStatus::kBasic};
-  LpSolveOptions options;
-  options.warm_start = &wrong;
-  Result<LpSolution> got = lp.Solve(options);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_NEAR(got->objective, -0.5, 1e-9);
-}
-
 TEST(RevisedSimplexTest, EmptyProblemSolvesToZero) {
   LpProblem lp;
   for (const oracles::LpEngine& engine : oracles::kLpEngines) {
-    Result<LpSolution> got = engine.solve(lp, LpSolveOptions{});
+    Result<LpSolution> got = engine.solve(lp);
     ASSERT_TRUE(got.ok()) << engine.name << ": "
                           << got.status().ToString();
     EXPECT_EQ(got->objective, 0.0) << engine.name;
@@ -196,7 +113,7 @@ TEST(RevisedSimplexTest, VariablesOnlyProblemRestsAtBestBounds) {
   lp.AddVariable(0.0, 3.0, -2.0);
   lp.AddVariable(-1.0, 4.0, 1.0);
   for (const oracles::LpEngine& engine : oracles::kLpEngines) {
-    Result<LpSolution> got = engine.solve(lp, LpSolveOptions{});
+    Result<LpSolution> got = engine.solve(lp);
     ASSERT_TRUE(got.ok()) << engine.name << ": "
                           << got.status().ToString();
     EXPECT_NEAR(got->objective, -7.0, 1e-9) << engine.name;
@@ -210,7 +127,7 @@ TEST(RevisedSimplexTest, OneByOneProblem) {
   size_t x = lp.AddVariable(0.0, LpProblem::kInfinity, -1.0);
   lp.AddConstraint({{x, 2.0}}, Relation::kLessEq, 6.0);
   for (const oracles::LpEngine& engine : oracles::kLpEngines) {
-    Result<LpSolution> got = engine.solve(lp, LpSolveOptions{});
+    Result<LpSolution> got = engine.solve(lp);
     ASSERT_TRUE(got.ok()) << engine.name << ": "
                           << got.status().ToString();
     EXPECT_NEAR(got->objective, -3.0, 1e-9) << engine.name;

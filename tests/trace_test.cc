@@ -401,11 +401,11 @@ TEST(TraceTest, SatStepTraceRecordedWhenEnabled) {
 
 // Past kMaxPivotInstants pivots in a phase, the LP stops tracing pivots:
 // the cap is the bound on per-step trace volume. An exact-answer L1
-// decode at n=32, m=5n pivots well past it.
+// decode at n=128, m=5n takes about 310 pivots, all in the dual phase.
 TEST(TraceTest, LpPivotInstantsStopAtCap) {
   ScopedTracing tracing;
   Rng rng(7);
-  const size_t n = 32;
+  const size_t n = 128;
   const std::vector<uint8_t> secret = recon::RandomBits(n, rng);
   std::vector<recon::SubsetQuery> queries;
   std::vector<double> answers;
@@ -422,8 +422,10 @@ TEST(TraceTest, LpPivotInstantsStopAtCap) {
   const uint64_t pivots =
       metrics::GetCounter("lp.pivots").value() - pivots_before;
   std::vector<Event> events = Collector::Global().TakeEvents();
+  const Event* dual = FindSpan(events, "lp.dual");
   const Event* phase1 = FindSpan(events, "lp.phase1");
   const Event* phase2 = FindSpan(events, "lp.phase2");
+  ASSERT_NE(dual, nullptr);
   ASSERT_NE(phase1, nullptr);
   ASSERT_NE(phase2, nullptr);
   std::map<uint64_t, size_t> instants_under;
@@ -432,12 +434,12 @@ TEST(TraceTest, LpPivotInstantsStopAtCap) {
       ++instants_under[e.parent];
     }
   }
-  ASSERT_EQ(instants_under[phase1->id], 0u)
-      << "the crash basis is feasible, so all pivots are phase 2";
+  ASSERT_EQ(instants_under[phase1->id] + instants_under[phase2->id], 0u)
+      << "the dual phase ends optimal, so the primal phases take no pivots";
   ASSERT_GT(pivots, lp_internal::kMaxPivotInstants);
   EXPECT_EQ(CountInstants(events, "lp.pivot"),
             lp_internal::kMaxPivotInstants);
-  EXPECT_EQ(instants_under[phase2->id], lp_internal::kMaxPivotInstants);
+  EXPECT_EQ(instants_under[dual->id], lp_internal::kMaxPivotInstants);
 }
 
 // The CDCL search shares one kMaxSatInstants budget between its
