@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
-// primitives: sampling, predicate evaluation, anonymization, the solvers,
-// and one full PSO game trial. These are throughput numbers, not paper
-// claims — they document what experiment scales the library sustains.
+// primitives: sampling, predicate evaluation, anonymization, the solvers
+// (LP decoding and the census CSP search), and one full PSO game trial.
+// These are throughput numbers, not paper claims — they document what
+// experiment scales the library sustains.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "census/population.h"
+#include "census/reconstruct.h"
+#include "census/tabulator.h"
 #include "data/generators.h"
 #include "kanon/mondrian.h"
 #include "pso/adversaries.h"
@@ -16,6 +20,7 @@
 #include "pso/game.h"
 #include "pso/mechanisms.h"
 #include "recon/attacks.h"
+#include "solver/csp.h"
 #include "solver/lp.h"
 
 namespace pso {
@@ -127,6 +132,41 @@ void BM_LpSolveCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LpSolveCold)->Arg(24)->Arg(48);
+
+// The census search alone: one iteration enumerates every nonempty block
+// of a fixed population (200 blocks of 2..9 persons, seed 1) under E9's
+// caps, from the exact tables (Arg 0) or the eps = 2 DP tables (Arg 1),
+// as the census benchmark workload's two legs do. The blocks are encoded
+// before timing starts; items are search nodes.
+void BM_CspEnumerate(benchmark::State& state) {
+  const bool dp = state.range(0) == 1;
+  census::PopulationOptions options;
+  options.num_blocks = 200;
+  options.min_block_size = 2;
+  options.max_block_size = 9;
+  Rng rng(1);
+  const census::Population pop = census::GeneratePopulation(options, rng);
+  Rng dp_rng = Rng::StreamAt(1, 2);
+  std::vector<CountCsp> csps;
+  for (const census::Block& b : pop.blocks) {
+    const census::BlockTables tables =
+        dp ? census::TabulateDp(b, /*eps=*/2.0, dp_rng) : census::Tabulate(b);
+    if (tables.total > 0) csps.push_back(census::EncodeBlockCsp(tables));
+  }
+  const size_t max_solutions = dp ? 16 : 64;
+  const size_t max_nodes = dp ? 150000 : 500000;
+  int64_t nodes = 0;
+  for (auto _ : state) {
+    for (const CountCsp& csp : csps) {
+      CspStats stats;
+      benchmark::DoNotOptimize(csp.Enumerate(max_solutions, max_nodes, &stats));
+      nodes += static_cast<int64_t>(stats.nodes);
+    }
+  }
+  state.SetItemsProcessed(nodes);
+  state.SetLabel(dp ? "dp eps=2" : "exact");
+}
+BENCHMARK(BM_CspEnumerate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_AdaptiveCountAttack(benchmark::State& state) {
   Universe u = MakeGicMedicalUniverse(100);

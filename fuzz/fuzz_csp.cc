@@ -7,8 +7,10 @@
 // masks, or span three words. A poisoned instance must report
 // build_status() != OK and enumerate nothing with complete == false; a
 // clean instance must only emit non-decreasing, constraint-satisfying
-// solutions, and a SAT cross-encoding of it must agree on satisfiability
-// on CDCL and on its DPLL oracle.
+// solutions, identical to the scan-every-constraint reference search's
+// (solutions and CspStats, also under tiny node and solution caps), and
+// a SAT cross-encoding of it must agree on satisfiability on CDCL and on
+// its DPLL oracle.
 
 #include <cstdint>
 #include <cstdlib>
@@ -17,6 +19,7 @@
 
 #include "common/bit_vector.h"
 #include "fuzz_util.h"
+#include "oracles/csp_reference.h"
 #include "oracles/oracles.h"
 #include "solver/csp.h"
 #include "solver/sat.h"
@@ -84,6 +87,24 @@ int CspViaSat(pso::oracles::SatSolveFn solve, size_t num_vars,
   return sol->satisfiable ? 1 : -1;
 }
 
+// Aborts unless Enumerate and the scan-every-constraint reference search
+// return the same solutions and CspStats under these caps.
+void CheckAgainstReference(const pso::CountCsp& csp, size_t max_solutions,
+                           size_t max_nodes) {
+  pso::CspStats got_stats;
+  pso::CspStats want_stats;
+  const std::vector<std::vector<size_t>> got =
+      csp.Enumerate(max_solutions, max_nodes, &got_stats);
+  const std::vector<std::vector<size_t>> want =
+      pso::oracles::CspEnumerateReference(csp, max_solutions, max_nodes,
+                                          &want_stats);
+  if (got != want || got_stats.nodes != want_stats.nodes ||
+      got_stats.solutions != want_stats.solutions ||
+      got_stats.complete != want_stats.complete) {
+    std::abort();
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -113,6 +134,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   pso::CspStats stats;
   std::vector<std::vector<size_t>> solutions =
       csp.Enumerate(/*max_solutions=*/64, /*max_nodes=*/20000, &stats);
+  // The incremental search must visit exactly the reference's nodes,
+  // also when a tiny byte-chosen cap stops both partway.
+  CheckAgainstReference(csp, 64, 20000);
+  CheckAgainstReference(csp, r.Below(3), r.Below(40));
 
   if (!csp.build_status().ok()) {
     // Poisoned instances must refuse to report solutions as exhaustive.

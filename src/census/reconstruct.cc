@@ -26,9 +26,12 @@ void AddTableFamily(CountCsp& csp, const std::vector<BitVector>& cells,
   }
 }
 
-// The block's tables as count constraints over the person domain.
-void EncodeBlock(const BlockTables& tables, size_t n, CountCsp& csp) {
+}  // namespace
+
+CountCsp EncodeBlockCsp(const BlockTables& tables) {
   PSO_TRACE_SPAN("census.encode");
+  const size_t n = static_cast<size_t>(tables.total);
+  CountCsp csp(n, kPersonDomain);
   const CellMasks& cells = CensusCells();
   const int64_t slack = tables.noise_slack;
   AddTableFamily(csp, cells.by_age, tables.by_age, slack);
@@ -56,9 +59,8 @@ void EncodeBlock(const BlockTables& tables, size_t n, CountCsp& csp) {
     csp.AddCountConstraint(cells.AgeAtLeast(m), at_least,
                            static_cast<int64_t>(n));
   }
+  return csp;
 }
-
-}  // namespace
 
 BlockReconstruction ReconstructBlock(const BlockTables& tables,
                                      const Dataset& truth,
@@ -74,9 +76,7 @@ BlockReconstruction ReconstructBlock(const BlockTables& tables,
     return out;
   }
 
-  CountCsp csp(n, kPersonDomain);
-  EncodeBlock(tables, n, csp);
-
+  const CountCsp csp = EncodeBlockCsp(tables);
   CspStats stats;
   std::vector<std::vector<size_t>> solutions =
       csp.Enumerate(options.max_solutions, options.max_nodes, &stats);

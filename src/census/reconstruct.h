@@ -48,6 +48,10 @@ struct ReconstructOptions {
   ThreadPool* pool = nullptr;
 };
 
+/// The block's tables as count constraints over the person domain, one
+/// variable per person of the published total.
+CountCsp EncodeBlockCsp(const BlockTables& tables);
+
 /// Builds the CSP from `tables` and enumerates solutions. `truth` is used
 /// only for scoring (exact_matches); pass the block's own records.
 BlockReconstruction ReconstructBlock(const BlockTables& tables,

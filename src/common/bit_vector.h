@@ -66,6 +66,19 @@ class BitVector {
     }
   }
 
+  /// Calls `f(i)` for every index i set here and clear in `excluded`
+  /// (which must have the same size), in increasing order.
+  template <typename F>
+  void ForEachSetExcept(const BitVector& excluded, F&& f) const {
+    PSO_CHECK(excluded.size_ == size_);
+    for (size_t w = 0; w < words_.size(); ++w) {
+      for (uint64_t word = words_[w] & ~excluded.words_[w]; word != 0;
+           word &= word - 1) {
+        f(w * 64 + static_cast<size_t>(std::countr_zero(word)));
+      }
+    }
+  }
+
  private:
   size_t size_ = 0;
   std::vector<uint64_t> words_;

@@ -1,6 +1,6 @@
 #include "solver/csp.h"
 
-#include <limits>
+#include <cstdint>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
@@ -22,16 +22,15 @@ void CountCsp::AddCountConstraint(BitVector match, int64_t lo, int64_t hi) {
     if (match.size() != domain_size_) {
       build_status_ = Status::InvalidArgument(
           StrFormat("constraint %zu: mask has %zu entries, domain has %zu",
-                    masks_.size(), match.size(), domain_size_));
+                    constraints_.size(), match.size(), domain_size_));
     } else if (lo < 0 || lo > hi) {
       build_status_ = Status::InvalidArgument(StrFormat(
           "constraint %zu: malformed count window [%lld, %lld]",
-          masks_.size(), (long long)lo, (long long)hi));
+          constraints_.size(), (long long)lo, (long long)hi));
     }
   }
   if (!build_status_.ok()) return;
-  masks_.push_back(std::move(match));
-  windows_.push_back(Window{lo, hi});
+  constraints_.push_back(Constraint{std::move(match), lo, hi});
 }
 
 std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
@@ -52,94 +51,162 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
     finish();
     return solutions;
   }
-  const size_t num_constraints = windows_.size();
+  const size_t num_constraints = constraints_.size();
+  const int64_t num_vars = static_cast<int64_t>(num_vars_);
+
+  // The root is a node like any other. With nothing assigned, no count
+  // exceeds its hi (0 <= lo <= hi), so the root fails exactly when some
+  // constraint needs more matches than there are variables.
+  if (max_nodes == 0) {
+    local.complete = false;
+    finish();
+    return solutions;
+  }
+  ++local.nodes;
+  for (const Constraint& c : constraints_) {
+    if (c.lo > num_vars) {
+      finish();
+      return solutions;
+    }
+  }
 
   // Candidate filter: a value matching any hi == 0 constraint can never be
   // used. For census-style instances (exact zero cells for absent ages)
   // this shrinks the domain by orders of magnitude.
   BitVector blocked(domain_size_);
-  for (size_t c = 0; c < num_constraints; ++c) {
-    if (windows_[c].hi == 0) blocked |= masks_[c];
+  for (const Constraint& c : constraints_) {
+    if (c.hi == 0) blocked |= c.match;
   }
-  constexpr size_t kBlocked = std::numeric_limits<size_t>::max();
   std::vector<size_t> candidates;
-  std::vector<size_t> candidate_index(domain_size_, kBlocked);
+  // candidate_index[v]: v's position in `candidates` (unblocked v only).
+  std::vector<size_t> candidate_index(domain_size_, 0);
   for (size_t v = 0; v < domain_size_; ++v) {
     if (blocked.Test(v)) continue;
     candidate_index[v] = candidates.size();
     candidates.push_back(v);
   }
-  // Per-candidate list of the constraints it matches, in increasing
-  // constraint order (for O(#affected) incremental updates instead of
-  // scanning every constraint per child). Built by walking each mask's
-  // set bits once: the transpose of the constraint x value incidence.
-  std::vector<std::vector<size_t>> affected(candidates.size());
-  for (size_t c = 0; c < num_constraints; ++c) {
-    masks_[c].ForEachSet([&](size_t v) {
+
+  // Each candidate's row of the constraints it matches, in one flat (CSR)
+  // array: row ci is cols[row_begin[ci], row_begin[ci + 1]), holding first
+  // the lo > 0 constraints (up to lo_end[ci]) and then those with lo == 0
+  // and hi < num_vars, each part in increasing constraint order. A
+  // constraint with lo == 0 and hi >= num_vars can never prune, so no row
+  // lists it. The rows are the transpose of the constraint x value
+  // incidence, built by walking the unblocked set bits of each mask
+  // twice: once to size the rows, once to fill them.
+  const auto tracked = [&](const Constraint& c) {
+    return c.lo > 0 || c.hi < num_vars;
+  };
+  std::vector<size_t> row_begin(candidates.size() + 1, 0);
+  std::vector<size_t> lo_end(candidates.size(), 0);
+  for (const Constraint& c : constraints_) {
+    if (!tracked(c)) continue;
+    c.match.ForEachSetExcept(blocked, [&](size_t v) {
       const size_t ci = candidate_index[v];
-      if (ci != kBlocked) affected[ci].push_back(c);
+      ++row_begin[ci + 1];
+      if (c.lo > 0) ++lo_end[ci];
     });
   }
+  for (size_t ci = 0; ci < candidates.size(); ++ci) {
+    row_begin[ci + 1] += row_begin[ci];
+    lo_end[ci] += row_begin[ci];
+  }
+  std::vector<uint32_t> cols(row_begin.back());
+  {
+    std::vector<size_t> next_lo(row_begin.begin(), row_begin.end() - 1);
+    std::vector<size_t> next_rest = lo_end;
+    for (size_t c = 0; c < num_constraints; ++c) {
+      if (!tracked(constraints_[c])) continue;
+      std::vector<size_t>& next =
+          constraints_[c].lo > 0 ? next_lo : next_rest;
+      constraints_[c].match.ForEachSetExcept(blocked, [&](size_t v) {
+        cols[next[candidate_index[v]]++] = static_cast<uint32_t>(c);
+      });
+    }
+  }
+
+  // deficit: lo minus the matches so far (<= 0 once lo is reached);
+  // room: hi minus them. at_deficit[k] counts the constraints whose
+  // deficit is exactly k, for k in [1, num_vars].
+  struct Tally {
+    int64_t deficit;
+    int64_t room;
+  };
+  std::vector<Tally> tally(num_constraints);
+  std::vector<size_t> at_deficit(num_vars_ + 1, 0);
+  for (size_t c = 0; c < num_constraints; ++c) {
+    tally[c] = Tally{constraints_[c].lo, constraints_[c].hi};
+    if (constraints_[c].lo > 0) ++at_deficit[constraints_[c].lo];
+  }
+  // Places (step = -1) or removes (step = +1) candidate ci.
+  const auto shift = [&](size_t ci, int64_t step) {
+    for (size_t k = row_begin[ci]; k < lo_end[ci]; ++k) {
+      Tally& t = tally[cols[k]];
+      if (t.deficit > 0) --at_deficit[t.deficit];
+      t.deficit += step;
+      if (t.deficit > 0) ++at_deficit[t.deficit];
+      t.room += step;
+    }
+    for (size_t k = lo_end[ci]; k < row_begin[ci + 1]; ++k) {
+      tally[cols[k]].room += step;
+    }
+  };
 
   std::vector<size_t> assignment;
   assignment.reserve(num_vars_);
-  // matched[c]: how many assigned variables currently match constraint c.
-  std::vector<int64_t> matched(num_constraints, 0);
+  // Records the full assignment; false once the solution cap is reached.
+  const auto record = [&] {
+    solutions.push_back(assignment);
+    ++local.solutions;
+    return local.solutions < max_solutions;
+  };
 
-  // Recursive search over non-decreasing candidate-index sequences
-  // (symmetry breaking: variables are interchangeable). Aligned to 64
-  // bytes so the per-node scan keeps one placement whatever code links
-  // before it: a 48-byte shift from unrelated code cost ~15% of the
-  // census search on an Intel Xeon host.
-  auto recurse = [&](auto&& self, size_t depth,
-                     size_t min_index) __attribute__((aligned(64))) -> bool {
-    // Returns false when a global cap fired (abort the whole search).
-    if (local.nodes >= max_nodes) {
-      local.complete = false;
-      return false;
-    }
-    ++local.nodes;
-
-    const int64_t remaining = static_cast<int64_t>(num_vars_ - depth);
-    // Feasibility pruning: the final count for constraint c lies in
-    // [matched, matched + remaining]; a miss of [lo, hi] kills the branch.
-    for (size_t c = 0; c < num_constraints; ++c) {
-      if (matched[c] > windows_[c].hi ||
-          matched[c] + remaining < windows_[c].lo) {
-        return true;
-      }
-    }
-
-    if (depth == num_vars_) {
-      // All constraints necessarily satisfied (remaining == 0 above).
-      solutions.push_back(assignment);
-      ++local.solutions;
-      return local.solutions < max_solutions;
-    }
-
+  // Expands a feasible node at `depth` < num_vars over non-decreasing
+  // candidate indices (symmetry breaking: variables are interchangeable).
+  // Every deficit is at most the node's `remaining`, so a child is
+  // feasible exactly when it matches all at_deficit[remaining]
+  // constraints whose deficit equals `remaining`. Returns false when a
+  // global cap fired (abort the whole search).
+  const auto expand = [&](auto&& self, size_t depth,
+                          size_t min_index) -> bool {
+    const int64_t remaining = num_vars - static_cast<int64_t>(depth);
+    const size_t due = at_deficit[remaining];
     for (size_t ci = min_index; ci < candidates.size(); ++ci) {
-      // Cheap pre-check on just the affected constraints: placing this
-      // value must not overshoot any hi.
+      // Placing this value must not overshoot any hi; such a child is
+      // skipped without counting it as a node.
+      const uint32_t* k = cols.data() + row_begin[ci];
+      const uint32_t* const lo_stop = cols.data() + lo_end[ci];
+      const uint32_t* const stop = cols.data() + row_begin[ci + 1];
       bool overshoot = false;
-      for (size_t c : affected[ci]) {
-        if (matched[c] + 1 > windows_[c].hi) {
-          overshoot = true;
-          break;
-        }
+      size_t hits = 0;
+      for (; k != lo_stop; ++k) {
+        overshoot |= tally[*k].room == 0;
+        hits += tally[*k].deficit == remaining ? 1 : 0;
       }
+      for (; k != stop; ++k) overshoot |= tally[*k].room == 0;
       if (overshoot) continue;
 
+      if (local.nodes >= max_nodes) {
+        local.complete = false;
+        return false;
+      }
+      ++local.nodes;
+      // A constraint left at deficit `remaining` can no longer be met.
+      if (hits != due) continue;
+
       assignment.push_back(candidates[ci]);
-      for (size_t c : affected[ci]) ++matched[c];
-      bool keep_going = self(self, depth + 1, ci);
-      for (size_t c : affected[ci]) --matched[c];
+      shift(ci, -1);
+      const bool keep_going =
+          depth + 1 == num_vars_ ? record() : self(self, depth + 1, ci);
+      shift(ci, +1);
       assignment.pop_back();
       if (!keep_going) return false;
     }
     return true;
   };
 
-  if (!recurse(recurse, 0, 0) && local.solutions >= max_solutions) {
+  const bool finished = num_vars_ == 0 ? record() : expand(expand, 0, 0);
+  if (!finished && local.solutions >= max_solutions) {
     // Stopped because the solution cap was reached: not exhaustive.
     local.complete = false;
   }

@@ -16,6 +16,16 @@
 //
 // Variables being interchangeable, the solver breaks permutation symmetry
 // by enumerating non-decreasing value sequences; solutions are multisets.
+//
+// The search tracks, per constraint, its deficit (lo minus the matches
+// so far) and its room (hi minus them), and counts the constraints at
+// each deficit. A child that would overfill some constraint is skipped
+// uncounted. Every other child is a search node, and it is feasible
+// exactly when its value matches every constraint whose deficit equals
+// the number of variables its parent left unassigned. So a child costs a
+// read of the constraints its own value matches, not a scan of them all.
+// tests/oracles/csp_reference.h keeps the scan-every-constraint search as
+// the differential oracle; solutions and CspStats are identical.
 
 #ifndef PSO_SOLVER_CSP_H_
 #define PSO_SOLVER_CSP_H_
@@ -62,11 +72,6 @@ class CountCsp {
   /// poison build_status().
   void AddCountConstraint(BitVector match, int64_t lo, int64_t hi);
 
-  /// Exact form: count == c.
-  void AddExactCountConstraint(BitVector match, int64_t c) {
-    AddCountConstraint(std::move(match), c, c);
-  }
-
   /// Enumerates solutions (each a non-decreasing vector of value indices,
   /// one per variable). Stops after `max_solutions` solutions or
   /// `max_nodes` search nodes; `stats` reports whether the search was
@@ -79,19 +84,22 @@ class CountCsp {
   /// True iff at least one solution exists (bounded by `max_nodes`).
   bool IsSatisfiable(size_t max_nodes = 1000000) const;
 
- private:
-  struct Window {
-    int64_t lo;
-    int64_t hi;
+  /// One count constraint as added: `lo <= #{matching vars} <= hi`.
+  struct Constraint {
+    BitVector match;
+    int64_t lo = 0;
+    int64_t hi = 0;
   };
 
+  /// The constraints added so far, in order. A malformed call adds
+  /// nothing, and neither does any call after it.
+  const std::vector<Constraint>& constraints() const { return constraints_; }
+
+ private:
   size_t num_vars_;
   size_t domain_size_;
   Status build_status_;
-  // Constraint c is masks_[c] with count window windows_[c]; the windows
-  // are kept apart so the per-node feasibility scan reads only them.
-  std::vector<BitVector> masks_;
-  std::vector<Window> windows_;
+  std::vector<Constraint> constraints_;
 };
 
 }  // namespace pso

@@ -21,6 +21,11 @@ size_t LpProblem::AddVariable(double lb, double ub, double cost) {
       build_status_ = Status::InvalidArgument(
           StrFormat("variable %zu: empty bounds [%g, %g]",
                     instance_.variables.size(), lb, ub));
+    } else if (std::fabs(lb) > kMaxFiniteBound ||
+               (std::isfinite(ub) && std::fabs(ub) > kMaxFiniteBound)) {
+      build_status_ = Status::InvalidArgument(StrFormat(
+          "variable %zu: finite bound beyond %g in [%g, %g]",
+          instance_.variables.size(), kMaxFiniteBound, lb, ub));
     } else if (!std::isfinite(cost)) {
       build_status_ = Status::InvalidArgument(StrFormat(
           "variable %zu: cost must be finite", instance_.variables.size()));

@@ -1,5 +1,6 @@
 // Brute-force oracle for the count-constraint CSP (solver/csp.h), shared
-// by csp_test and proptest_solver_test.
+// by csp_test and proptest_solver_test; csp_reference_test builds its
+// random instances as CspCase too.
 //
 // It enumerates every non-decreasing value sequence — the CSP's own
 // solution space — and counts the ones that satisfy every constraint,

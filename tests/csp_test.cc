@@ -27,7 +27,7 @@ TEST(CspTest, UnconstrainedEnumeratesMultisets) {
 TEST(CspTest, ExactCountPinsSolution) {
   // 3 vars over {0,1}; exactly two 1s -> unique multiset {0,1,1}.
   CountCsp csp(3, 2);
-  csp.AddExactCountConstraint({false, true}, 2);
+  csp.AddCountConstraint({false, true}, 2, 2);
   CspStats stats;
   auto sols = csp.Enumerate(10, 100000, &stats);
   ASSERT_EQ(sols.size(), 1u);
@@ -38,8 +38,8 @@ TEST(CspTest, ExactCountPinsSolution) {
 TEST(CspTest, MultipleConstraintsIntersect) {
   // 4 vars over {0,1,2}; exactly one 0, exactly one 1 => {0,1,2,2}.
   CountCsp csp(4, 3);
-  csp.AddExactCountConstraint({true, false, false}, 1);
-  csp.AddExactCountConstraint({false, true, false}, 1);
+  csp.AddCountConstraint({true, false, false}, 1, 1);
+  csp.AddCountConstraint({false, true, false}, 1, 1);
   CspStats stats;
   auto sols = csp.Enumerate(10, 100000, &stats);
   ASSERT_EQ(sols.size(), 1u);
@@ -48,7 +48,7 @@ TEST(CspTest, MultipleConstraintsIntersect) {
 
 TEST(CspTest, InfeasibleHasNoSolutions) {
   CountCsp csp(2, 2);
-  csp.AddExactCountConstraint({false, true}, 3);  // need three 1s from two
+  csp.AddCountConstraint({false, true}, 3, 3);  // need three 1s from two
   CspStats stats;
   auto sols = csp.Enumerate(10, 100000, &stats);
   EXPECT_TRUE(sols.empty());
@@ -58,7 +58,7 @@ TEST(CspTest, InfeasibleHasNoSolutions) {
 
 TEST(CspTest, IntervalConstraintsWidenSolutionSpace) {
   CountCsp exact(3, 2);
-  exact.AddExactCountConstraint({false, true}, 1);
+  exact.AddCountConstraint({false, true}, 1, 1);
   CountCsp slack(3, 2);
   slack.AddCountConstraint({false, true}, 0, 2);
   CspStats s1;
@@ -88,8 +88,8 @@ TEST(CspTest, PruningCutsSearch) {
   // A constraint violated at depth 1 should keep node count tiny compared
   // to the full tree.
   CountCsp csp(4, 10);
-  csp.AddExactCountConstraint(
-      {true, true, true, true, true, true, true, true, true, true},
+  csp.AddCountConstraint(
+      {true, true, true, true, true, true, true, true, true, true}, 0,
       0);  // impossible
   CspStats stats;
   auto sols = csp.Enumerate(10, 1000000, &stats);
@@ -99,7 +99,7 @@ TEST(CspTest, PruningCutsSearch) {
 
 TEST(CspTest, SingleVariable) {
   CountCsp csp(1, 5);
-  csp.AddExactCountConstraint({false, false, false, true, false}, 1);
+  csp.AddCountConstraint({false, false, false, true, false}, 1, 1);
   CspStats stats;
   auto sols = csp.Enumerate(10, 1000, &stats);
   ASSERT_EQ(sols.size(), 1u);

@@ -7,10 +7,12 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "oracles/lp_io.h"
+#include "oracles/oracles.h"
 #include "proptest.h"
 #include "solver/lp.h"
 
@@ -97,6 +99,63 @@ TEST(LpIoTest, RejectsSemanticGarbage) {
   oversized.append(reinterpret_cast<const char*>(&vars), 4);
   oversized.append(reinterpret_cast<const char*>(&rows), 4);
   EXPECT_FALSE(DecodeLpInstance(oversized).ok());
+}
+
+// min x s.t. x >= 2.5, x in [lower, 10]. Optimum 2.5.
+LpInstance BoxedFloor(double lower) {
+  LpInstance inst;
+  inst.variables.push_back({lower, 10.0, 1.0});
+  inst.rows.push_back({{{0, 1.0}}, Relation::kGreaterEq, 2.5});
+  return inst;
+}
+
+// min -x0 - x1 s.t. 1.0625 x0 + 1.00018 x1 <= 7, x0 >= 0, x1 >= lower.
+// Optimum -7 / 1.00018, at x0 = 0.
+LpInstance TiltedRow(double lower) {
+  LpInstance inst;
+  inst.variables.push_back({0.0, LpProblem::kInfinity, -1.0});
+  inst.variables.push_back({lower, LpProblem::kInfinity, -1.0});
+  inst.rows.push_back(
+      {{{0, 1.0625}, {1, 1.00018}}, Relation::kLessEq, 7.0});
+  return inst;
+}
+
+// With lower bounds of -4.46e43 and -7.23e221 these two instances made
+// the engines miss their optimum (the dense oracle returned 0 on the
+// first; on the second the sparse engine returned 0 and the oracle
+// 8.0e205), because each engine shifts a variable by its bound. Finite
+// bounds beyond kMaxFiniteBound are InvalidArgument for the decoder and
+// the builder alike; at kMaxFiniteBound both engines find the optimum.
+TEST(LpIoTest, HugeFiniteBoundsAreRejected) {
+  const LpInstance huge[] = {BoxedFloor(-4.46e43), TiltedRow(-7.23e221),
+                             BoxedFloor(-2 * LpProblem::kMaxFiniteBound)};
+  for (const LpInstance& inst : huge) {
+    Result<LpInstance> decoded = DecodeLpInstance(EncodeLpInstance(inst));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    LpProblem lp = ToProblem(inst);
+    EXPECT_EQ(lp.build_status().code(), StatusCode::kInvalidArgument);
+  }
+  LpInstance huge_upper = TiltedRow(0.0);
+  huge_upper.variables[0].upper = 1e300;
+  EXPECT_FALSE(DecodeLpInstance(EncodeLpInstance(huge_upper)).ok());
+  EXPECT_FALSE(ToProblem(huge_upper).build_status().ok());
+
+  const double lower = -LpProblem::kMaxFiniteBound;
+  const std::pair<LpInstance, double> at_cap[] = {
+      {BoxedFloor(lower), 2.5}, {TiltedRow(lower), -7.0 / 1.00018}};
+  for (const auto& [inst, optimum] : at_cap) {
+    Result<LpInstance> decoded = DecodeLpInstance(EncodeLpInstance(inst));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    LpProblem lp = ToProblem(*decoded);
+    ASSERT_TRUE(lp.build_status().ok());
+    for (const oracles::LpEngine& engine : oracles::kLpEngines) {
+      Result<LpSolution> sol = engine.solve(lp);
+      ASSERT_TRUE(sol.ok()) << engine.name << ": " << sol.status().ToString();
+      EXPECT_NEAR(sol->objective, optimum, 1e-4 * std::fabs(optimum))
+          << engine.name;
+    }
+  }
 }
 
 TEST(LpIoTest, MalformedBuilderInputPoisonsSolveWithStatus) {

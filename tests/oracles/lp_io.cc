@@ -115,6 +115,13 @@ Result<LpInstance> DecodeLpInstance(const uint8_t* data, size_t size) {
       return Status::InvalidArgument(
           StrFormat("variable %u: empty bounds", i));
     }
+    if (std::fabs(v.lower) > LpProblem::kMaxFiniteBound ||
+        (std::isfinite(v.upper) &&
+         std::fabs(v.upper) > LpProblem::kMaxFiniteBound)) {
+      return Status::InvalidArgument(
+          StrFormat("variable %u: finite bound beyond %g", i,
+                    LpProblem::kMaxFiniteBound));
+    }
     if (!std::isfinite(v.cost)) {
       return Status::InvalidArgument(
           StrFormat("variable %u: cost not finite", i));

@@ -13,7 +13,8 @@
 //   u32      num_vars      (<= kLpInstanceMaxVars)
 //   u32      num_rows      (<= kLpInstanceMaxRows)
 //   per variable: f64 lower, f64 upper, f64 cost
-//     (lower finite, lower <= upper, upper may be +inf, cost finite)
+//     (lower finite, lower <= upper, upper may be +inf, finite bounds at
+//     most LpProblem::kMaxFiniteBound in magnitude, cost finite)
 //   per row:      u8 relation (0 <=, 1 >=, 2 ==), f64 rhs (finite),
 //                 u32 nnz (<= num_vars), then nnz x (u32 index, f64 coeff)
 

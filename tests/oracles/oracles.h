@@ -7,7 +7,8 @@
 // production path can select them. They publish the same solver counters
 // (lp.solves, sat.solves, ...) as the engines they check. The library
 // also holds the solvers' test input formats: the DIMACS CNF codec
-// (oracles/dimacs.h) and the PSOLP1 LP codec (oracles/lp_io.h), and the
+// (oracles/dimacs.h) and the PSOLP1 LP codec (oracles/lp_io.h), the
+// scan-every-constraint CSP search (oracles/csp_reference.h) and the
 // reference reconstruction decoders (oracles/recon_reference.h).
 //
 // Differential tests iterate kLpEngines / kSatEngines, which pair each
