@@ -49,8 +49,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       }
     }
     // Exact status agreement; objective agreement when both are optimal.
-    // The tolerance is loose: fuzzed coefficients reach the 1e18 range
-    // where the two pivot orders accumulate different roundoff.
+    // The tolerance is loose: values up to LpProblem::kMaxMagnitude
+    // (1e9) multiply to the 1e18 range, where the two pivot orders
+    // accumulate different roundoff.
     if (codes[0] != codes[1]) std::abort();
     if (codes[0] == pso::StatusCode::kOk) {
       double scale = std::fmax(1.0, std::fmax(std::fabs(objectives[0]),

@@ -63,7 +63,7 @@ class SinkCore {
     std::fflush(stderr);
   }
 
-  Mutex mu_ PSO_LOCK_ORDER(kLog){LockRank::kLog, "log.sink"};
+  Mutex mu_;
   bool capture_ PSO_GUARDED_BY(mu_) = false;
   std::string captured_ PSO_GUARDED_BY(mu_);
 };

@@ -194,8 +194,7 @@ class Registry {
   void ResetAll() PSO_EXCLUDES(mu_);
 
  private:
-  mutable Mutex mu_ PSO_LOCK_ORDER(kMetrics){LockRank::kMetrics,
-                                             "metrics.registry"};
+  mutable Mutex mu_;
   struct HistogramSlot {
     std::unique_ptr<Histogram> hist;
     bool durations = false;  // set once any span records into it

@@ -34,8 +34,7 @@ struct ForState {
   uint64_t trace_parent = 0;
 
   std::atomic<size_t> next_chunk{0};
-  Mutex mu PSO_LOCK_ORDER(kParallel){LockRank::kParallel,
-                                     "parallel.for_state"};
+  Mutex mu;
   CondVar done_cv;
   size_t done_chunks PSO_GUARDED_BY(mu) = 0;
   std::exception_ptr error PSO_GUARDED_BY(mu);
@@ -58,7 +57,7 @@ struct ForState {
       }
       MutexLock lock(mu);
       if (err && (!error || c < error_chunk)) {
-        error = err;
+        error = std::move(err);
         error_chunk = c;
       }
       if (++done_chunks == num_chunks) done_cv.NotifyAll();
@@ -187,7 +186,12 @@ void ParallelFor(ThreadPool* pool, size_t n,
 
   MutexLock lock(state->mu);
   while (state->done_chunks != state->num_chunks) state->done_cv.Wait(state->mu);
-  if (state->error) std::rethrow_exception(state->error);
+  // The winning worker moved its exception in under the lock, and the
+  // caller moves it out, so the caller holds its last reference.
+  // Otherwise a worker releasing `state` could free it while the caller
+  // still reads it, ordered only by the exception's reference count in
+  // libstdc++, which TSan does not see: it would report a race.
+  if (state->error) std::rethrow_exception(std::exchange(state->error, {}));
 }
 
 void TaskGroup::Submit(std::function<void()> task) {

@@ -66,7 +66,7 @@ class ThreadPool {
  private:
   void WorkerLoop(size_t worker_index) PSO_EXCLUDES(mu_);
 
-  Mutex mu_ PSO_LOCK_ORDER(kParallel){LockRank::kParallel, "parallel.pool"};
+  Mutex mu_;
   CondVar cv_;
   std::deque<std::function<void()>> queue_ PSO_GUARDED_BY(mu_);
   bool shutdown_ PSO_GUARDED_BY(mu_) = false;
@@ -149,8 +149,7 @@ class TaskGroup {
   void RunOne(const std::function<void()>& task) PSO_EXCLUDES(mu_);
 
   ThreadPool* pool_;
-  mutable Mutex mu_ PSO_LOCK_ORDER(kParallel){LockRank::kParallel,
-                                              "parallel.task_group"};
+  mutable Mutex mu_;
   CondVar idle_cv_;
   size_t pending_ PSO_GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> failed_{0};

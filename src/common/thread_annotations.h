@@ -65,14 +65,6 @@
 #define PSO_RETURN_CAPABILITY(x) \
   PSO_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
 
-/// Declares an ordering: this mutex must be acquired after `...`.
-#define PSO_ACQUIRED_AFTER(...) \
-  PSO_THREAD_ANNOTATION_ATTRIBUTE(acquired_after(__VA_ARGS__))
-
-/// Declares an ordering: this mutex must be acquired before `...`.
-#define PSO_ACQUIRED_BEFORE(...) \
-  PSO_THREAD_ANNOTATION_ATTRIBUTE(acquired_before(__VA_ARGS__))
-
 /// Opts a function out of the analysis. Use sparingly, with a comment
 /// explaining why the locking cannot be expressed (e.g. lock handoff).
 #define PSO_NO_THREAD_SAFETY_ANALYSIS \

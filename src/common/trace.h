@@ -107,8 +107,7 @@ class Collector {
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> next_span_id_{1};
-  mutable Mutex mu_ PSO_LOCK_ORDER(kTrace){LockRank::kTrace,
-                                           "trace.collector"};
+  mutable Mutex mu_;
   size_t capacity_ PSO_GUARDED_BY(mu_) = kDefaultCapacity;
   uint64_t dropped_ PSO_GUARDED_BY(mu_) = 0;
   std::vector<Event> events_ PSO_GUARDED_BY(mu_);

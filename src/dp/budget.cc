@@ -35,8 +35,8 @@ Result<uint64_t> BudgetLedger::Charge(uint64_t client, double eps) {
   }
   // Format the rejection off the ledger lock: StrFormat allocates, and a
   // burst of over-budget clients must not serialize the admission path
-  // behind message rendering (dp.budget_ledger outranks every
-  // observability lock — see common/lock_rank.h).
+  // behind message rendering. It also keeps the ledger lock a leaf
+  // (common/mutex.h): nothing here can reach the log or metrics locks.
   return Status::ResourceExhausted(StrFormat(
       "client %llu over budget: spent %.6f + query %.6f > cap %.6f",
       static_cast<unsigned long long>(client), spent, eps, budget_eps_));

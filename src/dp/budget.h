@@ -71,8 +71,7 @@ class BudgetLedger {
 
  private:
   const double budget_eps_;
-  mutable Mutex mu_ PSO_LOCK_ORDER(kBudget){LockRank::kBudget,
-                                            "dp.budget_ledger"};
+  mutable Mutex mu_;
   std::map<uint64_t, BudgetClientState> clients_ PSO_GUARDED_BY(mu_);
 };
 

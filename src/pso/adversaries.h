@@ -13,7 +13,6 @@
 //     out its rarest unique record (breaks the Identity mechanism).
 //   DecryptPairAdversary   — Theorem 2.7: recombines the ciphertext/pad
 //     bundle into the exact first record.
-//   ConstantAdversary      — always outputs the same fixed predicate.
 
 #ifndef PSO_PSO_ADVERSARIES_H_
 #define PSO_PSO_ADVERSARIES_H_
@@ -31,9 +30,6 @@ AdversaryRef MakeTrivialHashAdversary(double weight);
 /// Output-ignoring attacker emitting "attr == value" every trial.
 AdversaryRef MakeFixedValueAdversary(size_t attr, int64_t value,
                                      std::string attr_name = "");
-
-/// Always outputs `pred` (for post-processing and robustness tests).
-AdversaryRef MakeConstantAdversary(PredicateRef pred, std::string name);
 
 /// Against count outputs of the known query `q`: outputs q AND hash with
 /// range max(2, round(count)), hoping q's weight divides down below the

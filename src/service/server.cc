@@ -229,9 +229,9 @@ void QueryServer::HandleConnection(int fd) {
         }
         batch.push_back(std::move((*next)->query));
       }
-      // Lock audit (see common/lock_rank.h): the handler holds no mutex
-      // here, so AnswerBatch starts the ranked chain itself — budget
-      // ledger, then metrics/trace/log — from the top.
+      // The handler holds no mutex here. AnswerBatch takes the budget
+      // ledger, metrics, trace and log locks one at a time, each a leaf
+      // (common/mutex.h).
       const std::vector<QueryOutcome> outcomes =
           service_->AnswerBatch(client, batch);
       for (const QueryOutcome& outcome : outcomes) {

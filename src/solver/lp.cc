@@ -1,11 +1,37 @@
 #include "solver/lp.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/str_util.h"
 #include "solver/revised_simplex.h"
 
 namespace pso {
+
+bool LpProblem::CoefficientsInMagnitudeRange(
+    const std::vector<std::pair<size_t, double>>& coeffs) {
+  bool ascending = true;
+  for (size_t k = 0; k < coeffs.size(); ++k) {
+    if (!InMagnitudeRange(coeffs[k].second)) return false;
+    if (k > 0 && coeffs[k - 1].first >= coeffs[k].first) ascending = false;
+  }
+  if (ascending) return true;  // No repeated variable (every decoding row).
+  std::vector<std::pair<size_t, double>> sorted = coeffs;
+  std::stable_sort(
+      sorted.begin(), sorted.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t k = 0; k < sorted.size();) {
+    double sum = sorted[k].second;
+    size_t end = k + 1;
+    for (; end < sorted.size() && sorted[end].first == sorted[k].first;
+         ++end) {
+      sum += sorted[end].second;
+    }
+    if (!InMagnitudeRange(sum)) return false;
+    k = end;
+  }
+  return true;
+}
 
 size_t LpProblem::AddVariable(double lb, double ub, double cost) {
   // Malformed bounds poison the problem instead of aborting: Solve()
@@ -21,14 +47,16 @@ size_t LpProblem::AddVariable(double lb, double ub, double cost) {
       build_status_ = Status::InvalidArgument(
           StrFormat("variable %zu: empty bounds [%g, %g]",
                     instance_.variables.size(), lb, ub));
-    } else if (std::fabs(lb) > kMaxFiniteBound ||
-               (std::isfinite(ub) && std::fabs(ub) > kMaxFiniteBound)) {
+    } else if (!InMagnitudeRange(lb) ||
+               (std::isfinite(ub) && !InMagnitudeRange(ub))) {
       build_status_ = Status::InvalidArgument(StrFormat(
-          "variable %zu: finite bound beyond %g in [%g, %g]",
-          instance_.variables.size(), kMaxFiniteBound, lb, ub));
-    } else if (!std::isfinite(cost)) {
+          "variable %zu: finite bound in [%g, %g] is neither 0 nor of "
+          "magnitude in [%g, %g]",
+          instance_.variables.size(), lb, ub, kMinMagnitude, kMaxMagnitude));
+    } else if (!InMagnitudeRange(cost)) {
       build_status_ = Status::InvalidArgument(StrFormat(
-          "variable %zu: cost must be finite", instance_.variables.size()));
+          "variable %zu: cost %g is neither 0 nor of magnitude in [%g, %g]",
+          instance_.variables.size(), cost, kMinMagnitude, kMaxMagnitude));
     }
   }
   if (!build_status_.ok()) {
@@ -50,12 +78,12 @@ void LpProblem::AddConstraint(
                       instance_.rows.size(), idx));
         break;
       }
-      if (!std::isfinite(coeff)) {
-        build_status_ = Status::InvalidArgument(StrFormat(
-            "constraint %zu: coefficient of variable %zu must be finite",
-            instance_.rows.size(), idx));
-        break;
-      }
+    }
+    if (build_status_.ok() && !CoefficientsInMagnitudeRange(coeffs)) {
+      build_status_ = Status::InvalidArgument(StrFormat(
+          "constraint %zu: a coefficient, or the sum of a variable's "
+          "repeated coefficients, is neither 0 nor of magnitude in [%g, %g]",
+          instance_.rows.size(), kMinMagnitude, kMaxMagnitude));
     }
     if (build_status_.ok() && !std::isfinite(rhs)) {
       build_status_ = Status::InvalidArgument(

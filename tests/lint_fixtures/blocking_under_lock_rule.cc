@@ -4,7 +4,6 @@
 // cycles start; shrink the critical section instead.
 // pso-lint-fixture-path: src/service/blocking_under_lock_fixture.cc
 
-#include "common/lock_rank.h"
 #include "common/mutex.h"
 #include "common/parallel.h"
 
@@ -47,7 +46,7 @@ class Handler {
   }
 
  private:
-  Mutex mu_ PSO_LOCK_ORDER(kBudget){LockRank::kBudget, "fixture.blocking"};
+  Mutex mu_;
   CondVar cv_;
   int pending_ PSO_GUARDED_BY(mu_) = 0;
   std::chrono::milliseconds default_timeout_{5};

@@ -124,11 +124,11 @@ LpInstance TiltedRow(double lower) {
 // the engines miss their optimum (the dense oracle returned 0 on the
 // first; on the second the sparse engine returned 0 and the oracle
 // 8.0e205), because each engine shifts a variable by its bound. Finite
-// bounds beyond kMaxFiniteBound are InvalidArgument for the decoder and
-// the builder alike; at kMaxFiniteBound both engines find the optimum.
+// bounds beyond kMaxMagnitude are InvalidArgument for the decoder and
+// the builder alike; at kMaxMagnitude both engines find the optimum.
 TEST(LpIoTest, HugeFiniteBoundsAreRejected) {
   const LpInstance huge[] = {BoxedFloor(-4.46e43), TiltedRow(-7.23e221),
-                             BoxedFloor(-2 * LpProblem::kMaxFiniteBound)};
+                             BoxedFloor(-2 * LpProblem::kMaxMagnitude)};
   for (const LpInstance& inst : huge) {
     Result<LpInstance> decoded = DecodeLpInstance(EncodeLpInstance(inst));
     ASSERT_FALSE(decoded.ok());
@@ -141,7 +141,7 @@ TEST(LpIoTest, HugeFiniteBoundsAreRejected) {
   EXPECT_FALSE(DecodeLpInstance(EncodeLpInstance(huge_upper)).ok());
   EXPECT_FALSE(ToProblem(huge_upper).build_status().ok());
 
-  const double lower = -LpProblem::kMaxFiniteBound;
+  const double lower = -LpProblem::kMaxMagnitude;
   const std::pair<LpInstance, double> at_cap[] = {
       {BoxedFloor(lower), 2.5}, {TiltedRow(lower), -7.0 / 1.00018}};
   for (const auto& [inst, optimum] : at_cap) {
@@ -155,6 +155,133 @@ TEST(LpIoTest, HugeFiniteBoundsAreRejected) {
       EXPECT_NEAR(sol->objective, optimum, 1e-4 * std::fabs(optimum))
           << engine.name;
     }
+  }
+}
+
+// Rejected by the decoder and the builder alike, with the same status.
+void ExpectRejected(const LpInstance& inst) {
+  Result<LpInstance> decoded = DecodeLpInstance(EncodeLpInstance(inst));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ToProblem(inst).build_status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The two fuzz_lp_decode crash inputs (seeds fuzz/corpus/fuzz_lp_decode/
+// huge_coeff_tiny_upper.bin and tiny_bounds_huge_cost.bin), on which the
+// sparse engine and the dense oracle disagreed:
+//  - min 1.0625 x s.t. 4.37e245 x >= 2.5, x in [0, 5.56e-308] is
+//    infeasible, yet the sparse engine returned x = 5.56e-308;
+//  - min -3.1e231 x s.t. x <= -1.54e-196, x in [2e-323, 2.75e-135] is
+//    infeasible, yet the engines returned different points.
+// Each has values outside [kMinMagnitude, kMaxMagnitude], so both are
+// InvalidArgument now. Zero stays legal everywhere, and so does a tiny
+// right-hand side.
+TEST(LpIoTest, ValuesOutsideTheMagnitudeRangeAreRejected) {
+  LpInstance huge_coeff;
+  huge_coeff.variables.push_back({0.0, 5.562684646268003e-308, 1.0625});
+  huge_coeff.rows.push_back(
+      {{{0, 4.3699499387321413e+245}}, Relation::kGreaterEq, 2.5});
+  ExpectRejected(huge_coeff);
+  LpInstance tiny_bounds;
+  tiny_bounds.variables.push_back(
+      {2e-323, 2.752069793427266e-135, -3.105036184601462e+231});
+  tiny_bounds.rows.push_back(
+      {{{0, 1.0}}, Relation::kLessEq, -1.5394855361410988e-196});
+  ExpectRejected(tiny_bounds);
+
+  const double below = LpProblem::kMinMagnitude / 2;
+  const double above = LpProblem::kMaxMagnitude * 2;
+  for (double bad : {below, -below, above, -above,
+                     std::numeric_limits<double>::infinity()}) {
+    LpInstance coeff = SampleInstance();
+    coeff.rows[0].coeffs[1].second = bad;
+    ExpectRejected(coeff);
+    LpInstance cost = SampleInstance();
+    cost.variables[1].cost = bad;
+    ExpectRejected(cost);
+    if (std::isfinite(bad)) {
+      LpInstance upper = SampleInstance();
+      upper.variables[0].upper = std::fabs(bad);
+      ExpectRejected(upper);
+    }
+  }
+
+  // At the edges of the range, zeros and a tiny rhs: accepted, and both
+  // engines agree on the optimum.
+  LpInstance edges;
+  edges.variables.push_back(
+      {LpProblem::kMinMagnitude, LpProblem::kMaxMagnitude, 1.0});
+  edges.variables.push_back({0.0, 1.0, -1.0});
+  edges.variables.push_back({-1.0, 0.0, 0.0});
+  edges.rows.push_back({{{0, LpProblem::kMaxMagnitude},
+                         {1, LpProblem::kMinMagnitude},
+                         {2, 0.0}},
+                        Relation::kGreaterEq, 1e-300});
+  Result<LpInstance> decoded = DecodeLpInstance(EncodeLpInstance(edges));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  LpProblem lp = ToProblem(*decoded);
+  ASSERT_TRUE(lp.build_status().ok()) << lp.build_status().ToString();
+  for (const oracles::LpEngine& engine : oracles::kLpEngines) {
+    Result<LpSolution> sol = engine.solve(lp);
+    ASSERT_TRUE(sol.ok()) << engine.name << ": " << sol.status().ToString();
+    // x0 at its lower bound 1e-9 and x1 = 1 are optimal.
+    EXPECT_NEAR(sol->objective, LpProblem::kMinMagnitude - 1.0, 1e-12)
+        << engine.name;
+  }
+}
+
+// Three more fuzz_lp_decode finds, with every value inside [1e-9, 1e9]
+// (seeds dup_near_cancel.bin, near_infeasible_small_coeff.bin and
+// shallow_ray.bin):
+//  - a row listing x0 twice, as 1.00000003·x0 and −1·x0, is a 3e-8
+//    coefficient once the engines sum it; the sparse engine called
+//    min −x0 + 2·x1 s.t. that row <= 1 Unbounded, the dense one returned
+//    0. The sum is now held to the range, so it is rejected, while an
+//    exact cancellation to 0 stays legal.
+//  - min x s.t. 0.25·x >= 2.50000095, x in [0, 10] is infeasible by
+//    9.5e-7, within both engines' tolerance; the dense oracle returned
+//    x = 10.0000038, past the bound, and now returns x = 10 like the
+//    sparse engine.
+//  - min −1.0000000029·x0 + 2·x1 s.t. 0.5·x0 − x1 <= 1.00006, x >= 0 is
+//    unbounded along x1 = x0 / 2, which improves by 2.9e-9 per unit; the
+//    dense oracle called it optimal, and now agrees: Unbounded.
+TEST(LpIoTest, RepeatedVariablesAndToleranceLevelEdges) {
+  LpInstance near_cancel;
+  near_cancel.variables.push_back({0.0, LpProblem::kInfinity, -1.0});
+  near_cancel.variables.push_back({0.0, LpProblem::kInfinity, 2.0});
+  near_cancel.rows.push_back(
+      {{{0, 1.0000000298023224}, {0, -1.0}}, Relation::kLessEq, 1.0});
+  ExpectRejected(near_cancel);
+  LpInstance exact_cancel = near_cancel;
+  exact_cancel.rows[0].coeffs[0].second = 1.0;
+  EXPECT_TRUE(DecodeLpInstance(EncodeLpInstance(exact_cancel)).ok());
+  EXPECT_TRUE(ToProblem(exact_cancel).build_status().ok());
+
+  LpInstance near_infeasible;
+  near_infeasible.variables.push_back({0.0, 10.0, 1.0});
+  near_infeasible.rows.push_back(
+      {{{0, 0.25}}, Relation::kGreaterEq, 2.5000009536743164});
+  LpProblem lp = ToProblem(near_infeasible);
+  ASSERT_TRUE(lp.build_status().ok());
+  for (const oracles::LpEngine& engine : oracles::kLpEngines) {
+    Result<LpSolution> sol = engine.solve(lp);
+    ASSERT_TRUE(sol.ok()) << engine.name << ": " << sol.status().ToString();
+    EXPECT_LE(sol->values[0], 10.0) << engine.name;
+    EXPECT_NEAR(sol->objective, 10.0, 1e-9) << engine.name;
+  }
+
+  LpInstance shallow_ray;
+  shallow_ray.variables.push_back(
+      {0.0, LpProblem::kInfinity, -1.0000000029394869});
+  shallow_ray.variables.push_back({0.0, LpProblem::kInfinity, 2.0});
+  shallow_ray.rows.push_back(
+      {{{0, 0.5}, {1, -1.0}}, Relation::kLessEq, 1.00006103515625});
+  LpProblem ray = ToProblem(shallow_ray);
+  ASSERT_TRUE(ray.build_status().ok());
+  for (const oracles::LpEngine& engine : oracles::kLpEngines) {
+    EXPECT_EQ(engine.solve(ray).status().code(), StatusCode::kUnbounded)
+        << engine.name;
   }
 }
 

@@ -22,6 +22,7 @@ namespace pso {
 namespace {
 
 constexpr double kEps = 1e-9;
+constexpr double kPivotTol = 1e-7;  // Smaller pivots are refused.
 constexpr size_t kMaxIterations = 200000;
 
 // Dense simplex tableau. Row layout: m constraint rows then the objective
@@ -100,12 +101,13 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
     }
 
     // Leaving row: min ratio; ties broken by smallest basis index (Bland).
-    // Pivot magnitudes below 1e-7 are rejected for numerical stability.
+    // Pivot magnitudes below kPivotTol are rejected for numerical
+    // stability.
     size_t leave = t.rows();
     double best_ratio = 0.0;
     for (size_t r = 0; r < t.rows(); ++r) {
       double a = t.At(r, enter);
-      if (a > 1e-7) {
+      if (a > kPivotTol) {
         double ratio = std::max(0.0, t.Rhs(r)) / a;
         if (leave == t.rows() || ratio < best_ratio - kEps ||
             (std::fabs(ratio - best_ratio) <= kEps &&
@@ -290,9 +292,14 @@ Result<LpSolution> SolveTableau(const LpInstance& model) {
         return Status::Infeasible(
             StrFormat("phase-1 residual %.3g", -t.ObjValue()));
       }
-      // Pivot remaining (degenerate) artificials out of the basis.
+      // Pivot remaining (degenerate) artificials out of the basis. An
+      // artificial left at a tolerance-level value is first set to
+      // exactly 0, as phase 1 just accepted it, so that the pivot moves no
+      // other variable: pivoting 9.5e-7 through a 0.25 coefficient would
+      // push x to 10.0000038, past an upper bound of 10.
       for (size_t r = 0; r < m; ++r) {
         if (basis[r] >= art_begin) {
+          t.Rhs(r) = 0.0;
           size_t pivot_col = cols;
           for (size_t c = 0; c < art_begin; ++c) {
             if (std::fabs(t.At(r, c)) > kEps) {
@@ -341,12 +348,15 @@ Result<LpSolution> SolveTableau(const LpInstance& model) {
   // Unboundedness check: a negative reduced cost with no leaving row leaves
   // the objective row non-optimal; detect by rescanning. This is a property
   // of the model (a cost ray the constraints never cap), not a solver
-  // failure, so it gets its own status code.
+  // failure, so it gets its own status code. The thresholds are the ones
+  // RunSimplex stops on, so a column it found to be a ray (reduced cost
+  // below -kEps, no entry above kPivotTol) is reported, never taken as
+  // optimal.
   for (size_t c = 0; c < cols; ++c) {
-    if (allowed[c] && t.Obj(c) < -1e-6) {
+    if (allowed[c] && t.Obj(c) < -kEps) {
       bool has_leaving = false;
       for (size_t r = 0; r < m; ++r) {
-        if (t.At(r, c) > kEps) {
+        if (t.At(r, c) > kPivotTol) {
           has_leaving = true;
           break;
         }

@@ -115,16 +115,15 @@ Result<LpInstance> DecodeLpInstance(const uint8_t* data, size_t size) {
       return Status::InvalidArgument(
           StrFormat("variable %u: empty bounds", i));
     }
-    if (std::fabs(v.lower) > LpProblem::kMaxFiniteBound ||
-        (std::isfinite(v.upper) &&
-         std::fabs(v.upper) > LpProblem::kMaxFiniteBound)) {
+    if (!LpProblem::InMagnitudeRange(v.lower) ||
+        (std::isfinite(v.upper) && !LpProblem::InMagnitudeRange(v.upper))) {
       return Status::InvalidArgument(
-          StrFormat("variable %u: finite bound beyond %g", i,
-                    LpProblem::kMaxFiniteBound));
+          StrFormat("variable %u: finite bound outside the magnitude range",
+                    i));
     }
-    if (!std::isfinite(v.cost)) {
+    if (!LpProblem::InMagnitudeRange(v.cost)) {
       return Status::InvalidArgument(
-          StrFormat("variable %u: cost not finite", i));
+          StrFormat("variable %u: cost outside the magnitude range", i));
     }
     out.variables.push_back(v);
   }
@@ -161,11 +160,12 @@ Result<LpInstance> DecodeLpInstance(const uint8_t* data, size_t size) {
         return Status::InvalidArgument(StrFormat(
             "row %u: coefficient references unknown variable %u", r, idx));
       }
-      if (!std::isfinite(coeff)) {
-        return Status::InvalidArgument(
-            StrFormat("row %u: coefficient %u not finite", r, k));
-      }
       row.coeffs.emplace_back(idx, coeff);
+    }
+    if (!LpProblem::CoefficientsInMagnitudeRange(row.coeffs)) {
+      return Status::InvalidArgument(StrFormat(
+          "row %u: a coefficient, or a repeated variable's sum, outside the "
+          "magnitude range", r));
     }
     out.rows.push_back(std::move(row));
   }

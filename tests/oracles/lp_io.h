@@ -13,10 +13,11 @@
 //   u32      num_vars      (<= kLpInstanceMaxVars)
 //   u32      num_rows      (<= kLpInstanceMaxRows)
 //   per variable: f64 lower, f64 upper, f64 cost
-//     (lower finite, lower <= upper, upper may be +inf, finite bounds at
-//     most LpProblem::kMaxFiniteBound in magnitude, cost finite)
+//     (lower finite, lower <= upper, upper may be +inf; cost and the
+//     finite bounds LpProblem::InMagnitudeRange)
 //   per row:      u8 relation (0 <=, 1 >=, 2 ==), f64 rhs (finite),
-//                 u32 nnz (<= num_vars), then nnz x (u32 index, f64 coeff)
+//                 u32 nnz (<= num_vars), then nnz x (u32 index, f64 coeff),
+//                 the coefficients LpProblem::CoefficientsInMagnitudeRange
 
 #ifndef PSO_TESTS_ORACLES_LP_IO_H_
 #define PSO_TESTS_ORACLES_LP_IO_H_

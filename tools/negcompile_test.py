@@ -13,13 +13,6 @@ instead of fail.
 
 Usage:
   negcompile_test.py --compiler <cxx> --source <file> --include <dir>
-      [--extra-flag <flag>]...
-
---extra-flag appends compiler flags to both directions; the lock-order
-gate uses it for -Wthread-safety-beta (acquired_before/acquired_after
-checking lives behind the beta flag). Values starting with a dash must
-use the = form (--extra-flag=-Wfoo) or argparse mistakes them for an
-option.
 
 Exit codes: 0 pass, 1 fail, 77 skipped (not clang), 2 usage error.
 """
@@ -44,8 +37,6 @@ def main():
     parser.add_argument("--include", action="append", default=[],
                         help="include directory (repeatable)")
     parser.add_argument("--std", default="c++20")
-    parser.add_argument("--extra-flag", action="append", default=[],
-                        help="extra compiler flag (repeatable)")
     args = parser.parse_args()
 
     code, out = run([args.compiler, "--version"])
@@ -59,7 +50,6 @@ def main():
 
     base = [args.compiler, "-fsyntax-only", f"-std={args.std}",
             "-Wthread-safety", "-Werror"]
-    base += args.extra_flag
     for inc in args.include:
         base += ["-I", inc]
 

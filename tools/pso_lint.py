@@ -35,11 +35,6 @@ rules:
                         always on and flushes logs/traces before abort.
   nodiscard-status      Header declaration returning Status or Result<T>
                         by value without [[nodiscard]].
-  mutex-rank            pso::Mutex declaration in src/ that does not name
-                        a LockRank (common/lock_rank.h). Every long-lived
-                        mutex must state its place in the global
-                        acquisition order so the static/runtime deadlock
-                        checks can see it.
   blocking-under-lock   Wait/WaitFor/Submit/recv/accept token inside a
                         MutexLock scope outside src/common/. Blocking (or
                         queueing onto a pool) while holding a lock is how
@@ -188,10 +183,6 @@ def scope_assert(rel):
 
 def scope_nodiscard_status(rel):
     return rel.endswith((".h", ".hpp")) and _under(rel, "src", "tools")
-
-
-def scope_mutex_rank(rel):
-    return _under(rel, "src")
 
 
 def scope_blocking_under_lock(rel):
@@ -373,31 +364,6 @@ def check_nodiscard_status(lines, text, _rel, _raw):
     return out
 
 
-MUTEX_DECL_RE = re.compile(r"(?<![\w:])((?:\w+\s*::\s*)*)Mutex\s+(\w+)")
-
-
-def check_mutex_rank(lines, text, _rel, _raw):
-    out = []
-    for m in MUTEX_DECL_RE.finditer(text):
-        qualifier = (m.group(1) or "").replace(" ", "")
-        if qualifier not in ("", "pso::"):
-            continue  # some other namespace's Mutex
-        name = m.group(2)
-        line_no = text.count("\n", 0, m.start()) + 1
-        end = text.find(";", m.start())
-        decl = text[m.start():end] if end != -1 else text[m.start():]
-        if "LockRank::kUnranked" in decl:
-            out.append((line_no, f"mutex `{name}` is declared kUnranked; "
-                                 "long-lived mutexes in src/ must name a "
-                                 "real rank (common/lock_rank.h)"))
-        elif "LockRank::" not in decl:
-            out.append((line_no, f"mutex `{name}` does not name a LockRank; "
-                                 "construct it with {LockRank::k..., \"...\"} "
-                                 "and attach PSO_LOCK_ORDER so the deadlock "
-                                 "checks can order it (common/lock_rank.h)"))
-    return out
-
-
 MUTEXLOCK_STMT_RE = re.compile(r"\bMutexLock\s+\w+\s*[({]")
 BLOCKING_CALL_RE = re.compile(r"\b(WaitFor|Wait|Submit|recv|accept)\s*\(")
 
@@ -487,7 +453,6 @@ RULES = [
     ("bare-mutex", scope_bare_mutex, check_bare_mutex),
     ("assert", scope_assert, check_assert),
     ("nodiscard-status", scope_nodiscard_status, check_nodiscard_status),
-    ("mutex-rank", scope_mutex_rank, check_mutex_rank),
     ("blocking-under-lock", scope_blocking_under_lock,
      check_blocking_under_lock),
     ("sleep", scope_sleep, check_sleep),
