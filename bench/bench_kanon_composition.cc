@@ -73,8 +73,8 @@ int Run(int argc, char** argv) {
 
   // Contrast: DP composition is graceful and quantified.
   dp::PrivacyAccountant acc;
-  acc.Spend(0.5, 0.0, "release A");
-  acc.Spend(0.5, 0.0, "release B");
+  acc.Spend(0.5);
+  acc.Spend(0.5);
   auto composed = acc.BasicComposition();
   std::printf(
       "\nContrast (Section 1.1): two eps=0.5 DP releases compose to a "

@@ -152,7 +152,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       if (i > 0 && sol[i] < sol[i - 1]) std::abort();  // symmetry broken
     }
   }
-  (void)csp.IsSatisfiable(/*max_nodes=*/20000);
 
   // Cross-engine differential: when the enumeration above was
   // exhaustive, its satisfiability verdict is ground truth for the SAT

@@ -17,10 +17,8 @@ namespace {
 std::atomic<int> g_min_level{static_cast<int>(Level::kWarn)};
 std::atomic<bool> g_initialized{false};
 
-// Sink state, guarded by one mutex: logging is a diagnostics path, not a
-// throughput path. A class (not loose statics) so every member carries
-// PSO_GUARDED_BY and the thread-safety analysis checks each access
-// against mu_.
+// The stderr sink, behind one mutex so concurrent lines never interleave:
+// logging is a diagnostics path, not a throughput path.
 class SinkCore {
  public:
   /// The never-destroyed singleton (log statements may run from static
@@ -30,42 +28,18 @@ class SinkCore {
     return *s;
   }
 
-  void SetCapture(bool on) PSO_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    capture_ = on;
-    if (!on) captured_.clear();
-  }
-
-  std::string TakeCaptured() PSO_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    std::string out = std::move(captured_);
-    captured_.clear();
-    return out;
-  }
-
   /// Writes one already-rendered line straight to the sink.
   void Emit(const std::string& line) PSO_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    WriteLineLocked(line);
-  }
-
- private:
-  SinkCore() = default;
-
-  void WriteLineLocked(const std::string& line) PSO_REQUIRES(mu_) {
-    if (capture_) {
-      captured_ += line;
-      captured_ += '\n';
-      return;
-    }
     std::fputs(line.c_str(), stderr);
     std::fputc('\n', stderr);
     std::fflush(stderr);
   }
 
+ private:
+  SinkCore() = default;
+
   Mutex mu_;
-  bool capture_ PSO_GUARDED_BY(mu_) = false;
-  std::string captured_ PSO_GUARDED_BY(mu_);
 };
 
 // Logger time origin: first use of Now(). Log timestamps are display
@@ -100,10 +74,6 @@ void SetMinLevel(Level level) {
   g_initialized.store(true, std::memory_order_relaxed);
 }
 
-Level MinLevel() {
-  return static_cast<Level>(g_min_level.load(std::memory_order_relaxed));
-}
-
 bool ShouldLog(Level level) {
   return static_cast<int>(level) >=
          g_min_level.load(std::memory_order_relaxed);
@@ -127,13 +97,6 @@ const char* LevelName(Level level) {
   }
   return "unknown";
 }
-
-void CaptureToString(bool on) {
-  SinkCore::Get().SetCapture(on);
-  g_initialized.store(true, std::memory_order_relaxed);
-}
-
-std::string TakeCaptured() { return SinkCore::Get().TakeCaptured(); }
 
 bool Initialized() {
   return g_initialized.load(std::memory_order_relaxed);

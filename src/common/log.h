@@ -3,8 +3,8 @@
 //   PSO_LOG(INFO) << "lp solved";
 //   PSO_LOG(WARN).Field("block", b).Field("decisions", d) << "sat exhausted";
 //
-// Each statement emits one JSON object per line to the sink (stderr by
-// default, or an in-memory capture for tests), in arrival order:
+// Each statement emits one JSON object per line to stderr, in arrival
+// order:
 //
 //   {"level":"warn","ts_us":182034,"thread":3,"src":"sat.cc:241",
 //    "msg":"sat exhausted","fields":{"block":"17","decisions":"500000"}}
@@ -35,7 +35,6 @@ inline constexpr Level kERROR = Level::kError;
 
 /// Messages below `level` are discarded (default kWarn).
 void SetMinLevel(Level level);
-Level MinLevel();
 
 /// The cheap front gate: one relaxed atomic load.
 bool ShouldLog(Level level);
@@ -45,14 +44,8 @@ bool ShouldLog(Level level);
 bool ParseLevel(const std::string& name, Level* out);
 const char* LevelName(Level level);
 
-/// Routes output to an in-memory buffer (tests). TakeCaptured() returns
-/// and clears it.
-void CaptureToString(bool on);
-std::string TakeCaptured();
-
-/// True once any sink configuration ran — the PSO_CHECK handler uses
-/// this to decide between structured output and the raw-fprintf
-/// fallback.
+/// True once SetMinLevel ran — the PSO_CHECK handler uses this to decide
+/// between structured output and the raw-fprintf fallback.
 bool Initialized();
 
 /// One log statement under construction; emits on destruction.

@@ -35,7 +35,6 @@ class PSO_CAPABILITY("mutex") Mutex {
 
   void Lock() PSO_ACQUIRE() { mu_.lock(); }
   void Unlock() PSO_RELEASE() { mu_.unlock(); }
-  bool TryLock() PSO_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -222,11 +222,6 @@ void TaskGroup::Wait() {
   while (pending_ != 0) idle_cv_.Wait(mu_);
 }
 
-size_t TaskGroup::pending() const {
-  MutexLock lock(mu_);
-  return pending_;
-}
-
 void RecordPoolGauges(const ThreadPool* pool) {
   if (pool == nullptr || pool->num_threads() == 0) return;
   std::vector<uint64_t> counts = pool->WorkerTaskCounts();

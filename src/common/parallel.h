@@ -138,10 +138,6 @@ class TaskGroup {
   /// Blocks until every submitted task has completed.
   void Wait() PSO_EXCLUDES(mu_);
 
-  /// Tasks currently submitted-but-unfinished (racy snapshot; for tests
-  /// and gauges).
-  size_t pending() const PSO_EXCLUDES(mu_);
-
   /// Tasks that terminated by throwing (their exceptions are dropped).
   uint64_t failed() const { return failed_.load(std::memory_order_relaxed); }
 

@@ -95,13 +95,6 @@ double Rng::Exponential(double rate) {
   return -std::log(UniformDoublePositive()) / rate;
 }
 
-double Rng::Gaussian(double mean, double stddev) {
-  double u1 = UniformDoublePositive();
-  double u2 = UniformDouble();
-  double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  return mean + stddev * z;
-}
-
 int64_t Rng::TwoSidedGeometric(double alpha) {
   PSO_CHECK(alpha > 0.0 && alpha < 1.0);
   // Sample magnitude from one-sided geometric Pr[K = k] = (1-alpha) alpha^k

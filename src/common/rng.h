@@ -4,7 +4,7 @@
 // so that experiments are exactly reproducible from a seed. The core
 // generator is xoshiro256++ seeded via SplitMix64; sampling routines cover
 // the distributions the paper's constructions need (uniform, Bernoulli,
-// Laplace, two-sided geometric, exponential, Gaussian, discrete/alias).
+// Laplace, two-sided geometric, exponential, discrete/alias).
 
 #ifndef PSO_COMMON_RNG_H_
 #define PSO_COMMON_RNG_H_
@@ -68,9 +68,6 @@ class Rng {
 
   /// Exponential(rate) sample. Requires rate > 0.
   double Exponential(double rate);
-
-  /// Standard normal sample (Box–Muller).
-  double Gaussian(double mean, double stddev);
 
   /// Two-sided geometric sample with parameter alpha in (0,1):
   /// Pr[X = k] proportional to alpha^{|k|}. This is the discrete analogue of

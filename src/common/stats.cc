@@ -15,9 +15,7 @@ void RunningStats::Add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 void RunningStats::Merge(const RunningStats& other) {
@@ -29,30 +27,15 @@ void RunningStats::Merge(const RunningStats& other) {
   const double na = static_cast<double>(count_);
   const double nb = static_cast<double>(other.count_);
   const double total = na + nb;
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
+  mean_ += (other.mean_ - mean_) * nb / total;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   count_ += other.count_;
 }
 
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 void BernoulliEstimator::Add(bool success) {
   ++trials_;
   if (success) ++successes_;
-}
-
-void BernoulliEstimator::AddBatch(size_t successes, size_t trials) {
-  PSO_CHECK(successes <= trials);
-  trials_ += trials;
-  successes_ += successes;
 }
 
 void BernoulliEstimator::Merge(const BernoulliEstimator& other) {
@@ -83,13 +66,6 @@ double BaselineIsolationProbability(size_t n, double w) {
   // Compute in log space to survive large n and tiny w.
   double log_p = std::log(nn) + std::log(w) + (nn - 1.0) * std::log1p(-w);
   return std::exp(log_p);
-}
-
-double Mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
 }
 
 double Median(std::vector<double> xs) { return Quantile(std::move(xs), 0.5); }

@@ -21,24 +21,20 @@ struct Interval {
   bool Contains(double x) const { return lo <= x && x <= hi; }
 };
 
-/// Online accumulator for mean/variance (Welford's algorithm).
+/// Online accumulator for count, mean, min and max.
 class RunningStats {
  public:
   /// Adds one observation.
   void Add(double x);
 
-  /// Folds `other`'s observations into this accumulator (Chan et al.'s
-  /// pairwise update). Merging per-chunk accumulators in chunk-index
-  /// order reproduces the single-stream mean/variance to floating-point
-  /// accuracy, deterministically for a fixed chunking.
+  /// Folds `other`'s observations into this accumulator. Merging
+  /// per-chunk accumulators in chunk-index order reproduces the
+  /// single-stream mean to floating-point accuracy, deterministically for
+  /// a fixed chunking.
   void Merge(const RunningStats& other);
 
   size_t count() const { return count_; }
   double mean() const { return mean_; }
-
-  /// Unbiased sample variance; 0 for fewer than two observations.
-  double variance() const;
-  double stddev() const;
 
   double min() const { return min_; }
   double max() const { return max_; }
@@ -46,7 +42,6 @@ class RunningStats {
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -59,9 +54,6 @@ class BernoulliEstimator {
  public:
   /// Records one trial.
   void Add(bool success);
-
-  /// Records `successes` out of `trials` at once.
-  void AddBatch(size_t successes, size_t trials);
 
   /// Folds `other`'s counts into this estimator (exact; order-free).
   void Merge(const BernoulliEstimator& other);
@@ -84,9 +76,6 @@ class BernoulliEstimator {
 /// i.i.d. sample of size `n`: n * w * (1-w)^(n-1). This is the paper's
 /// baseline curve for trivial (output-ignoring) attackers (Section 2.2).
 double BaselineIsolationProbability(size_t n, double w);
-
-/// Mean of a vector (0 for empty).
-double Mean(const std::vector<double>& xs);
 
 /// Population median (averaging the middle pair for even sizes).
 double Median(std::vector<double> xs);

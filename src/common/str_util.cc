@@ -58,9 +58,4 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
 }  // namespace pso

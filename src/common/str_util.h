@@ -22,9 +22,6 @@ std::vector<std::string> Split(const std::string& s, char sep);
 /// Removes leading/trailing ASCII whitespace.
 std::string Trim(const std::string& s);
 
-/// True if `s` starts with `prefix`.
-bool StartsWith(const std::string& s, const std::string& prefix);
-
 }  // namespace pso
 
 #endif  // PSO_COMMON_STR_UTIL_H_

@@ -17,13 +17,6 @@ void TextTable::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TextTable::AddNumericRow(const std::vector<double>& row, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(row.size());
-  for (double v : row) cells.push_back(StrFormat("%.*f", precision, v));
-  AddRow(std::move(cells));
-}
-
 std::string TextTable::Render() const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();

@@ -21,16 +21,11 @@ class TextTable {
   /// Appends a data row; must have exactly as many cells as headers.
   void AddRow(std::vector<std::string> row);
 
-  /// Convenience: formats each double with `%.*f` at `precision`.
-  void AddNumericRow(const std::vector<double>& row, int precision = 4);
-
   /// Renders the table with a separator under the header.
   std::string Render() const;
 
   /// Renders and writes to stdout.
   void Print() const;
-
-  size_t num_rows() const { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;

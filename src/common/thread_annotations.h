@@ -25,10 +25,6 @@
 /// Declares a data member readable/writable only while `x` is held.
 #define PSO_GUARDED_BY(x) PSO_THREAD_ANNOTATION_ATTRIBUTE(guarded_by(x))
 
-/// Declares a pointer member whose POINTEE is guarded by `x` (the pointer
-/// itself may be read freely).
-#define PSO_PT_GUARDED_BY(x) PSO_THREAD_ANNOTATION_ATTRIBUTE(pt_guarded_by(x))
-
 /// Declares that callers must hold every listed capability exclusively
 /// before calling (checked at every call site).
 #define PSO_REQUIRES(...) \
@@ -48,10 +44,6 @@
 #define PSO_RELEASE(...) \
   PSO_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
 
-/// Function attempts to acquire; returns `result` on success.
-#define PSO_TRY_ACQUIRE(result, ...) \
-  PSO_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(result, __VA_ARGS__))
-
 /// Marks a class as a lockable capability ("mutex" names it in
 /// diagnostics).
 #define PSO_CAPABILITY(name) PSO_THREAD_ANNOTATION_ATTRIBUTE(capability(name))
@@ -60,14 +52,5 @@
 /// releases a capability.
 #define PSO_SCOPED_CAPABILITY \
   PSO_THREAD_ANNOTATION_ATTRIBUTE(scoped_lockable)
-
-/// Declares `func` returns a reference to the mutex guarding this object.
-#define PSO_RETURN_CAPABILITY(x) \
-  PSO_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
-
-/// Opts a function out of the analysis. Use sparingly, with a comment
-/// explaining why the locking cannot be expressed (e.g. lock handoff).
-#define PSO_NO_THREAD_SAFETY_ANALYSIS \
-  PSO_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
 
 #endif  // PSO_COMMON_THREAD_ANNOTATIONS_H_

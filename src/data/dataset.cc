@@ -48,23 +48,6 @@ Dataset Dataset::Project(const std::vector<size_t>& attr_indices) const {
   return out;
 }
 
-Dataset Dataset::Select(const std::vector<size_t>& rows) const {
-  Dataset out(schema_);
-  for (size_t row : rows) {
-    PSO_CHECK(row < records_.size());
-    out.Append(records_[row]);
-  }
-  return out;
-}
-
-size_t Dataset::CountEqual(const Record& target) const {
-  size_t count = 0;
-  for (const Record& r : records_) {
-    if (r == target) ++count;
-  }
-  return count;
-}
-
 std::vector<std::vector<size_t>> Dataset::GroupIdentical() const {
   std::unordered_map<uint64_t, std::vector<size_t>> buckets;
   for (size_t i = 0; i < records_.size(); ++i) {
@@ -106,15 +89,6 @@ std::vector<std::vector<size_t>> Dataset::GroupIdentical() const {
     }
   }
   return groups;
-}
-
-double Dataset::FractionUnique() const {
-  if (records_.empty()) return 0.0;
-  size_t unique = 0;
-  for (const auto& g : GroupIdentical()) {
-    if (g.size() == 1) ++unique;
-  }
-  return static_cast<double>(unique) / static_cast<double>(records_.size());
 }
 
 std::string Dataset::ToString(size_t max_rows) const {

@@ -43,18 +43,9 @@ class Dataset {
   /// in the given order.
   Dataset Project(const std::vector<size_t>& attr_indices) const;
 
-  /// Returns the rows whose index is in `rows`, in the given order.
-  Dataset Select(const std::vector<size_t>& rows) const;
-
-  /// Number of records exactly equal to `target`.
-  size_t CountEqual(const Record& target) const;
-
   /// Groups rows by full-record equality; returns groups of row indices.
   /// Used for equivalence-class analysis and uniqueness statistics.
   std::vector<std::vector<size_t>> GroupIdentical() const;
-
-  /// Fraction of records that appear exactly once (population uniqueness).
-  double FractionUnique() const;
 
   /// Renders the first `max_rows` rows for debugging/examples.
   std::string ToString(size_t max_rows = 20) const;

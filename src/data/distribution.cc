@@ -68,10 +68,6 @@ double Marginal::MassInRange(int64_t lo, int64_t hi) const {
   return upper - lower;
 }
 
-double Marginal::MaxProbability() const {
-  return *std::max_element(probs_.begin(), probs_.end());
-}
-
 ProductDistribution::ProductDistribution(Schema schema,
                                          std::vector<Marginal> marginals)
     : schema_(std::move(schema)), marginals_(std::move(marginals)) {
@@ -111,32 +107,9 @@ double ProductDistribution::RecordProbability(const Record& record) const {
   return p;
 }
 
-double ProductDistribution::MinEntropyBits() const {
-  double bits = 0.0;
-  for (const Marginal& m : marginals_) {
-    bits += -std::log2(m.MaxProbability());
-  }
-  return bits;
-}
-
 const Marginal& ProductDistribution::marginal(size_t attr) const {
   PSO_CHECK(attr < marginals_.size());
   return marginals_[attr];
-}
-
-EmpiricalDistribution::EmpiricalDistribution(Dataset reference)
-    : reference_(std::move(reference)) {
-  PSO_CHECK_MSG(!reference_.empty(), "empty reference dataset");
-}
-
-Record EmpiricalDistribution::Sample(Rng& rng) const {
-  size_t i = static_cast<size_t>(rng.UniformUint64(reference_.size()));
-  return reference_.record(i);
-}
-
-double EmpiricalDistribution::RecordProbability(const Record& record) const {
-  size_t count = reference_.CountEqual(record);
-  return static_cast<double>(count) / static_cast<double>(reference_.size());
 }
 
 }  // namespace pso

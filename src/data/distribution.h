@@ -5,8 +5,7 @@
 //   * Distribution       — abstract sampling + exact pointwise probability
 //   * ProductDistribution — independent per-attribute marginals (the
 //     workhorse; supports exact predicate weights for per-attribute
-//     predicates and exact min-entropy)
-//   * EmpiricalDistribution — resampling from a reference dataset.
+//     predicates).
 
 #ifndef PSO_DATA_DISTRIBUTION_H_
 #define PSO_DATA_DISTRIBUTION_H_
@@ -36,11 +35,6 @@ class Distribution {
 
   /// Draws an i.i.d. dataset of `n` records.
   Dataset SampleDataset(size_t n, Rng& rng) const;
-
-  /// Min-entropy H_inf(D) = -log2 max_x Pr[x], if computable; derived
-  /// classes override when an exact value is available. Default: -1
-  /// (unknown).
-  virtual double MinEntropyBits() const { return -1.0; }
 };
 
 /// Marginal distribution of a single attribute.
@@ -66,14 +60,10 @@ class Marginal {
   /// Total mass of codes in [lo, hi] intersected with the support.
   double MassInRange(int64_t lo, int64_t hi) const;
 
-  /// Largest single-value probability.
-  double MaxProbability() const;
-
   int64_t min_value() const { return min_value_; }
   int64_t max_value() const {
     return min_value_ + static_cast<int64_t>(probs_.size()) - 1;
   }
-  const std::vector<double>& probabilities() const { return probs_; }
 
  private:
   int64_t min_value_;
@@ -96,26 +86,12 @@ class ProductDistribution : public Distribution {
   const Schema& schema() const override { return schema_; }
   Record Sample(Rng& rng) const override;
   double RecordProbability(const Record& record) const override;
-  double MinEntropyBits() const override;
 
   const Marginal& marginal(size_t attr) const;
 
  private:
   Schema schema_;
   std::vector<Marginal> marginals_;
-};
-
-/// Uniform resampling from a fixed reference dataset (with replacement).
-class EmpiricalDistribution : public Distribution {
- public:
-  explicit EmpiricalDistribution(Dataset reference);
-
-  const Schema& schema() const override { return reference_.schema(); }
-  Record Sample(Rng& rng) const override;
-  double RecordProbability(const Record& record) const override;
-
- private:
-  Dataset reference_;
 };
 
 }  // namespace pso

@@ -99,14 +99,6 @@ Universe MakeCensusPersonUniverse() {
   return {schema, ProductDistribution(schema, std::move(marginals))};
 }
 
-Universe MakeBinaryTraitUniverse(double p) {
-  PSO_CHECK(p > 0.0 && p < 1.0);
-  Schema schema({Attribute::Integer("trait", 0, 1)});
-  std::vector<Marginal> marginals;
-  marginals.push_back(Marginal(0, {1.0 - p, p}));
-  return {schema, ProductDistribution(schema, std::move(marginals))};
-}
-
 Universe MakeRatingsUniverse(int64_t num_movies, double density) {
   PSO_CHECK(num_movies >= 1);
   PSO_CHECK(density > 0.0 && density < 1.0);

@@ -47,9 +47,6 @@ Universe MakeGicMedicalUniverse(int64_t num_zips = 200);
 /// race (6 OMB categories, skewed), hispanic (2, ~16%).
 Universe MakeCensusPersonUniverse();
 
-/// Single binary attribute "trait" with Pr[1] = p.
-Universe MakeBinaryTraitUniverse(double p = 0.5);
-
 /// High-dimensional sparse-ratings universe for the Netflix-style linkage
 /// experiment: `num_movies` binary "rated_i" attributes, each 1 with
 /// probability `density` (independent). A handful of rated movies makes a

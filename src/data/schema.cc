@@ -1,6 +1,5 @@
 #include "data/schema.h"
 
-#include <cmath>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -114,14 +113,6 @@ uint64_t Schema::RecordKey(const Record& record) const {
   uint64_t h = 0x9ae16a3b2f90404fULL;
   for (int64_t v : record) h = HashCombine(h, static_cast<uint64_t>(v));
   return h;
-}
-
-double Schema::Log2DomainSize() const {
-  double total = 0.0;
-  for (const auto& a : attributes_) {
-    total += std::log2(static_cast<double>(a.DomainSize()));
-  }
-  return total;
 }
 
 }  // namespace pso

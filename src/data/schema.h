@@ -96,9 +96,6 @@ class Schema {
   /// input to universal-hash predicates.
   uint64_t RecordKey(const Record& record) const;
 
-  /// Total log2 domain size (sum of per-attribute log2 sizes).
-  double Log2DomainSize() const;
-
  private:
   std::vector<Attribute> attributes_;
   std::unordered_map<std::string, size_t> index_;

@@ -7,10 +7,10 @@
 
 namespace pso::dp {
 
-void PrivacyAccountant::Spend(double eps, double delta, std::string label) {
+void PrivacyAccountant::Spend(double eps, double delta) {
   PSO_CHECK(eps >= 0.0);
   PSO_CHECK(delta >= 0.0 && delta < 1.0);
-  spends_.push_back(PrivacySpend{eps, delta, std::move(label)});
+  spends_.push_back(PrivacyGuarantee{eps, delta});
 }
 
 PrivacyGuarantee PrivacyAccountant::BasicComposition() const {

@@ -9,20 +9,11 @@
 #ifndef PSO_DP_ACCOUNTANT_H_
 #define PSO_DP_ACCOUNTANT_H_
 
-#include <cstddef>
-#include <string>
 #include <vector>
 
 namespace pso::dp {
 
-/// A single differentially private release.
-struct PrivacySpend {
-  double eps = 0.0;
-  double delta = 0.0;
-  std::string label;  ///< What was released (for the ledger).
-};
-
-/// A composed (eps, delta) guarantee.
+/// An (eps, delta) guarantee: of one release, or of several composed.
 struct PrivacyGuarantee {
   double eps = 0.0;
   double delta = 0.0;
@@ -34,10 +25,7 @@ class PrivacyAccountant {
   PrivacyAccountant() = default;
 
   /// Records a release of `eps`-DP (optionally with `delta`).
-  void Spend(double eps, double delta = 0.0, std::string label = "");
-
-  size_t num_releases() const { return spends_.size(); }
-  const std::vector<PrivacySpend>& ledger() const { return spends_; }
+  void Spend(double eps, double delta = 0.0);
 
   /// Basic (sequential) composition: eps and delta add up.
   PrivacyGuarantee BasicComposition() const;
@@ -52,7 +40,7 @@ class PrivacyAccountant {
   PrivacyGuarantee BestBound(double delta_slack) const;
 
  private:
-  std::vector<PrivacySpend> spends_;
+  std::vector<PrivacyGuarantee> spends_;
 };
 
 }  // namespace pso::dp

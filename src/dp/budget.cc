@@ -48,11 +48,6 @@ BudgetClientState BudgetLedger::ClientState(uint64_t client) const {
   return it == clients_.end() ? BudgetClientState{} : it->second;
 }
 
-size_t BudgetLedger::NumClients() const {
-  MutexLock lock(mu_);
-  return clients_.size();
-}
-
 uint64_t BudgetLedger::TotalAnswered() const {
   MutexLock lock(mu_);
   uint64_t total = 0;
@@ -65,16 +60,6 @@ uint64_t BudgetLedger::TotalRejected() const {
   uint64_t total = 0;
   for (const auto& [id, state] : clients_) total += state.rejected;
   return total;
-}
-
-std::vector<uint64_t> BudgetLedger::RejectedClients() const {
-  MutexLock lock(mu_);
-  std::vector<uint64_t> out;
-  out.reserve(clients_.size());
-  for (const auto& [id, state] : clients_) {
-    if (state.rejected > 0) out.push_back(id);
-  }
-  return out;
 }
 
 }  // namespace pso::dp

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/result.h"
@@ -58,16 +57,9 @@ class BudgetLedger {
   /// Snapshot of one client's state (zeros for a never-seen client).
   BudgetClientState ClientState(uint64_t client) const PSO_EXCLUDES(mu_);
 
-  /// Number of distinct clients that have issued at least one charge.
-  size_t NumClients() const PSO_EXCLUDES(mu_);
-
   /// Totals across all clients.
   uint64_t TotalAnswered() const PSO_EXCLUDES(mu_);
   uint64_t TotalRejected() const PSO_EXCLUDES(mu_);
-
-  /// Client ids with at least one rejected charge, ascending (std::map
-  /// iteration: deterministic reporting order).
-  std::vector<uint64_t> RejectedClients() const PSO_EXCLUDES(mu_);
 
  private:
   const double budget_eps_;

@@ -62,16 +62,4 @@ int64_t DpMedian(const Dataset& data, size_t attr, double eps, Rng& rng) {
   return DpQuantile(data, attr, 0.5, eps, rng);
 }
 
-int64_t DpMode(const Dataset& data, size_t attr, double eps, Rng& rng) {
-  PSO_CHECK(attr < data.schema().NumAttributes());
-  PSO_CHECK(!data.empty());
-  const Attribute& a = data.schema().attribute(attr);
-  std::vector<double> scores(static_cast<size_t>(a.DomainSize()), 0.0);
-  for (const Record& r : data.records()) {
-    scores[static_cast<size_t>(r[attr] - a.MinValue())] += 1.0;
-  }
-  size_t idx = ExponentialMechanism(scores, eps, /*sensitivity=*/1.0, rng);
-  return a.MinValue() + static_cast<int64_t>(idx);
-}
-
 }  // namespace pso::dp

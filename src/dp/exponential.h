@@ -35,10 +35,6 @@ int64_t DpQuantile(const Dataset& data, size_t attr, double q, double eps,
 /// eps-DP median (DpQuantile at q = 0.5).
 int64_t DpMedian(const Dataset& data, size_t attr, double eps, Rng& rng);
 
-/// eps-DP mode: the most frequent value of `attr` via exponential
-/// selection with u(v) = count(v) (sensitivity 1).
-int64_t DpMode(const Dataset& data, size_t attr, double eps, Rng& rng);
-
 }  // namespace pso::dp
 
 #endif  // PSO_DP_EXPONENTIAL_H_

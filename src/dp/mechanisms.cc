@@ -13,12 +13,6 @@ double LaplaceCount(const Dataset& data, const Predicate& query, double eps,
   return count + rng.Laplace(1.0 / eps);
 }
 
-double LaplaceValue(double value, double sensitivity, double eps, Rng& rng) {
-  PSO_CHECK(eps > 0.0);
-  PSO_CHECK(sensitivity > 0.0);
-  return value + rng.Laplace(sensitivity / eps);
-}
-
 int64_t GeometricCount(const Dataset& data, const Predicate& query,
                        double eps, Rng& rng) {
   int64_t count = static_cast<int64_t>(CountMatches(query, data));
@@ -40,34 +34,6 @@ std::vector<int64_t> NoisyHistogram(const Dataset& data, size_t attr,
   }
   for (int64_t& c : counts) c = GeometricValue(c, eps, rng);
   return counts;
-}
-
-std::vector<int64_t> RandomizedResponse(const Dataset& data, size_t attr,
-                                        double eps, Rng& rng) {
-  PSO_CHECK(eps > 0.0);
-  PSO_CHECK(attr < data.schema().NumAttributes());
-  const Attribute& a = data.schema().attribute(attr);
-  PSO_CHECK_MSG(a.MinValue() == 0 && a.MaxValue() == 1,
-                "randomized response needs a binary attribute");
-  double keep = std::exp(eps) / (1.0 + std::exp(eps));
-  std::vector<int64_t> reports;
-  reports.reserve(data.size());
-  for (const Record& r : data.records()) {
-    int64_t bit = r[attr];
-    reports.push_back(rng.Bernoulli(keep) ? bit : 1 - bit);
-  }
-  return reports;
-}
-
-double RandomizedResponseEstimate(const std::vector<int64_t>& reports,
-                                  double eps) {
-  PSO_CHECK(eps > 0.0);
-  double keep = std::exp(eps) / (1.0 + std::exp(eps));
-  double ones = 0.0;
-  for (int64_t b : reports) ones += static_cast<double>(b);
-  double n = static_cast<double>(reports.size());
-  // E[reported ones] = keep * true + (1-keep) * (n - true).
-  return (ones - (1.0 - keep) * n) / (2.0 * keep - 1.0);
 }
 
 }  // namespace pso::dp

@@ -22,10 +22,6 @@ namespace pso::dp {
 double LaplaceCount(const Dataset& data, const Predicate& query, double eps,
                     Rng& rng);
 
-/// Laplace mechanism for an arbitrary real statistic with known L1
-/// `sensitivity`: value + Lap(sensitivity / eps).
-double LaplaceValue(double value, double sensitivity, double eps, Rng& rng);
-
 /// Discrete (two-sided geometric) mechanism for an integer count:
 /// count + Geom(alpha = e^{-eps}). eps-DP for sensitivity-1 counts and
 /// integer-valued, which the census tabulator prefers.
@@ -41,18 +37,6 @@ int64_t GeometricValue(int64_t value, double eps, Rng& rng);
 /// composition the whole histogram is eps-DP.
 std::vector<int64_t> NoisyHistogram(const Dataset& data, size_t attr,
                                     double eps, Rng& rng);
-
-/// Randomized response on a binary attribute: each reported bit is kept
-/// with probability e^eps/(1+e^eps) and flipped otherwise; the vector of
-/// reports is eps-DP per record (local DP).
-std::vector<int64_t> RandomizedResponse(const Dataset& data, size_t attr,
-                                        double eps, Rng& rng);
-
-/// Unbiased estimate of the true count of 1s from randomized-response
-/// reports produced with the same eps.
-double RandomizedResponseEstimate(const std::vector<int64_t>& reports,
-                                  double eps);
-
 }  // namespace pso::dp
 
 #endif  // PSO_DP_MECHANISMS_H_

@@ -50,10 +50,4 @@ double TClosenessValue(const Dataset& data,
   return worst;
 }
 
-bool IsTClose(const Dataset& data,
-              const std::vector<std::vector<size_t>>& classes,
-              size_t sensitive_attr, double t) {
-  return TClosenessValue(data, classes, sensitive_attr) <= t;
-}
-
 }  // namespace pso::kanon

@@ -27,11 +27,6 @@ double TClosenessValue(const Dataset& data,
                        const std::vector<std::vector<size_t>>& classes,
                        size_t sensitive_attr);
 
-/// True if TClosenessValue(...) <= t.
-bool IsTClose(const Dataset& data,
-              const std::vector<std::vector<size_t>>& classes,
-              size_t sensitive_attr, double t);
-
 }  // namespace pso::kanon
 
 #endif  // PSO_KANON_CHECKS_H_

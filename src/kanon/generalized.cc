@@ -29,26 +29,6 @@ bool GeneralizedDataset::Covers(size_t i, const Record& record) const {
   return true;
 }
 
-PredicateRef GeneralizedDataset::RowPredicate(size_t i) const {
-  return hierarchies_.CellsPredicate(row(i));
-}
-
-std::vector<std::vector<size_t>> GeneralizedDataset::EquivalenceClasses()
-    const {
-  std::map<std::vector<std::pair<int64_t, int64_t>>, std::vector<size_t>>
-      buckets;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    std::vector<std::pair<int64_t, int64_t>> key;
-    key.reserve(rows_[i].size());
-    for (const GenCell& c : rows_[i]) key.emplace_back(c.lo, c.hi);
-    buckets[std::move(key)].push_back(i);
-  }
-  std::vector<std::vector<size_t>> classes;
-  classes.reserve(buckets.size());
-  for (auto& [key, rows] : buckets) classes.push_back(std::move(rows));
-  return classes;
-}
-
 std::string GeneralizedDataset::ToString(size_t max_rows) const {
   std::string out;
   for (size_t i = 0; i < rows_.size() && i < max_rows; ++i) {

@@ -12,7 +12,6 @@
 
 #include "data/dataset.h"
 #include "kanon/hierarchy.h"
-#include "predicate/predicate.h"
 
 namespace pso::kanon {
 
@@ -34,12 +33,6 @@ class GeneralizedDataset {
 
   /// True if generalized row `i` covers `record` on every attribute.
   bool Covers(size_t i, const Record& record) const;
-
-  /// Predicate matching exactly the records covered by row `i`.
-  PredicateRef RowPredicate(size_t i) const;
-
-  /// Groups row indices by identical cell vectors (equivalence classes).
-  std::vector<std::vector<size_t>> EquivalenceClasses() const;
 
   /// Renders the first `max_rows` generalized rows.
   std::string ToString(size_t max_rows = 20) const;

@@ -117,20 +117,4 @@ std::string HierarchySet::CellToString(size_t attr,
   return a.ValueToString(cell.lo) + "-" + a.ValueToString(cell.hi);
 }
 
-PredicateRef HierarchySet::CellsPredicate(
-    const std::vector<GenCell>& cells) const {
-  PSO_CHECK(cells.size() == schema_.NumAttributes());
-  std::vector<PredicateRef> terms;
-  terms.reserve(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Attribute& a = schema_.attribute(i);
-    if (cells[i].lo <= a.MinValue() && cells[i].hi >= a.MaxValue()) {
-      continue;  // suppressed attribute constrains nothing
-    }
-    terms.push_back(
-        MakeAttributeRange(i, cells[i].lo, cells[i].hi, a.name()));
-  }
-  return MakeAnd(std::move(terms));
-}
-
 }  // namespace pso::kanon

@@ -96,10 +96,6 @@ class HierarchySet {
   /// Renders a cell of attribute `attr` ("42", "40-49", or "*").
   std::string CellToString(size_t attr, const GenCell& cell) const;
 
-  /// Predicate matching exactly the records covered by `cells`
-  /// (conjunction of attribute ranges).
-  PredicateRef CellsPredicate(const std::vector<GenCell>& cells) const;
-
  private:
   Schema schema_;
   std::vector<ValueHierarchy> hierarchies_;

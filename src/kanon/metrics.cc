@@ -2,29 +2,6 @@
 
 namespace pso::kanon {
 
-double DiscernibilityMetric(const AnonymizationResult& result) {
-  double total = 0.0;
-  double n = static_cast<double>(result.generalized.size());
-  for (const auto& cls : result.classes) {
-    double s = static_cast<double>(cls.size());
-    // The suppressed catch-all class is indistinguishable from everything.
-    bool all_suppressed = true;
-    for (size_t i : cls) {
-      const auto& row = result.generalized.row(i);
-      for (size_t a = 0; a < row.size(); ++a) {
-        const Attribute& attr = result.generalized.schema().attribute(a);
-        if (!(row[a].lo <= attr.MinValue() && row[a].hi >= attr.MaxValue())) {
-          all_suppressed = false;
-          break;
-        }
-      }
-      if (!all_suppressed) break;
-    }
-    total += all_suppressed ? s * n : s * s;
-  }
-  return total;
-}
-
 double GeneralizedInformationLoss(const GeneralizedDataset& gds) {
   if (gds.size() == 0) return 0.0;
   const Schema& schema = gds.schema();
@@ -41,11 +18,4 @@ double GeneralizedInformationLoss(const GeneralizedDataset& gds) {
   }
   return cells == 0 ? 0.0 : total / static_cast<double>(cells);
 }
-
-double AverageClassSize(const AnonymizationResult& result) {
-  if (result.classes.empty()) return 0.0;
-  return static_cast<double>(result.generalized.size()) /
-         static_cast<double>(result.classes.size());
-}
-
 }  // namespace pso::kanon

@@ -1,30 +1,20 @@
-// Information-content metrics for anonymized releases.
+// Information-content metric for anonymized releases.
 //
 // k-anonymizers "attempt to retain as much as possible information"
-// (Section 2.3.4); these metrics quantify how much a release kept, so the
+// (Section 2.3.4); this metric quantifies how much a release kept, so the
 // attack benches can show the privacy/utility trade-off.
 
 #ifndef PSO_KANON_METRICS_H_
 #define PSO_KANON_METRICS_H_
 
-#include <cstddef>
-#include <vector>
-
 #include "kanon/generalized.h"
 
 namespace pso::kanon {
-
-/// Discernibility metric: sum over classes of |class|^2 (suppressed rows
-/// counted as |dataset| each). Lower is better.
-double DiscernibilityMetric(const AnonymizationResult& result);
 
 /// Normalized generalized information loss in [0,1]: the mean over all
 /// cells of (cell width - 1) / (domain size - 1). 0 = exact data,
 /// 1 = everything suppressed.
 double GeneralizedInformationLoss(const GeneralizedDataset& gds);
-
-/// Average equivalence-class size (C_avg = n / #classes).
-double AverageClassSize(const AnonymizationResult& result);
 
 }  // namespace pso::kanon
 

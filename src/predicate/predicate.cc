@@ -426,16 +426,4 @@ bool Isolates(const Predicate& pred, const Dataset& dataset) {
   return count == 1;
 }
 
-std::optional<size_t> IsolatedIndex(const Predicate& pred,
-                                    const Dataset& dataset) {
-  std::optional<size_t> found;
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    if (pred.Eval(dataset.record(i))) {
-      if (found.has_value()) return std::nullopt;
-      found = i;
-    }
-  }
-  return found;
-}
-
 }  // namespace pso

@@ -37,8 +37,8 @@ class Predicate {
   virtual std::vector<size_t> AttributesTouched() const { return {}; }
 
   /// Exact weight w_D(p) = Pr_{x~D}[p(x)=1] under a product distribution,
-  /// when analytically computable; std::nullopt otherwise (callers fall
-  /// back to Monte-Carlo estimation, see weight.h).
+  /// when analytically computable; std::nullopt otherwise (PsoGame then
+  /// bounds the weight over a Monte-Carlo pool, see pso/game.h).
   virtual std::optional<double> ExactWeight(
       const ProductDistribution& dist) const {
     (void)dist;
@@ -108,10 +108,6 @@ size_t CountMatches(const Predicate& pred, const Dataset& dataset);
 
 /// True iff `pred` isolates in `dataset`: exactly one matching record.
 bool Isolates(const Predicate& pred, const Dataset& dataset);
-
-/// Index of the unique matching record if `pred` isolates, else nullopt.
-std::optional<size_t> IsolatedIndex(const Predicate& pred,
-                                    const Dataset& dataset);
 
 }  // namespace pso
 

@@ -114,7 +114,6 @@ class DecoyOracle final : public SubsetSumOracle {
   /// Flips `flips` uniformly random positions of `bits` to form the decoy.
   DecoyOracle(std::vector<uint8_t> bits, size_t flips, uint64_t seed);
 
-  const std::vector<uint8_t>& decoy() const { return decoy_; }
 
  protected:
   double Perturb(const SubsetQuery& query, double exact, Rng&) override;

@@ -64,7 +64,6 @@ class QueryService {
 
   size_t n() const { return secret_.size(); }
   const QueryServiceOptions& options() const { return options_; }
-  const dp::BudgetLedger& ledger() const { return ledger_; }
 
   /// The private dataset — exposed for experiment scoring only (the
   /// attacker never calls this; the loadgen regenerates it from the

@@ -3,10 +3,10 @@
 //
 // One QueryServer owns a listening socket on 127.0.0.1 and an accept
 // loop (Run(), on the caller's thread). Each accepted connection is
-// handled as one task on the service ThreadPool via TaskGroup — the
-// async executor — or inline when no pool was given. A connection
-// handler reads newline-delimited requests (wire.h), groups consecutive
-// pipelined queries from the same client into batches of at most
+// handled as one task on the service ThreadPool via TaskGroup, or
+// inline when no pool was given. A connection handler reads
+// newline-delimited requests (wire.h), groups consecutive pipelined
+// queries from the same client into batches of at most
 // options().max_batch, answers them through QueryService::AnswerBatch,
 // and writes the responses back in request order.
 //

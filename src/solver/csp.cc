@@ -214,10 +214,4 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
   return solutions;
 }
 
-bool CountCsp::IsSatisfiable(size_t max_nodes) const {
-  CspStats stats;
-  auto sols = Enumerate(1, max_nodes, &stats);
-  return !sols.empty();
-}
-
 }  // namespace pso

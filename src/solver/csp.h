@@ -51,9 +51,9 @@ struct CspStats {
 /// Malformed input (zero domain, mask arity mismatch, inverted or
 /// negative count windows) does not abort: the first violation is
 /// recorded and surfaced as an InvalidArgument status by build_status();
-/// Enumerate/IsSatisfiable on a poisoned instance report no solutions
-/// with `complete == false`, so untrusted instances hard-fail
-/// recoverably instead of crashing the process.
+/// Enumerate on a poisoned instance reports no solutions with
+/// `complete == false`, so untrusted instances hard-fail recoverably
+/// instead of crashing the process.
 class CountCsp {
  public:
   /// `num_vars` variables over a shared domain of `domain_size` values
@@ -80,9 +80,6 @@ class CountCsp {
   std::vector<std::vector<size_t>> Enumerate(size_t max_solutions,
                                              size_t max_nodes,
                                              CspStats* stats) const;
-
-  /// True iff at least one solution exists (bounded by `max_nodes`).
-  bool IsSatisfiable(size_t max_nodes = 1000000) const;
 
   /// One count constraint as added: `lo <= #{matching vars} <= hi`.
   struct Constraint {

@@ -105,7 +105,6 @@ class LpProblem {
   void AddConstraint(const std::vector<std::pair<size_t, double>>& coeffs,
                      Relation rel, double rhs);
 
-  size_t num_variables() const { return instance_.variables.size(); }
   size_t num_constraints() const { return instance_.rows.size(); }
 
   /// The validated plain-data instance (what the simplex consumes). Only

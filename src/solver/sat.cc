@@ -133,11 +133,6 @@ void SatSolver::AddAtLeastK(const std::vector<Lit>& lits, size_t k) {
   AddUnit(MakeLit(t[n - 1][k - 1], true));
 }
 
-void SatSolver::AddExactlyK(const std::vector<Lit>& lits, size_t k) {
-  AddAtMostK(lits, k);
-  AddAtLeastK(lits, k);
-}
-
 void SatSolver::AddAtMostOne(const std::vector<Lit>& lits) {
   // Pairwise is propagation-strongest but quadratic in clauses; past a
   // small cutoff the sequential counter's O(n) auxiliaries win (the

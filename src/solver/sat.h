@@ -111,9 +111,6 @@ class SatSolver {
   /// "At least k of `lits` are true" (AtMostK over the negations).
   void AddAtLeastK(const std::vector<Lit>& lits, size_t k);
 
-  /// "Exactly k of `lits` are true".
-  void AddExactlyK(const std::vector<Lit>& lits, size_t k);
-
   /// Decides the formula with the CDCL engine. `max_decisions` bounds the
   /// search (0 = unlimited); exceeding it returns kResourceExhausted.
   /// Returns the recorded build_status() error if the formula is

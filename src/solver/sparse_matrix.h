@@ -46,7 +46,6 @@ class SparseMatrix {
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
-  size_t nnz() const { return row_index_.size(); }
 
   /// Entry count of column `c`.
   size_t ColumnNnz(size_t c) const { return col_start_[c + 1] - col_start_[c]; }

@@ -79,12 +79,6 @@ TEST(StrUtilTest, Trim) {
   EXPECT_EQ(Trim("   "), "");
 }
 
-TEST(StrUtilTest, StartsWith) {
-  EXPECT_TRUE(StartsWith("abcdef", "abc"));
-  EXPECT_FALSE(StartsWith("ab", "abc"));
-  EXPECT_TRUE(StartsWith("anything", ""));
-}
-
 TEST(TextTableTest, RendersAlignedColumns) {
   TextTable t({"name", "value"});
   t.AddRow({"alpha", "1"});
@@ -93,13 +87,6 @@ TEST(TextTableTest, RendersAlignedColumns) {
   EXPECT_NE(rendered.find("| name "), std::string::npos);
   EXPECT_NE(rendered.find("| alpha "), std::string::npos);
   EXPECT_NE(rendered.find("| 10000 "), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 2u);
-}
-
-TEST(TextTableTest, NumericRowPrecision) {
-  TextTable t({"x"});
-  t.AddNumericRow({0.123456}, 2);
-  EXPECT_NE(t.Render().find("0.12"), std::string::npos);
 }
 
 }  // namespace

@@ -42,20 +42,6 @@ TEST(DatasetTest, ProjectReorders) {
   EXPECT_EQ(p.record(0), (Record{2, 1}));
 }
 
-TEST(DatasetTest, SelectRows) {
-  Dataset d(TwoColSchema(), {{1, 1}, {2, 2}, {3, 3}});
-  Dataset s = d.Select({2, 0});
-  EXPECT_EQ(s.size(), 2u);
-  EXPECT_EQ(s.record(0), (Record{3, 3}));
-  EXPECT_EQ(s.record(1), (Record{1, 1}));
-}
-
-TEST(DatasetTest, CountEqual) {
-  Dataset d(TwoColSchema(), {{1, 1}, {2, 2}, {1, 1}});
-  EXPECT_EQ(d.CountEqual({1, 1}), 2u);
-  EXPECT_EQ(d.CountEqual({9, 9}), 0u);
-}
-
 TEST(DatasetTest, GroupIdenticalPartitionsRows) {
   Dataset d(TwoColSchema(), {{1, 1}, {2, 2}, {1, 1}, {3, 3}});
   auto groups = d.GroupIdentical();
@@ -63,16 +49,6 @@ TEST(DatasetTest, GroupIdenticalPartitionsRows) {
   size_t covered = 0;
   for (const auto& g : groups) covered += g.size();
   EXPECT_EQ(covered, 4u);
-}
-
-TEST(DatasetTest, FractionUnique) {
-  Dataset d(TwoColSchema(), {{1, 1}, {2, 2}, {1, 1}, {3, 3}});
-  EXPECT_DOUBLE_EQ(d.FractionUnique(), 0.5);  // rows {2,2} and {3,3}
-}
-
-TEST(DatasetTest, FractionUniqueEmpty) {
-  Dataset d{TwoColSchema()};
-  EXPECT_DOUBLE_EQ(d.FractionUnique(), 0.0);
 }
 
 TEST(DatasetTest, ToStringTruncates) {

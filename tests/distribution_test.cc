@@ -43,11 +43,6 @@ TEST(MarginalTest, MassInRange) {
   EXPECT_DOUBLE_EQ(m.MassInRange(5, 4), 0.0);     // empty
 }
 
-TEST(MarginalTest, MaxProbability) {
-  Marginal m(0, {1.0, 3.0, 1.0});
-  EXPECT_DOUBLE_EQ(m.MaxProbability(), 0.6);
-}
-
 TEST(MarginalTest, SamplingMatchesProbabilities) {
   Marginal m(10, {1.0, 2.0, 7.0});
   Rng rng(3);
@@ -84,14 +79,6 @@ TEST(ProductDistributionTest, UniformOverFactory) {
   EXPECT_DOUBLE_EQ(d.RecordProbability({0, 0}), 1.0 / 6.0);
 }
 
-TEST(ProductDistributionTest, MinEntropySumsPerAttribute) {
-  Schema s = SmallSchema();
-  ProductDistribution d(
-      s, {Marginal(0, {0.5, 0.5}), Marginal(0, {0.25, 0.25, 0.5})});
-  // -log2(0.5) + -log2(0.5) = 1 + 1 = 2 bits.
-  EXPECT_NEAR(d.MinEntropyBits(), 2.0, 1e-9);
-}
-
 TEST(ProductDistributionTest, SampleDatasetShape) {
   Schema s = SmallSchema();
   ProductDistribution d = ProductDistribution::UniformOver(s);
@@ -113,19 +100,6 @@ TEST(ProductDistributionTest, SamplingMatchesJointProbability) {
     if (r[0] == 1 && r[1] == 0) ++hits;
   }
   EXPECT_NEAR(hits / static_cast<double>(kTrials), 0.42, 0.01);
-}
-
-TEST(EmpiricalDistributionTest, ResamplesReference) {
-  Schema s = SmallSchema();
-  Dataset ref(s, {{0, 0}, {0, 0}, {1, 2}, {1, 1}});
-  EmpiricalDistribution d{ref};
-  EXPECT_DOUBLE_EQ(d.RecordProbability({0, 0}), 0.5);
-  EXPECT_DOUBLE_EQ(d.RecordProbability({1, 2}), 0.25);
-  EXPECT_DOUBLE_EQ(d.RecordProbability({1, 0}), 0.0);
-  Rng rng(21);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_GT(d.RecordProbability(d.Sample(rng)), 0.0);
-  }
 }
 
 }  // namespace

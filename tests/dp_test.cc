@@ -27,23 +27,15 @@ TEST(LaplaceCountTest, UnbiasedAndScaled) {
   auto q = MakeAttributeEquals(0, 1, "trait");
   Rng rng(1);
   RunningStats stats;
+  RunningStats error;  // |answer - 3|
   for (int i = 0; i < 20000; ++i) {
-    stats.Add(LaplaceCount(d, *q, /*eps=*/1.0, rng));
+    const double answer = LaplaceCount(d, *q, /*eps=*/1.0, rng);
+    stats.Add(answer);
+    error.Add(std::fabs(answer - 3.0));
   }
   EXPECT_NEAR(stats.mean(), 3.0, 0.05);
-  // Var(Lap(1/eps)) = 2/eps^2 = 2.
-  EXPECT_NEAR(stats.variance(), 2.0, 0.15);
-}
-
-TEST(LaplaceValueTest, SensitivityScalesNoise) {
-  Rng rng(2);
-  RunningStats s1;
-  RunningStats s5;
-  for (int i = 0; i < 20000; ++i) {
-    s1.Add(LaplaceValue(0.0, 1.0, 1.0, rng));
-    s5.Add(LaplaceValue(0.0, 5.0, 1.0, rng));
-  }
-  EXPECT_NEAR(s5.stddev() / s1.stddev(), 5.0, 0.5);
+  // E|Lap(1/eps)| = 1/eps = 1.
+  EXPECT_NEAR(error.mean(), 1.0, 0.05);
 }
 
 TEST(GeometricCountTest, IntegerValuedAndUnbiased) {
@@ -70,38 +62,13 @@ TEST(NoisyHistogramTest, ShapePreserved) {
   EXPECT_NEAR(static_cast<double>(hist[2]), 0.0, 10.0);
 }
 
-TEST(RandomizedResponseTest, EstimateIsUnbiased) {
-  std::vector<int64_t> bits(2000, 0);
-  for (size_t i = 0; i < 700; ++i) bits[i] = 1;
-  Dataset d = MakeBits(bits);
-  Rng rng(5);
-  RunningStats est;
-  for (int rep = 0; rep < 200; ++rep) {
-    auto reports = RandomizedResponse(d, 0, /*eps=*/1.0, rng);
-    est.Add(RandomizedResponseEstimate(reports, 1.0));
-  }
-  EXPECT_NEAR(est.mean(), 700.0, 15.0);
-}
-
-TEST(RandomizedResponseTest, FlipRateMatchesEps) {
-  std::vector<int64_t> bits(50000, 1);
-  Dataset d = MakeBits(bits);
-  Rng rng(6);
-  auto reports = RandomizedResponse(d, 0, /*eps=*/1.0, rng);
-  double kept = 0;
-  for (int64_t b : reports) kept += static_cast<double>(b);
-  double keep_prob = std::exp(1.0) / (1.0 + std::exp(1.0));
-  EXPECT_NEAR(kept / 50000.0, keep_prob, 0.01);
-}
-
 TEST(AccountantTest, BasicCompositionAdds) {
   PrivacyAccountant acc;
-  acc.Spend(0.5, 0.0, "count A");
-  acc.Spend(0.7, 1e-6, "count B");
+  acc.Spend(0.5);
+  acc.Spend(0.7, 1e-6);
   PrivacyGuarantee g = acc.BasicComposition();
   EXPECT_DOUBLE_EQ(g.eps, 1.2);
   EXPECT_DOUBLE_EQ(g.delta, 1e-6);
-  EXPECT_EQ(acc.num_releases(), 2u);
 }
 
 TEST(AccountantTest, AdvancedBeatsBasicForManySmallReleases) {

@@ -114,36 +114,13 @@ TEST(HierarchySetTest, CellToString) {
   EXPECT_EQ(hs.CellToString(1, GenCell{0, 1}), "*");
 }
 
-TEST(HierarchySetTest, CellsPredicateMatchesCover) {
-  Schema s = TestSchema();
-  HierarchySet hs = HierarchySet::Defaults(s);
-  std::vector<GenCell> cells = {{30, 39}, {0, 0}, {0, 99}};
-  auto p = hs.CellsPredicate(cells);
-  EXPECT_TRUE(p->Eval({35, 0, 50}));
-  EXPECT_FALSE(p->Eval({35, 1, 50}));
-  EXPECT_FALSE(p->Eval({40, 0, 50}));
-}
-
-TEST(GeneralizedDatasetTest, CoversAndPredicate) {
+TEST(GeneralizedDatasetTest, Covers) {
   Schema s = TestSchema();
   HierarchySet hs = HierarchySet::Defaults(s);
   GeneralizedDataset gds{hs};
   gds.Append({{30, 39}, {0, 0}, {10, 19}});
   EXPECT_TRUE(gds.Covers(0, {31, 0, 15}));
   EXPECT_FALSE(gds.Covers(0, {31, 1, 15}));
-  auto p = gds.RowPredicate(0);
-  EXPECT_TRUE(p->Eval({31, 0, 15}));
-}
-
-TEST(GeneralizedDatasetTest, EquivalenceClasses) {
-  Schema s = TestSchema();
-  HierarchySet hs = HierarchySet::Defaults(s);
-  GeneralizedDataset gds{hs};
-  gds.Append({{30, 39}, {0, 0}, {10, 19}});
-  gds.Append({{30, 39}, {0, 0}, {10, 19}});
-  gds.Append({{40, 49}, {0, 0}, {10, 19}});
-  auto classes = gds.EquivalenceClasses();
-  EXPECT_EQ(classes.size(), 2u);
 }
 
 TEST(GeneralizedDatasetTest, IsKAnonymousOverQi) {

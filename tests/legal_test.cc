@@ -15,8 +15,10 @@ PsoGameResult FakeGame(const std::string& mech, const std::string& adv,
   r.adversary = adv;
   r.n = 500;
   r.weight_threshold = 1.0 / 5000.0;
-  r.pso_success.AddBatch(successes, trials);
-  r.isolation.AddBatch(successes, trials);
+  for (size_t i = 0; i < trials; ++i) {
+    r.pso_success.Add(i < successes);
+    r.isolation.Add(i < successes);
+  }
   r.baseline = baseline;
   r.advantage = r.pso_success.rate() - baseline;
   return r;

@@ -18,6 +18,12 @@ int Suppressed() {
   return std::rand();  // pso-lint: allow(rand)
 }
 
+int AfterDigitSeparators() {
+  // An odd number of digit separators is not an unclosed char literal.
+  const long long big = 5'000'000'000;
+  return static_cast<int>(big) + std::rand();  // lint-expect: rand
+}
+
 int Clean() {
   // Identifiers merely containing the banned names never fire:
   int operand = 3;       // "rand" inside a word

@@ -12,19 +12,27 @@
 namespace pso {
 namespace {
 
-// Routes output to the in-memory capture for the test's duration and
-// restores the defaults afterwards, so tests cannot leak sink state.
+// Captures the sink (stderr) for the test's duration and restores the
+// default level afterwards, so tests cannot leak logger state.
 class LogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    log::CaptureToString(true);
     log::SetMinLevel(log::Level::kDebug);
+    testing::internal::CaptureStderr();
   }
   void TearDown() override {
-    log::TakeCaptured();
-    log::CaptureToString(false);
+    if (capturing_) TakeCaptured();
     log::SetMinLevel(log::Level::kWarn);
   }
+
+  // Ends the capture and returns what the sink wrote.
+  std::string TakeCaptured() {
+    capturing_ = false;
+    return testing::internal::GetCapturedStderr();
+  }
+
+ private:
+  bool capturing_ = true;
 };
 
 std::vector<std::string> Lines(const std::string& text) {
@@ -45,7 +53,7 @@ TEST_F(LogTest, LevelFilteringDropsBelowMin) {
   PSO_LOG(INFO) << "dropped too";
   PSO_LOG(WARN) << "kept";
   PSO_LOG(ERROR) << "kept too";
-  std::string out = log::TakeCaptured();
+  std::string out = TakeCaptured();
   EXPECT_EQ(out.find("dropped"), std::string::npos);
   EXPECT_NE(out.find("kept"), std::string::npos);
   EXPECT_NE(out.find("kept too"), std::string::npos);
@@ -61,7 +69,7 @@ TEST_F(LogTest, ShouldLogMatchesMinLevel) {
 
 TEST_F(LogTest, JsonLineShape) {
   PSO_LOG(WARN).Field("block", 17).Field("ratio", 0.5) << "sat exhausted";
-  std::string out = log::TakeCaptured();
+  std::string out = TakeCaptured();
   std::vector<std::string> captured = Lines(out);
   ASSERT_EQ(captured.size(), 1u);
   const std::string& line = captured[0];
@@ -78,7 +86,7 @@ TEST_F(LogTest, JsonLineShape) {
 
 TEST_F(LogTest, MessageEscapesJsonMetacharacters) {
   PSO_LOG(WARN).Field("path", "a\"b\\c") << "line\nbreak";
-  std::string out = log::TakeCaptured();
+  std::string out = TakeCaptured();
   EXPECT_NE(out.find("line\\nbreak"), std::string::npos);
   EXPECT_NE(out.find("a\\\"b\\\\c"), std::string::npos);
 }
@@ -86,7 +94,7 @@ TEST_F(LogTest, MessageEscapesJsonMetacharacters) {
 TEST_F(LogTest, StreamedValuesFormat) {
   PSO_LOG(WARN) << "n=" << 42 << " f=" << 1.5 << " b=" << true
                 << " z=" << size_t{7};
-  std::string out = log::TakeCaptured();
+  std::string out = TakeCaptured();
   EXPECT_NE(out.find("n=42 f=1.5 b=true z=7"), std::string::npos);
 }
 
@@ -114,7 +122,7 @@ TEST_F(LogTest, ConcurrentWritersEmitOneLineEach) {
     });
   }
   for (std::thread& t : threads) t.join();
-  std::vector<std::string> lines = Lines(log::TakeCaptured());
+  std::vector<std::string> lines = Lines(TakeCaptured());
   EXPECT_EQ(lines.size(), kThreads * kPerThread);
   for (const std::string& line : lines) {
     EXPECT_EQ(line.front(), '{');
@@ -123,7 +131,7 @@ TEST_F(LogTest, ConcurrentWritersEmitOneLineEach) {
 }
 
 TEST_F(LogTest, InitializedAfterConfiguration) {
-  EXPECT_TRUE(log::Initialized());  // SetUp configured the capture sink
+  EXPECT_TRUE(log::Initialized());  // SetUp set the level
 }
 
 }  // namespace

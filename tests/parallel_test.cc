@@ -176,7 +176,6 @@ TEST(TaskGroupTest, WaitsForAllSubmittedTasks) {
   }
   group.Wait();
   EXPECT_EQ(done.load(), kTasks);
-  EXPECT_EQ(group.pending(), 0u);
   // The group stays usable after a Wait.
   group.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
   group.Wait();

@@ -169,17 +169,6 @@ TEST(IsolationTest, CountMatchesAndIsolates) {
   EXPECT_FALSE(Isolates(*MakeFalse(), x));  // zero matches
 }
 
-TEST(IsolationTest, IsolatedIndex) {
-  Schema s = TestSchema();
-  Dataset x(s, {{30, 0, 1}, {35, 1, 2}});
-  auto p = MakeAttributeEquals(0, 35, "age");
-  auto idx = IsolatedIndex(*p, x);
-  ASSERT_TRUE(idx.has_value());
-  EXPECT_EQ(*idx, 1u);
-  EXPECT_FALSE(IsolatedIndex(*MakeTrue(), x).has_value());
-  EXPECT_FALSE(IsolatedIndex(*MakeFalse(), x).has_value());
-}
-
 // Definition 2.1 rules out isolation by position: predicates only see
 // values, so two identical records can never be separated.
 TEST(IsolationTest, IdenticalRecordsCannotBeSeparated) {

@@ -116,20 +116,6 @@ TEST(RngTest, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / kTrials, 0.25, 0.01);
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(43);
-  double sum = 0.0;
-  double sq = 0.0;
-  const int kTrials = 200000;
-  for (int i = 0; i < kTrials; ++i) {
-    double x = rng.Gaussian(5.0, 2.0);
-    sum += x;
-    sq += (x - 5.0) * (x - 5.0);
-  }
-  EXPECT_NEAR(sum / kTrials, 5.0, 0.05);
-  EXPECT_NEAR(sq / kTrials, 4.0, 0.1);
-}
-
 TEST(RngTest, TwoSidedGeometricSymmetricAndShaped) {
   Rng rng(47);
   const double kAlpha = std::exp(-1.0);  // eps = 1

@@ -84,7 +84,8 @@ TEST(SatCardinalityTest, ExactlyKCounts) {
     SatSolver s(6);
     std::vector<Lit> lits;
     for (uint32_t v = 0; v < 6; ++v) lits.push_back(MakeLit(v, true));
-    s.AddExactlyK(lits, k);
+    s.AddAtMostK(lits, k);
+    s.AddAtLeastK(lits, k);
     auto sol = s.Solve();
     ASSERT_TRUE(sol.ok());
     ASSERT_TRUE(sol->satisfiable) << "k=" << k;

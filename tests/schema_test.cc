@@ -81,11 +81,5 @@ TEST(SchemaTest, RecordKeyDistinguishesRecords) {
   EXPECT_NE(s.RecordKey({1, 0, 0}), s.RecordKey({1, 0, 1}));
 }
 
-TEST(SchemaTest, Log2DomainSize) {
-  Schema s = TestSchema();
-  // 100 * 2 * 3 = 600 values -> log2(600).
-  EXPECT_NEAR(s.Log2DomainSize(), std::log2(600.0), 1e-9);
-}
-
 }  // namespace
 }  // namespace pso

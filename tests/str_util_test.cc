@@ -49,13 +49,5 @@ TEST(TrimTest, StripsAsciiWhitespaceOnly) {
   EXPECT_EQ(Trim("inner  kept"), "inner  kept");
 }
 
-TEST(StartsWithTest, Basics) {
-  EXPECT_TRUE(StartsWith("abcdef", "abc"));
-  EXPECT_TRUE(StartsWith("abc", ""));
-  EXPECT_TRUE(StartsWith("", ""));
-  EXPECT_FALSE(StartsWith("ab", "abc"));
-  EXPECT_FALSE(StartsWith("xabc", "abc"));
-}
-
 }  // namespace
 }  // namespace pso

@@ -1,8 +1,9 @@
-// Tests for weight computation (Definition 2.4's w_D(p)).
+// Tests for predicate weights (Definition 2.4's w_D(p)).
 
 #include <gtest/gtest.h>
 
-#include "predicate/weight.h"
+#include "common/stats.h"
+#include "predicate/predicate.h"
 
 namespace pso {
 namespace {
@@ -14,13 +15,10 @@ Schema TestSchema() {
 
 TEST(WeightTest, ExactPathForDecomposablePredicates) {
   auto d = ProductDistribution::UniformOver(TestSchema());
-  Rng rng(1);
   auto p = MakeAnd({MakeAttributeEquals(0, 3), MakeAttributeEquals(1, 7)});
-  WeightEstimate w = ComputeWeight(*p, d, rng);
-  EXPECT_TRUE(w.exact);
-  EXPECT_DOUBLE_EQ(w.value, 0.01);
-  EXPECT_EQ(w.samples, 0u);
-  EXPECT_DOUBLE_EQ(w.interval.lo, w.interval.hi);
+  std::optional<double> w = p->ExactWeight(d);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_DOUBLE_EQ(*w, 0.01);
 }
 
 TEST(WeightTest, MonteCarloPathForHashPredicates) {
@@ -32,36 +30,17 @@ TEST(WeightTest, MonteCarloPathForHashPredicates) {
   Rng rng(2);
   UniversalHash h(rng, 20);
   auto p = MakeHashPredicate(s, h, 0);
-  WeightEstimate w = ComputeWeight(*p, d, rng, 50000);
-  EXPECT_FALSE(w.exact);
-  EXPECT_EQ(w.samples, 50000u);
-  EXPECT_NEAR(w.value, 0.05, 0.01);
-  EXPECT_TRUE(w.interval.Contains(w.value));
-  EXPECT_LT(w.interval.lo, w.interval.hi);
-}
-
-TEST(WeightTest, MonteCarloConsistentWithExact) {
-  Schema s = TestSchema();
-  auto d = ProductDistribution::UniformOver(s);
-  Rng rng(3);
-  auto p = MakeAttributeRange(0, 0, 4);
-  WeightEstimate mc = EstimateWeightMonteCarlo(*p, d, rng, 100000);
-  EXPECT_NEAR(mc.value, 0.5, 0.01);
-  EXPECT_TRUE(mc.interval.Contains(0.5));
-}
-
-TEST(WeightTest, NegligibleThresholdScalesInverseSquare) {
-  EXPECT_DOUBLE_EQ(NegligibleWeightThreshold(10), 0.01);
-  EXPECT_DOUBLE_EQ(NegligibleWeightThreshold(100), 1e-4);
-  EXPECT_DOUBLE_EQ(NegligibleWeightThreshold(100, 2.0), 2e-4);
+  EXPECT_FALSE(p->ExactWeight(d).has_value());
+  BernoulliEstimator est;
+  for (int i = 0; i < 50000; ++i) est.Add(p->Eval(d.Sample(rng)));
+  EXPECT_NEAR(est.rate(), 0.05, 0.01);
 }
 
 TEST(WeightTest, ZeroWeightPredicate) {
   auto d = ProductDistribution::UniformOver(TestSchema());
-  Rng rng(4);
-  WeightEstimate w = ComputeWeight(*MakeFalse(), d, rng);
-  EXPECT_TRUE(w.exact);
-  EXPECT_DOUBLE_EQ(w.value, 0.0);
+  std::optional<double> w = MakeFalse()->ExactWeight(d);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_DOUBLE_EQ(*w, 0.0);
 }
 
 }  // namespace

@@ -80,6 +80,16 @@ EXPECT_RE = re.compile(r"lint-expect:\s*([a-z0-9_\-]+)")
 FIXTURE_PATH_RE = re.compile(r"pso-lint-fixture-path:\s*(\S+)")
 
 
+def _is_digit_separator(text, i):
+    """True if the quote at text[i] separates digits, as in 5'000'000."""
+    if i + 1 >= len(text) or not text[i + 1].isalnum():
+        return False
+    start = i
+    while start > 0 and (text[start - 1].isalnum() or text[start - 1] in "_.'"):
+        start -= 1
+    return start < i and text[start].isdigit()
+
+
 def strip_comments_and_strings(text):
     """Replaces comment/string/char-literal contents with spaces.
 
@@ -118,6 +128,9 @@ def strip_comments_and_strings(text):
             seg = text[i : end + len(end_marker)]
             out.append("".join("\n" if ch == "\n" else " " for ch in seg))
             i = end + len(end_marker)
+        elif c == "'" and _is_digit_separator(text, i):
+            out.append(c)
+            i += 1
         elif c in ('"', "'"):
             quote = c
             out.append(" ")
