@@ -9,8 +9,8 @@
 // clean instance must only emit non-decreasing, constraint-satisfying
 // solutions, identical to the scan-every-constraint reference search's
 // (solutions and CspStats, also under tiny node and solution caps), and
-// a SAT cross-encoding of it must agree on satisfiability on CDCL and on
-// its DPLL oracle.
+// its CNF encoding (solver/csp_sat.h) must agree on satisfiability on
+// CDCL and on its DPLL oracle, each model decoding to a solution.
 
 #include <cstdint>
 #include <cstdlib>
@@ -22,6 +22,7 @@
 #include "oracles/csp_reference.h"
 #include "oracles/oracles.h"
 #include "solver/csp.h"
+#include "solver/csp_sat.h"
 #include "solver/sat.h"
 
 namespace {
@@ -29,62 +30,22 @@ namespace {
 // Domain sizes to draw from: tiny ones, and ones around word boundaries.
 constexpr size_t kDomains[] = {0, 1, 2, 3, 4, 63, 64, 65, 129};
 
-struct FuzzCount {
-  pso::BitVector mask;
-  int64_t lo = 0;
-  int64_t hi = 0;
-};
-
-// SAT cross-encoding of a clean instance (mask arity == domain): one
-// boolean per (variable, value), exactly-one rows, an auxiliary "matches
-// constraint" literal per variable, cardinality bounds over the
-// auxiliaries. Returns -1 UNSAT, 1 SAT, 0 undecided.
-int CspViaSat(pso::oracles::SatSolveFn solve, size_t num_vars,
-              size_t domain, const std::vector<FuzzCount>& counts) {
-  pso::SatSolver solver(static_cast<uint32_t>(num_vars * domain));
-  auto x = [&](size_t var, size_t val) {
-    return pso::MakeLit(static_cast<uint32_t>(var * domain + val), true);
-  };
-  for (size_t i = 0; i < num_vars; ++i) {
-    std::vector<pso::Lit> row;
-    for (size_t v = 0; v < domain; ++v) row.push_back(x(i, v));
-    solver.AddExactlyOne(row);
-  }
-  for (const FuzzCount& count : counts) {
-    if (count.hi < 0 ||
-        count.lo > static_cast<int64_t>(num_vars)) {
-      solver.AddClause({});  // no count can land in this window
-      continue;
-    }
-    std::vector<pso::Lit> ys;
-    for (size_t i = 0; i < num_vars; ++i) {
-      pso::Lit y = pso::MakeLit(solver.NewVariable(), true);
-      std::vector<pso::Lit> forward{pso::LitNegate(y)};
-      for (size_t v = 0; v < domain; ++v) {
-        if (!count.mask.Test(v)) continue;
-        forward.push_back(x(i, v));
-        solver.AddBinary(pso::LitNegate(x(i, v)), y);
-      }
-      solver.AddClause(forward);
-      ys.push_back(y);
-    }
-    if (count.hi < static_cast<int64_t>(num_vars)) {
-      solver.AddAtMostK(ys, static_cast<size_t>(count.hi));
-    }
-    if (count.lo > 0) {
-      solver.AddAtLeastK(ys, static_cast<size_t>(count.lo));
-    }
-  }
+// Decides the CNF encoding of a clean instance on one engine: -1 UNSAT,
+// 1 SAT (aborting unless the model is a solution), 0 undecided.
+int CspViaSat(pso::oracles::SatSolveFn solve, const pso::CountCsp& csp) {
+  const pso::CspCnf cnf = pso::EncodeCspCnf(csp);
   pso::SatSolveOptions options;
   options.max_decisions = 50000;
-  pso::Result<pso::SatSolution> sol = solve(solver, options);
+  pso::Result<pso::SatSolution> sol = solve(cnf.solver, options);
   if (!sol.ok()) {
     if (sol.status().code() != pso::StatusCode::kResourceExhausted) {
       std::abort();
     }
     return 0;
   }
-  return sol->satisfiable ? 1 : -1;
+  if (!sol->satisfiable) return -1;
+  if (!csp.IsSolution(cnf.Decode(sol->assignment))) std::abort();
+  return 1;
 }
 
 // Aborts unless Enumerate and the scan-every-constraint reference search
@@ -115,7 +76,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   size_t domain = kDomains[r.Below(std::size(kDomains))];
   pso::CountCsp csp(num_vars, domain);
 
-  std::vector<FuzzCount> recorded;
   size_t num_constraints = r.Below(5);
   for (size_t c = 0; c < num_constraints; ++c) {
     // Mask length intentionally independent of the domain size so arity
@@ -127,7 +87,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
     int64_t lo = r.Range(-2, 6);
     int64_t hi = r.Range(-2, 6);
-    recorded.push_back(FuzzCount{mask, lo, hi});
     csp.AddCountConstraint(std::move(mask), lo, hi);
   }
 
@@ -151,6 +110,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       if (sol[i] >= domain) std::abort();
       if (i > 0 && sol[i] < sol[i - 1]) std::abort();  // symmetry broken
     }
+    if (!csp.IsSolution(sol)) std::abort();
   }
 
   // Cross-engine differential: when the enumeration above was
@@ -158,10 +118,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // encoding, and the two SAT engines must also agree with each other.
   if (stats.complete) {
     const int truth = solutions.empty() ? -1 : 1;
-    const int dpll = CspViaSat(&pso::oracles::Dpll, num_vars, domain,
-                               recorded);
-    const int cdcl = CspViaSat(&pso::oracles::Cdcl, num_vars, domain,
-                               recorded);
+    const int dpll = CspViaSat(&pso::oracles::Dpll, csp);
+    const int cdcl = CspViaSat(&pso::oracles::Cdcl, csp);
     if (dpll != 0 && dpll != truth) std::abort();
     if (cdcl != 0 && cdcl != truth) std::abort();
   }

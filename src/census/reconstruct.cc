@@ -62,6 +62,14 @@ CountCsp EncodeBlockCsp(const BlockTables& tables) {
   return csp;
 }
 
+bool ConsistentWithTables(const BlockTables& tables,
+                          const std::vector<Record>& records) {
+  std::vector<size_t> values;
+  values.reserve(records.size());
+  for (const Record& r : records) values.push_back(EncodePerson(r));
+  return EncodeBlockCsp(tables).IsSolution(values);
+}
+
 BlockReconstruction ReconstructBlock(const BlockTables& tables,
                                      const Dataset& truth,
                                      const ReconstructOptions& options) {

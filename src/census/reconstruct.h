@@ -52,6 +52,11 @@ struct ReconstructOptions {
 /// variable per person of the published total.
 CountCsp EncodeBlockCsp(const BlockTables& tables);
 
+/// True when `records` is a solution of EncodeBlockCsp(tables): one
+/// record per person, with every table count in its window.
+bool ConsistentWithTables(const BlockTables& tables,
+                          const std::vector<Record>& records);
+
 /// Builds the CSP from `tables` and enumerates solutions. `truth` is used
 /// only for scoring (exact_matches); pass the block's own records.
 BlockReconstruction ReconstructBlock(const BlockTables& tables,

@@ -5,10 +5,11 @@
 // on satisfiability, and on uniquely-determined blocks both must return
 // the ground truth.
 //
-// Encoding: one boolean y_{p,v} per (person p, candidate value v) with
-// exactly-one per person; every table cell "count of persons matching S
-// is in [lo, hi]" becomes at-least/at-most cardinality constraints (Sinz
-// sequential counters) over { y_{p,v} : v in S }.
+// There is one block model. The tables become the CountCsp that
+// EncodeBlockCsp (census/reconstruct.h) builds for the CSP engine, and
+// EncodeCspCnf (solver/csp_sat.h) turns that into CNF: one boolean per
+// (person, candidate value), exactly one per person, and each window a
+// pair of Sinz sequential-counter cardinality bounds.
 
 #ifndef PSO_CENSUS_SAT_RECONSTRUCT_H_
 #define PSO_CENSUS_SAT_RECONSTRUCT_H_
@@ -17,7 +18,6 @@
 
 #include "census/tabulator.h"
 #include "common/result.h"
-#include "solver/sat.h"
 
 namespace pso::census {
 
@@ -34,23 +34,6 @@ struct SatReconstruction {
   size_t conflicts = 0;               ///< Conflicts hit during the search.
   size_t variables = 0;               ///< Total SAT variables (incl. aux).
 };
-
-/// The CNF encoding of one block, with what is needed to read a model
-/// back as records: variable p * candidates.size() + c says person p
-/// takes the person value candidates[c].
-struct BlockCnf {
-  SatSolver solver{0};
-  std::vector<size_t> candidates;  ///< Person values the tables allow.
-  size_t persons = 0;
-
-  /// One record per person from a satisfying assignment.
-  std::vector<Record> Decode(const std::vector<bool>& assignment) const;
-};
-
-/// Encodes `tables` as CNF. An empty block has no variables; a block
-/// whose zero cells rule out every person value has no candidates (it is
-/// unsatisfiable without a search).
-BlockCnf EncodeBlockSat(const BlockTables& tables);
 
 /// Encodes `tables` as CNF and decides it with the CDCL engine.
 /// `max_decisions` bounds the search (0 = unlimited); when it runs out

@@ -1,6 +1,7 @@
 #include "solver/csp.h"
 
 #include <cstdint>
+#include <utility>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
@@ -31,6 +32,34 @@ void CountCsp::AddCountConstraint(BitVector match, int64_t lo, int64_t hi) {
   }
   if (!build_status_.ok()) return;
   constraints_.push_back(Constraint{std::move(match), lo, hi});
+}
+
+std::vector<size_t> CountCsp::Candidates(BitVector* blocked) const {
+  // For census-style instances (exact zero cells for absent ages) this
+  // shrinks the domain by orders of magnitude.
+  BitVector ruled_out(domain_size_);
+  for (const Constraint& c : constraints_) {
+    if (c.hi == 0) ruled_out |= c.match;
+  }
+  std::vector<size_t> candidates;
+  for (size_t v = 0; v < domain_size_; ++v) {
+    if (!ruled_out.Test(v)) candidates.push_back(v);
+  }
+  if (blocked != nullptr) *blocked = std::move(ruled_out);
+  return candidates;
+}
+
+bool CountCsp::IsSolution(const std::vector<size_t>& values) const {
+  if (!build_status_.ok() || values.size() != num_vars_) return false;
+  for (size_t v : values) {
+    if (v >= domain_size_) return false;
+  }
+  for (const Constraint& c : constraints_) {
+    int64_t matched = 0;
+    for (size_t v : values) matched += c.match.Test(v) ? 1 : 0;
+    if (matched < c.lo || matched > c.hi) return false;
+  }
+  return true;
 }
 
 std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
@@ -70,20 +99,14 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
     }
   }
 
-  // Candidate filter: a value matching any hi == 0 constraint can never be
-  // used. For census-style instances (exact zero cells for absent ages)
-  // this shrinks the domain by orders of magnitude.
-  BitVector blocked(domain_size_);
-  for (const Constraint& c : constraints_) {
-    if (c.hi == 0) blocked |= c.match;
-  }
-  std::vector<size_t> candidates;
+  // Only candidates can be used; the row walks below skip the `blocked`
+  // rest of the domain word by word.
+  BitVector blocked;
+  const std::vector<size_t> candidates = Candidates(&blocked);
   // candidate_index[v]: v's position in `candidates` (unblocked v only).
   std::vector<size_t> candidate_index(domain_size_, 0);
-  for (size_t v = 0; v < domain_size_; ++v) {
-    if (blocked.Test(v)) continue;
-    candidate_index[v] = candidates.size();
-    candidates.push_back(v);
+  for (size_t ci = 0; ci < candidates.size(); ++ci) {
+    candidate_index[candidates[ci]] = ci;
   }
 
   // Each candidate's row of the constraints it matches, in one flat (CSR)

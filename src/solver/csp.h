@@ -72,6 +72,17 @@ class CountCsp {
   /// poison build_status().
   void AddCountConstraint(BitVector match, int64_t lo, int64_t hi);
 
+  /// The values no `hi == 0` constraint matches, in increasing order: the
+  /// only values a solution can use. Enumerate searches over them, and
+  /// the CNF encoding (csp_sat.h) has literals for them alone. When
+  /// `blocked` is given, it receives the other values as a bit set.
+  std::vector<size_t> Candidates(BitVector* blocked = nullptr) const;
+
+  /// True when `values` has one entry per variable, each in the domain,
+  /// and every constraint's count of them lies in its window. False on a
+  /// poisoned instance.
+  bool IsSolution(const std::vector<size_t>& values) const;
+
   /// Enumerates solutions (each a non-decreasing vector of value indices,
   /// one per variable). Stops after `max_solutions` solutions or
   /// `max_nodes` search nodes; `stats` reports whether the search was

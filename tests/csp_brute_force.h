@@ -28,18 +28,25 @@ struct CspCase {
   std::vector<Count> counts;
 };
 
+/// True when every count of `c` over `seq` (one value per variable) lies
+/// in its window.
+inline bool SatisfiesEveryCount(const CspCase& c,
+                                const std::vector<size_t>& seq) {
+  for (const CspCase::Count& count : c.counts) {
+    int64_t matched = 0;
+    for (size_t v : seq) matched += count.match.Test(v) ? 1 : 0;
+    if (matched < count.lo || matched > count.hi) return false;
+  }
+  return true;
+}
+
 /// Number of solutions of `c` (multisets of num_vars values).
 inline size_t BruteForceCspSolutions(const CspCase& c) {
   size_t found = 0;
   std::vector<size_t> seq(c.num_vars, 0);
   auto visit = [&](auto&& self, size_t depth, size_t min_val) -> void {
     if (depth == c.num_vars) {
-      for (const CspCase::Count& count : c.counts) {
-        int64_t matched = 0;
-        for (size_t v : seq) matched += count.match.Test(v) ? 1 : 0;
-        if (matched < count.lo || matched > count.hi) return;
-      }
-      ++found;
+      if (SatisfiesEveryCount(c, seq)) ++found;
       return;
     }
     for (size_t v = min_val; v < c.domain; ++v) {

@@ -105,6 +105,20 @@ TEST(CspTest, SingleVariable) {
   EXPECT_EQ(sols[0][0], 3u);
 }
 
+TEST(CspTest, IsSolutionChecksEveryWindow) {
+  // 3 vars over {0,1,2}: one or two 1s, and no 2s.
+  CountCsp csp(3, 3);
+  csp.AddCountConstraint({false, true, false}, 1, 2);
+  csp.AddCountConstraint({false, false, true}, 0, 0);
+  EXPECT_EQ(csp.Candidates(), (std::vector<size_t>{0, 1}));
+  EXPECT_TRUE(csp.IsSolution({1, 0, 1}));
+  EXPECT_FALSE(csp.IsSolution({0, 0, 0}));  // below lo
+  EXPECT_FALSE(csp.IsSolution({1, 1, 1}));  // above hi
+  EXPECT_FALSE(csp.IsSolution({1, 0, 2}));  // in a zero window
+  EXPECT_FALSE(csp.IsSolution({1, 0}));     // one value short
+  EXPECT_FALSE(csp.IsSolution({1, 0, 3}));  // outside the domain
+}
+
 // Property: solutions returned always satisfy every constraint.
 class CspVerifyTest : public ::testing::TestWithParam<int> {};
 
@@ -132,6 +146,7 @@ TEST_P(CspVerifyTest, SolutionsSatisfyConstraints) {
   CspStats stats;
   auto sols = csp.Enumerate(50, 500000, &stats);
   for (const auto& sol : sols) {
+    EXPECT_TRUE(csp.IsSolution(sol));
     for (size_t c = 0; c < masks.size(); ++c) {
       int64_t count = 0;
       for (size_t v : sol) count += masks[c].Test(v) ? 1 : 0;

@@ -7,8 +7,8 @@
 //     intersection of n active planes from the bound/constraint set);
 //   * both SAT engines (CDCL and its DPLL oracle) vs exhaustive
 //     truth-table search, and vs each other (status must agree exactly);
-//   * count-CSP vs a SAT cross-encoding of the same instance solved by
-//     each engine (and vs direct multiset enumeration).
+//   * count-CSP vs its CNF encoding (solver/csp_sat.h) solved by each
+//     engine, and vs direct multiset enumeration.
 //
 // All cases derive from pinned Rng::StreamAt seeds; see proptest.h.
 
@@ -25,6 +25,7 @@
 #include "oracles/oracles.h"
 #include "proptest.h"
 #include "solver/csp.h"
+#include "solver/csp_sat.h"
 #include "solver/lp.h"
 #include "solver/sat.h"
 
@@ -352,52 +353,14 @@ CspCase GenCsp(Rng& rng, size_t scale) {
     for (size_t v = 0; v < c.domain; ++v) {
       if (rng.Bernoulli(0.5)) count.match.Set(v);
     }
-    count.lo = rng.UniformInt(0, static_cast<int64_t>(c.num_vars));
-    count.hi = rng.UniformInt(count.lo, static_cast<int64_t>(c.num_vars));
+    // Windows reach past num_vars on both ends: lo > num_vars is dead at
+    // the root, and hi >= num_vars can never overfill.
+    const int64_t n = static_cast<int64_t>(c.num_vars);
+    count.lo = rng.UniformInt(0, n + 1);
+    count.hi = rng.UniformInt(count.lo, n + 2);
     c.counts.push_back(std::move(count));
   }
   return c;
-}
-
-// SAT encoding: one boolean per (variable, value) with exactly-one rows,
-// an auxiliary "matches constraint k" literal per variable, and Sinz
-// cardinality bounds over the auxiliaries — the same construction
-// census::ReconstructBlockSat uses, exercised here against the CSP and
-// solved by the given engine.
-bool CspSatisfiableViaSat(const CspCase& c, oracles::SatSolveFn solve,
-                          std::string* error) {
-  SatSolver solver(static_cast<uint32_t>(c.num_vars * c.domain));
-  auto x = [&](size_t var, size_t val) {
-    return MakeLit(static_cast<uint32_t>(var * c.domain + val), true);
-  };
-  for (size_t i = 0; i < c.num_vars; ++i) {
-    std::vector<Lit> row;
-    for (size_t v = 0; v < c.domain; ++v) row.push_back(x(i, v));
-    solver.AddExactlyOne(row);
-  }
-  for (const CspCase::Count& count : c.counts) {
-    std::vector<Lit> ys;
-    for (size_t i = 0; i < c.num_vars; ++i) {
-      Lit y = MakeLit(solver.NewVariable(), true);
-      // y <-> OR_{v in mask} x(i, v).
-      std::vector<Lit> forward{LitNegate(y)};
-      for (size_t v = 0; v < c.domain; ++v) {
-        if (!count.match.Test(v)) continue;
-        forward.push_back(x(i, v));
-        solver.AddBinary(LitNegate(x(i, v)), y);
-      }
-      solver.AddClause(forward);
-      ys.push_back(y);
-    }
-    solver.AddAtMostK(ys, static_cast<size_t>(count.hi));
-    solver.AddAtLeastK(ys, static_cast<size_t>(count.lo));
-  }
-  Result<SatSolution> got = solve(solver, {});
-  if (!got.ok()) {
-    *error = "SAT encoding error: " + got.status().ToString();
-    return false;
-  }
-  return got->satisfiable;
 }
 
 TEST(CspDifferentialTest, CspMatchesSatCrossEncodingAndBruteForce) {
@@ -426,14 +389,24 @@ TEST(CspDifferentialTest, CspMatchesSatCrossEncodingAndBruteForce) {
               sols.size(), brute, c.num_vars, c.domain, c.counts.size());
         }
 
+        // The production CNF encoding of the same instance, on both
+        // engines: same verdict, and a model is a solution.
+        const CspCnf cnf = EncodeCspCnf(csp);
         for (const oracles::SatEngine& engine : oracles::kSatEngines) {
-          std::string sat_error;
-          bool sat = CspSatisfiableViaSat(c, engine.solve, &sat_error);
-          if (!sat_error.empty()) return sat_error;
-          if (sat != !sols.empty()) {
+          Result<SatSolution> got = engine.solve(cnf.solver, {});
+          if (!got.ok()) {
+            return "SAT encoding error: " + got.status().ToString();
+          }
+          if (got->satisfiable != !sols.empty()) {
             return StrFormat(
                 "satisfiability disagrees: sat-encoding(%s)=%d csp=%d",
-                engine.name, sat ? 1 : 0, sols.empty() ? 0 : 1);
+                engine.name, got->satisfiable ? 1 : 0,
+                sols.empty() ? 0 : 1);
+          }
+          if (got->satisfiable &&
+              !SatisfiesEveryCount(c, cnf.Decode(got->assignment))) {
+            return StrFormat("%s's model breaks a count window",
+                             engine.name);
           }
         }
         return "";

@@ -10,6 +10,7 @@
 #include "census/reconstruct.h"
 #include "census/sat_reconstruct.h"
 #include "oracles/oracles.h"
+#include "solver/csp_sat.h"
 #include "solver/sat.h"
 
 namespace pso::census {
@@ -35,19 +36,6 @@ bool SameMultiset(const std::vector<Record>& a, const Dataset& b) {
     if (c != 0) return false;
   }
   return true;
-}
-
-// Checks a candidate solution against the exact tables.
-bool ConsistentWithTables(const std::vector<Record>& solution,
-                          const BlockTables& t) {
-  if (static_cast<int64_t>(solution.size()) != t.total) return false;
-  std::vector<int64_t> by_age(t.by_age.size(), 0);
-  std::vector<int64_t> by_race(6, 0);
-  for (const Record& r : solution) {
-    ++by_age[static_cast<size_t>(r[kAge])];
-    ++by_race[static_cast<size_t>(r[kRace])];
-  }
-  return by_age == t.by_age && by_race == t.by_race;
 }
 
 TEST(SatCardinalityTest, AtMostKEnforced) {
@@ -107,14 +95,42 @@ TEST(SatCardinalityTest, AtLeastImpossibleIsUnsat) {
   EXPECT_FALSE(sol->satisfiable);
 }
 
-TEST(SatReconstructTest, SolutionConsistentWithTables) {
-  Population pop = SmallPopulation(21, 10, 2, 5);
-  for (const Block& b : pop.blocks) {
-    BlockTables t = Tabulate(b);
-    auto sat = ReconstructBlockSat(t, /*max_decisions=*/500000);
-    ASSERT_TRUE(sat.ok()) << sat.status().ToString();
-    ASSERT_TRUE(sat->satisfiable);
-    EXPECT_TRUE(ConsistentWithTables(sat->reconstructed, t));
+// Every SAT solution fits every window of its block's CountCsp, on exact
+// tables and on DP tables, and the SAT verdict matches the CSP engine's
+// wherever that search reached one. ReconstructBlock does not search a
+// block whose published total is 0, so there is nothing to compare.
+TEST(SatReconstructTest, SolutionsFitEveryWindow) {
+  Population pop = SmallPopulation(21, 20, 2, 4);
+  Rng rng(25);
+  ReconstructOptions csp_options;
+  csp_options.max_nodes = 100000;
+  for (double eps : {0.0, 2.0, 8.0}) {
+    size_t solved = 0;
+    for (const Block& b : pop.blocks) {
+      BlockTables t = eps > 0.0 ? TabulateDp(b, eps, rng) : Tabulate(b);
+      auto sat = ReconstructBlockSat(t, /*max_decisions=*/500000);
+      ASSERT_TRUE(sat.ok()) << sat.status().ToString();
+      ASSERT_FALSE(sat->budget_exhausted) << "eps=" << eps;
+      if (sat->satisfiable) {
+        ++solved;
+        EXPECT_TRUE(ConsistentWithTables(t, sat->reconstructed))
+            << "eps=" << eps << " block " << t.block_id;
+      }
+      BlockReconstruction csp = ReconstructBlock(t, b.persons, csp_options);
+      const bool csp_found = csp.solutions_found > 0;
+      if (t.total > 0 && (csp.exhausted || csp_found)) {
+        EXPECT_EQ(sat->satisfiable, csp_found)
+            << "eps=" << eps << " block " << t.block_id;
+      }
+    }
+    // Exact tables admit the true block. At eps 2 the model, which takes
+    // the noisy total as exact, is infeasible for most small blocks, so
+    // only the eps 8 leg is sure to reach the window check.
+    if (eps == 0.0) {
+      EXPECT_EQ(solved, pop.blocks.size());
+    } else if (eps == 8.0) {
+      EXPECT_GT(solved, 0u);
+    }
   }
 }
 
@@ -168,7 +184,8 @@ TEST(SatReconstructTest, BackendsAgreeBlockwise) {
   options.max_decisions = 500000;
   for (const Block& b : pop.blocks) {
     BlockTables t = Tabulate(b);
-    BlockCnf cnf = EncodeBlockSat(t);
+    const CountCsp csp = EncodeBlockCsp(t);
+    const CspCnf cnf = EncodeCspCnf(csp);
     ASSERT_FALSE(cnf.candidates.empty());
     auto dpll = oracles::Dpll(cnf.solver, options);
     auto cdcl = ReconstructBlockSat(t, options.max_decisions);
@@ -177,8 +194,8 @@ TEST(SatReconstructTest, BackendsAgreeBlockwise) {
     ASSERT_FALSE(cdcl->budget_exhausted);
     EXPECT_EQ(dpll->satisfiable, cdcl->satisfiable);
     ASSERT_TRUE(dpll->satisfiable);
-    EXPECT_TRUE(ConsistentWithTables(cnf.Decode(dpll->assignment), t));
-    EXPECT_TRUE(ConsistentWithTables(cdcl->reconstructed, t));
+    EXPECT_TRUE(csp.IsSolution(cnf.Decode(dpll->assignment)));
+    EXPECT_TRUE(ConsistentWithTables(t, cdcl->reconstructed));
   }
 }
 

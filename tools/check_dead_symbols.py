@@ -46,17 +46,6 @@ ALLOWED = {
         "per-client budget state, for the daemon's planned BUDGET command",
     "BitVector::ForEachSet":
         "oracles::CspEnumerateReference walks the cell masks with it",
-    "CountCsp::constraints":
-        "oracles::CspEnumerateReference reads the instance through it",
-    "CountCsp::build_status":
-        "rejected input; fuzz_csp and the reference oracle check it, and "
-        "Enumerate reports it as an incomplete search",
-    "LpProblem::build_status":
-        "rejected input; fuzz_lp_decode and the dense oracle check it, and "
-        "Solve returns it",
-    "SatSolver::build_status":
-        "rejected input; fuzz_dimacs and the DPLL oracle check it, and "
-        "Solve returns it",
     "BernoulliEstimator::successes":
         "the exact count k; determinism_test pins game results by it",
     "MakeTrue":

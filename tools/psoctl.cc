@@ -69,6 +69,7 @@
 #include <string>
 #include <utility>
 
+#include "census/reconstruct.h"
 #include "census/reidentify.h"
 #include "census/sat_reconstruct.h"
 #include "common/log.h"
@@ -291,13 +292,18 @@ int RunCensus(const Flags& flags) {
       pop, per_block, commercial, /*age_tolerance=*/1, pool.get());
   RecordPoolGauges(pool.get());
 
-  // --sat: cross-check each block on the CDCL engine and report
-  // agreement with the CSP engine plus budget exhaustions as first-class
-  // outcomes.
+  // --sat: cross-check each block on the CDCL engine. A block agrees
+  // when the SAT solution, if any, fits every window of the block's
+  // tables and, where the CSP engine reached a verdict, both engines
+  // reach the same one. A CSP search stopped at its node cap with no
+  // solution has no verdict, and neither has a block whose published
+  // total is 0, which ReconstructBlock does not search. Budget
+  // exhaustions are first-class outcomes.
   size_t sat_checked = 0;
   size_t sat_agree = 0;
   size_t sat_exhausted = 0;
   size_t sat_decisions = 0;
+  size_t csp_capped = 0;
   const bool run_sat = flags.GetBool("sat", false);
   if (run_sat) {
     for (size_t b = 0; b < pop.blocks.size(); ++b) {
@@ -306,15 +312,20 @@ int RunCensus(const Flags& flags) {
       if (!sat.ok()) continue;
       ++sat_checked;
       sat_decisions += sat->decisions;
+      const bool csp_found = per_block[b].solutions_found > 0;
+      const bool csp_capped_here = !per_block[b].exhausted && !csp_found;
+      if (csp_capped_here) ++csp_capped;
+      const bool csp_decided = tables[b].total > 0 && !csp_capped_here;
       if (sat->budget_exhausted) {
         ++sat_exhausted;
         continue;
       }
-      // Exact tables are always satisfiable by the true block; noisy
-      // tables may admit no candidate multiset at all. Agreement means
-      // the SAT verdict matches the CSP engine's.
-      const bool csp_found = per_block[b].solutions_found > 0;
-      if (sat->satisfiable == csp_found) ++sat_agree;
+      const bool verdicts_agree =
+          !csp_decided || sat->satisfiable == csp_found;
+      const bool fits =
+          !sat->satisfiable ||
+          census::ConsistentWithTables(tables[b], sat->reconstructed);
+      if (verdicts_agree && fits) ++sat_agree;
     }
   }
 
@@ -334,6 +345,8 @@ int RunCensus(const Flags& flags) {
     table.AddRow({"SAT blocks agreeing",
                   StrFormat("%zu/%zu", sat_agree, sat_checked)});
     table.AddRow({"SAT budget exhausted", StrFormat("%zu", sat_exhausted)});
+    table.AddRow({"CSP capped without a verdict",
+                  StrFormat("%zu", csp_capped)});
     table.AddRow({"SAT decisions", StrFormat("%zu", sat_decisions)});
   }
   table.Print();
