@@ -12,7 +12,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <vector>
 
 #include "common/check.h"
@@ -26,16 +25,6 @@ class BitVector {
 
   /// `size` bits, all clear.
   explicit BitVector(size_t size) : size_(size), words_((size + 63) / 64) {}
-
-  /// One bit per element, in order: BitVector{false, true} is {1} over a
-  /// domain of two.
-  BitVector(std::initializer_list<bool> bits) : BitVector(bits.size()) {
-    size_t i = 0;
-    for (bool bit : bits) {
-      if (bit) Set(i);
-      ++i;
-    }
-  }
 
   size_t size() const { return size_; }
 
@@ -54,16 +43,6 @@ class BitVector {
     PSO_CHECK(other.size_ == size_);
     for (size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
     return *this;
-  }
-
-  /// Calls `f(i)` for every set index i, in increasing order.
-  template <typename F>
-  void ForEachSet(F&& f) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      for (uint64_t word = words_[w]; word != 0; word &= word - 1) {
-        f(w * 64 + static_cast<size_t>(std::countr_zero(word)));
-      }
-    }
   }
 
   /// Calls `f(i)` for every index i set here and clear in `excluded`

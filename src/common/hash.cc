@@ -55,13 +55,6 @@ UniversalHash::UniversalHash(Rng& rng, uint64_t range) : range_(range) {
   b_ = rng.UniformUint64(kMersenne61);
 }
 
-UniversalHash::UniversalHash(uint64_t a, uint64_t b, uint64_t range)
-    : a_(a), b_(b), range_(range) {
-  PSO_CHECK(range > 0);
-  PSO_CHECK(a >= 1 && a < kMersenne61);
-  PSO_CHECK(b < kMersenne61);
-}
-
 uint64_t UniversalHash::Eval(uint64_t x) const {
   // Reduce x into the field first (loses nothing for x < 2^61; for larger x
   // we pre-mix, which keeps the family's collision behaviour in practice).

@@ -41,9 +41,6 @@ class UniversalHash {
   /// Draws random coefficients (a in [1, p), b in [0, p)) from `rng`.
   UniversalHash(Rng& rng, uint64_t range);
 
-  /// Constructs with explicit coefficients (for tests).
-  UniversalHash(uint64_t a, uint64_t b, uint64_t range);
-
   /// Evaluates h(x) in [0, range).
   uint64_t Eval(uint64_t x) const;
 

@@ -105,10 +105,6 @@ bool Initialized() {
 LogMessage::LogMessage(Level level, const char* file, int line)
     : level_(level), file_(file), line_(line) {}
 
-LogMessage& LogMessage::Field(const char* key, const std::string& value) {
-  fields_.emplace_back(key, value);
-  return *this;
-}
 LogMessage& LogMessage::Field(const char* key, const char* value) {
   fields_.emplace_back(key, value);
   return *this;
@@ -125,33 +121,9 @@ LogMessage& LogMessage::Field(const char* key, double value) {
   fields_.emplace_back(key, StrFormat("%.9g", value));
   return *this;
 }
-LogMessage& LogMessage::Field(const char* key, bool value) {
-  fields_.emplace_back(key, value ? "true" : "false");
-  return *this;
-}
 
-LogMessage& LogMessage::operator<<(const std::string& text) {
-  msg_ += text;
-  return *this;
-}
 LogMessage& LogMessage::operator<<(const char* text) {
   msg_ += text;
-  return *this;
-}
-LogMessage& LogMessage::AppendInt(long long v) {
-  msg_ += StrFormat("%lld", v);
-  return *this;
-}
-LogMessage& LogMessage::AppendUint(unsigned long long v) {
-  msg_ += StrFormat("%llu", v);
-  return *this;
-}
-LogMessage& LogMessage::operator<<(double v) {
-  msg_ += StrFormat("%.9g", v);
-  return *this;
-}
-LogMessage& LogMessage::operator<<(bool v) {
-  msg_ += v ? "true" : "false";
   return *this;
 }
 

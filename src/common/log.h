@@ -57,10 +57,8 @@ class LogMessage {
   LogMessage& operator=(const LogMessage&) = delete;
 
   /// Structured key/value annotations (kept separate from the text).
-  LogMessage& Field(const char* key, const std::string& value);
   LogMessage& Field(const char* key, const char* value);
   LogMessage& Field(const char* key, double value);
-  LogMessage& Field(const char* key, bool value);
   /// One template per integer family instead of fixed-width overloads:
   /// int64_t/long/size_t alias differently across platforms and would
   /// collide as distinct overloads.
@@ -75,27 +73,12 @@ class LogMessage {
     }
   }
 
-  /// Free-text message body.
-  LogMessage& operator<<(const std::string& text);
+  /// Free-text message body; values go in Field()s.
   LogMessage& operator<<(const char* text);
-  LogMessage& operator<<(double v);
-  LogMessage& operator<<(bool v);
-  template <typename T,
-            std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
-                             int> = 0>
-  LogMessage& operator<<(T v) {
-    if constexpr (std::is_signed_v<T>) {
-      return AppendInt(static_cast<long long>(v));
-    } else {
-      return AppendUint(static_cast<unsigned long long>(v));
-    }
-  }
 
  private:
   LogMessage& FieldInt(const char* key, long long value);
   LogMessage& FieldUint(const char* key, unsigned long long value);
-  LogMessage& AppendInt(long long v);
-  LogMessage& AppendUint(unsigned long long v);
 
   Level level_;
   const char* file_;

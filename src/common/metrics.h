@@ -104,7 +104,6 @@ class Histogram {
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   /// Exact fixed-point sum in nano-units (kSumScale per 1.0).
   uint64_t sum_fp() const { return sum_fp_.load(std::memory_order_relaxed); }
-  double sum() const { return static_cast<double>(sum_fp()) / kSumScale; }
   /// Smallest/largest recorded value; 0.0 when count() == 0.
   double min() const;
   double max() const;

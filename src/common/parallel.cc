@@ -211,7 +211,7 @@ void TaskGroup::RunOne(const std::function<void()>& task) {
   try {
     task();
   } catch (...) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
+    // Dropped: see the class comment.
   }
   MutexLock lock(mu_);
   if (--pending_ == 0) idle_cv_.NotifyAll();

@@ -118,9 +118,8 @@ void RecordPoolGauges(const ThreadPool* pool);
 /// Not a barrier for reuse: Wait() may be called repeatedly, and Submit
 /// stays valid after a Wait.
 ///
-/// Exceptions thrown by tasks are swallowed after being counted (the
-/// failed() count); services must report failures through their own
-/// Status plumbing, not by unwinding a worker.
+/// Exceptions thrown by tasks are swallowed; services must report
+/// failures through their own Status plumbing, not by unwinding a worker.
 class TaskGroup {
  public:
   /// Binds the group to `pool` (null = run every task inline).
@@ -138,9 +137,6 @@ class TaskGroup {
   /// Blocks until every submitted task has completed.
   void Wait() PSO_EXCLUDES(mu_);
 
-  /// Tasks that terminated by throwing (their exceptions are dropped).
-  uint64_t failed() const { return failed_.load(std::memory_order_relaxed); }
-
  private:
   void RunOne(const std::function<void()>& task) PSO_EXCLUDES(mu_);
 
@@ -148,7 +144,6 @@ class TaskGroup {
   mutable Mutex mu_;
   CondVar idle_cv_;
   size_t pending_ PSO_GUARDED_BY(mu_) = 0;
-  std::atomic<uint64_t> failed_{0};
 };
 
 }  // namespace pso

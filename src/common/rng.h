@@ -107,9 +107,6 @@ class DiscreteSampler {
   /// Draws an index with probability proportional to its weight.
   size_t Sample(Rng& rng) const;
 
-  /// Number of categories.
-  size_t size() const { return prob_.size(); }
-
  private:
   std::vector<double> prob_;
   std::vector<size_t> alias_;

@@ -3,17 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
-
 namespace pso {
 
 void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
   mean_ += (x - mean_) / static_cast<double>(count_);
 }
@@ -28,8 +20,6 @@ void RunningStats::Merge(const RunningStats& other) {
   const double nb = static_cast<double>(other.count_);
   const double total = na + nb;
   mean_ += (other.mean_ - mean_) * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
   count_ += other.count_;
 }
 
@@ -66,19 +56,6 @@ double BaselineIsolationProbability(size_t n, double w) {
   // Compute in log space to survive large n and tiny w.
   double log_p = std::log(nn) + std::log(w) + (nn - 1.0) * std::log1p(-w);
   return std::exp(log_p);
-}
-
-double Median(std::vector<double> xs) { return Quantile(std::move(xs), 0.5); }
-
-double Quantile(std::vector<double> xs, double q) {
-  PSO_CHECK(!xs.empty());
-  PSO_CHECK(q >= 0.0 && q <= 1.0);
-  std::sort(xs.begin(), xs.end());
-  double pos = q * static_cast<double>(xs.size() - 1);
-  size_t lo = static_cast<size_t>(pos);
-  size_t hi = std::min(lo + 1, xs.size() - 1);
-  double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 }  // namespace pso

@@ -8,7 +8,6 @@
 #define PSO_COMMON_STATS_H_
 
 #include <cstddef>
-#include <vector>
 
 namespace pso {
 
@@ -16,12 +15,9 @@ namespace pso {
 struct Interval {
   double lo = 0.0;
   double hi = 0.0;
-
-  /// True if `x` lies inside the interval (inclusive).
-  bool Contains(double x) const { return lo <= x && x <= hi; }
 };
 
-/// Online accumulator for count, mean, min and max.
+/// Online accumulator for the mean.
 class RunningStats {
  public:
   /// Adds one observation.
@@ -33,17 +29,11 @@ class RunningStats {
   /// a fixed chunking.
   void Merge(const RunningStats& other);
 
-  size_t count() const { return count_; }
   double mean() const { return mean_; }
-
-  double min() const { return min_; }
-  double max() const { return max_; }
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Bernoulli success counter with Wilson-score confidence intervals.
@@ -57,9 +47,6 @@ class BernoulliEstimator {
 
   /// Folds `other`'s counts into this estimator (exact; order-free).
   void Merge(const BernoulliEstimator& other);
-
-  size_t trials() const { return trials_; }
-  size_t successes() const { return successes_; }
 
   /// Point estimate k/n (0 when no trials).
   double rate() const;
@@ -76,12 +63,6 @@ class BernoulliEstimator {
 /// i.i.d. sample of size `n`: n * w * (1-w)^(n-1). This is the paper's
 /// baseline curve for trivial (output-ignoring) attackers (Section 2.2).
 double BaselineIsolationProbability(size_t n, double w);
-
-/// Population median (averaging the middle pair for even sizes).
-double Median(std::vector<double> xs);
-
-/// Quantile in [0,1] by linear interpolation of the sorted sample.
-double Quantile(std::vector<double> xs, double q);
 
 }  // namespace pso
 

@@ -44,18 +44,4 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return out;
 }
 
-std::string Trim(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t' || s[b] == '\n' ||
-                   s[b] == '\r')) {
-    ++b;
-  }
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\n' ||
-                   s[e - 1] == '\r')) {
-    --e;
-  }
-  return s.substr(b, e - b);
-}
-
 }  // namespace pso

@@ -19,9 +19,6 @@ std::string Join(const std::vector<std::string>& parts,
 /// Splits `s` on the single character `sep` (keeps empty fields).
 std::vector<std::string> Split(const std::string& s, char sep);
 
-/// Removes leading/trailing ASCII whitespace.
-std::string Trim(const std::string& s);
-
 }  // namespace pso
 
 #endif  // PSO_COMMON_STR_UTIL_H_

@@ -65,13 +65,6 @@ void Collector::Disable() {
   enabled_.store(false, std::memory_order_relaxed);
 }
 
-void Collector::Clear() {
-  MutexLock lock(mu_);
-  events_.clear();
-  dropped_ = 0;
-  epoch_ns_ = SteadyNowNs();
-}
-
 uint64_t Collector::dropped() const {
   MutexLock lock(mu_);
   return dropped_;

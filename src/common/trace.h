@@ -53,7 +53,7 @@ struct Event {
 };
 
 /// The process-wide event sink. Thread-safe; all spans/instants record
-/// here. Tests drive it through Enable/Clear/TakeEvents.
+/// here. Tests drive it through Enable/Disable/TakeEvents.
 class Collector {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 20;
@@ -69,9 +69,6 @@ class Collector {
   bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }
-
-  /// Drops all recorded events (collection state unchanged).
-  void Clear() PSO_EXCLUDES(mu_);
 
   /// Events dropped because the buffer was full.
   uint64_t dropped() const PSO_EXCLUDES(mu_);

@@ -1,6 +1,6 @@
 #include "data/schema.h"
 
-#include <cstdlib>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -49,46 +49,17 @@ std::string Attribute::ValueToString(int64_t code) const {
   return StrFormat("%lld", (long long)code);
 }
 
-Result<int64_t> Attribute::ValueFromString(const std::string& text) const {
-  if (type_ == AttributeType::kCategorical) {
-    for (size_t i = 0; i < labels_.size(); ++i) {
-      if (labels_[i] == text) return static_cast<int64_t>(i);
-    }
-    return Status::NotFound("no label '" + text + "' in attribute " + name_);
-  }
-  char* end = nullptr;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not an integer: '" + text + "'");
-  }
-  if (!IsValid(v)) {
-    return Status::OutOfRange(StrFormat("%lld outside [%lld, %lld] for %s",
-                                        v, (long long)min_value_,
-                                        (long long)max_value_,
-                                        name_.c_str()));
-  }
-  return static_cast<int64_t>(v);
-}
-
 Schema::Schema(std::vector<Attribute> attributes)
     : attributes_(std::move(attributes)) {
-  for (size_t i = 0; i < attributes_.size(); ++i) {
-    auto [it, inserted] = index_.emplace(attributes_[i].name(), i);
-    PSO_CHECK_MSG(inserted, "duplicate attribute name");
+  std::unordered_set<std::string> names;
+  for (const Attribute& a : attributes_) {
+    PSO_CHECK_MSG(names.insert(a.name()).second, "duplicate attribute name");
   }
 }
 
 const Attribute& Schema::attribute(size_t index) const {
   PSO_CHECK(index < attributes_.size());
   return attributes_[index];
-}
-
-Result<size_t> Schema::IndexOf(const std::string& name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) {
-    return Status::NotFound("no attribute named '" + name + "'");
-  }
-  return it->second;
 }
 
 bool Schema::IsValidRecord(const Record& record) const {

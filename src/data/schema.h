@@ -10,10 +10,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
-
-#include "common/result.h"
 
 namespace pso {
 
@@ -39,7 +36,6 @@ class Attribute {
                            int64_t max_value);
 
   const std::string& name() const { return name_; }
-  AttributeType type() const { return type_; }
 
   /// Number of distinct values in the domain.
   int64_t DomainSize() const;
@@ -54,11 +50,6 @@ class Attribute {
   /// Human-readable rendering of `code` (label or number).
   std::string ValueToString(int64_t code) const;
 
-  /// Inverse of ValueToString for categorical labels / integer parsing.
-  [[nodiscard]] Result<int64_t> ValueFromString(const std::string& text) const;
-
-  /// Labels (empty for integer attributes).
-  const std::vector<std::string>& labels() const { return labels_; }
 
  private:
   Attribute() = default;
@@ -70,7 +61,7 @@ class Attribute {
   int64_t max_value_ = 0;
 };
 
-/// An ordered list of attributes with name lookup.
+/// An ordered list of uniquely named attributes.
 class Schema {
  public:
   Schema() = default;
@@ -80,10 +71,6 @@ class Schema {
 
   size_t NumAttributes() const { return attributes_.size(); }
   const Attribute& attribute(size_t index) const;
-  const std::vector<Attribute>& attributes() const { return attributes_; }
-
-  /// Index of the attribute named `name`, or NotFound.
-  [[nodiscard]] Result<size_t> IndexOf(const std::string& name) const;
 
   /// True if `record` has the right arity and every value is in-domain.
   bool IsValidRecord(const Record& record) const;
@@ -98,7 +85,6 @@ class Schema {
 
  private:
   std::vector<Attribute> attributes_;
-  std::unordered_map<std::string, size_t> index_;
 };
 
 }  // namespace pso

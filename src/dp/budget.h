@@ -51,9 +51,6 @@ class BudgetLedger {
   [[nodiscard]] Result<uint64_t> Charge(uint64_t client, double eps)
       PSO_EXCLUDES(mu_);
 
-  /// The cap every client is held to (<= 0 = unlimited).
-  double budget_eps() const { return budget_eps_; }
-
   /// Snapshot of one client's state (zeros for a never-seen client).
   BudgetClientState ClientState(uint64_t client) const PSO_EXCLUDES(mu_);
 

@@ -21,7 +21,6 @@ class GeneralizedDataset {
   /// Creates an empty generalized dataset over `hierarchies`.
   explicit GeneralizedDataset(HierarchySet hierarchies);
 
-  const HierarchySet& hierarchies() const { return hierarchies_; }
   const Schema& schema() const { return hierarchies_.schema(); }
 
   size_t size() const { return rows_.size(); }

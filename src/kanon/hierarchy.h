@@ -91,7 +91,6 @@ class HierarchySet {
 
   const Schema& schema() const { return schema_; }
   const ValueHierarchy& hierarchy(size_t attr) const;
-  size_t NumAttributes() const { return hierarchies_.size(); }
 
   /// Renders a cell of attribute `attr` ("42", "40-49", or "*").
   std::string CellToString(size_t attr, const GenCell& cell) const;

@@ -28,8 +28,6 @@ class LegalReport {
   /// Appends a claim.
   void AddClaim(LegalClaim claim);
 
-  const std::vector<LegalClaim>& claims() const { return claims_; }
-
   /// Full text report: every claim with its evidence.
   std::string Render() const;
 

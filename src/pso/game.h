@@ -86,9 +86,6 @@ class PsoGame {
   PsoGameResult RunInteractive(const InteractiveMechanism& mechanism,
                                const InteractiveAdversary& adversary);
 
-  /// The negligibility threshold in force.
-  double weight_threshold() const { return threshold_; }
-
   /// Verified weight of `pred`: the exact value when analytically
   /// available (a point value, strictly tighter than any bound), else the
   /// Wilson 95% upper bound over the shared Monte-Carlo pool

@@ -38,8 +38,6 @@ class MechanismOutput {
     return std::any_cast<T>(payload_.get());
   }
 
-  bool empty() const { return payload_ == nullptr; }
-
  private:
   std::shared_ptr<const std::any> payload_;
 };

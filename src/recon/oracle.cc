@@ -14,7 +14,6 @@ SubsetSumOracle::SubsetSumOracle(std::vector<uint8_t> bits)
 
 double SubsetSumOracle::Answer(const SubsetQuery& query) {
   PSO_CHECK(query.size() == bits_.size());
-  ++queries_;
   double exact = 0.0;
   for (size_t i = 0; i < bits_.size(); ++i) {
     if (query[i] != 0) exact += static_cast<double>(bits_[i]);

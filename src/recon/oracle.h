@@ -27,8 +27,6 @@ class SubsetSumOracle {
   virtual ~SubsetSumOracle() = default;
 
   size_t n() const { return bits_.size(); }
-  size_t queries_answered() const { return queries_; }
-  const std::vector<uint8_t>& secret() const { return bits_; }
 
   /// Answers one query (with this oracle's noise model).
   double Answer(const SubsetQuery& query);
@@ -44,7 +42,6 @@ class SubsetSumOracle {
 
  private:
   std::vector<uint8_t> bits_;
-  size_t queries_ = 0;
   Rng rng_{0};
 };
 
@@ -64,8 +61,6 @@ class ExactOracle final : public SubsetSumOracle {
 class BoundedNoiseOracle final : public SubsetSumOracle {
  public:
   BoundedNoiseOracle(std::vector<uint8_t> bits, double alpha, uint64_t seed);
-
-  double alpha() const { return alpha_; }
 
  protected:
   double Perturb(const SubsetQuery&, double exact, Rng& rng) override;

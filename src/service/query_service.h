@@ -65,11 +65,6 @@ class QueryService {
   size_t n() const { return secret_.size(); }
   const QueryServiceOptions& options() const { return options_; }
 
-  /// The private dataset — exposed for experiment scoring only (the
-  /// attacker never calls this; the loadgen regenerates it from the
-  /// shared seed to measure reconstruction accuracy).
-  const std::vector<uint8_t>& secret() const { return secret_; }
-
   /// Answers one query for `client`: charges the ledger, computes the
   /// subset sum, and (in DP mode) adds Laplace(1/eps) noise from the
   /// client's counter-based stream. kInvalidArgument on a query of the

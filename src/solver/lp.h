@@ -105,8 +105,6 @@ class LpProblem {
   void AddConstraint(const std::vector<std::pair<size_t, double>>& coeffs,
                      Relation rel, double rhs);
 
-  size_t num_constraints() const { return instance_.rows.size(); }
-
   /// The validated plain-data instance (what the simplex consumes). Only
   /// meaningful while build_status() is OK.
   const LpInstance& instance() const { return instance_; }

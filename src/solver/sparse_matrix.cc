@@ -6,7 +6,7 @@ namespace pso {
 
 SparseMatrix SparseMatrix::FromTriplets(
     size_t rows, size_t cols, const std::vector<SparseTriplet>& entries) {
-  SparseMatrix m(rows, cols);
+  SparseMatrix m;
 
   // Two-pass counting sort by column: count, prefix-sum, place. Within a
   // column, entries keep their triplet order before duplicate folding, so

@@ -32,20 +32,13 @@ struct SparseTriplet {
 /// Immutable CSC matrix.
 class SparseMatrix {
  public:
-  /// An empty rows x cols matrix.
   SparseMatrix() = default;
-  SparseMatrix(size_t rows, size_t cols) : rows_(rows), cols_(cols) {
-    col_start_.assign(cols + 1, 0);
-  }
 
   /// Builds from triplets (any order; duplicates summed). Triplet indices
   /// must be in range — the callers (simplex setup) construct them from
   /// already-validated instances.
   static SparseMatrix FromTriplets(size_t rows, size_t cols,
                                    const std::vector<SparseTriplet>& entries);
-
-  size_t rows() const { return rows_; }
-  size_t cols() const { return cols_; }
 
   /// Entry count of column `c`.
   size_t ColumnNnz(size_t c) const { return col_start_[c + 1] - col_start_[c]; }
@@ -58,8 +51,6 @@ class SparseMatrix {
   double EntryValue(size_t k) const { return values_[k]; }
 
  private:
-  size_t rows_ = 0;
-  size_t cols_ = 0;
   std::vector<size_t> col_start_;  ///< cols + 1 offsets into the arrays.
   std::vector<size_t> row_index_;  ///< Row of each entry, column-major.
   std::vector<double> values_;    ///< Value of each entry, column-major.
@@ -82,7 +73,6 @@ class SparseVector {
     nonzeros_.clear();
   }
 
-  size_t dim() const { return values_.size(); }
   const std::vector<size_t>& nonzeros() const { return nonzeros_; }
   double operator[](size_t i) const { return values_[i]; }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <string>
 
 #include "csp_brute_force.h"
@@ -10,6 +11,18 @@
 
 namespace pso {
 namespace {
+
+// One bit per element, in order: Mask({false, true}) is {1} over a domain
+// of two.
+BitVector Mask(std::initializer_list<bool> bits) {
+  BitVector mask(bits.size());
+  size_t i = 0;
+  for (bool bit : bits) {
+    if (bit) mask.Set(i);
+    ++i;
+  }
+  return mask;
+}
 
 TEST(CspTest, UnconstrainedEnumeratesMultisets) {
   // 2 variables over 3 values: C(3+2-1, 2) = 6 multisets.
@@ -27,7 +40,7 @@ TEST(CspTest, UnconstrainedEnumeratesMultisets) {
 TEST(CspTest, ExactCountPinsSolution) {
   // 3 vars over {0,1}; exactly two 1s -> unique multiset {0,1,1}.
   CountCsp csp(3, 2);
-  csp.AddCountConstraint({false, true}, 2, 2);
+  csp.AddCountConstraint(Mask({false, true}), 2, 2);
   CspStats stats;
   auto sols = csp.Enumerate(10, 100000, &stats);
   ASSERT_EQ(sols.size(), 1u);
@@ -38,8 +51,8 @@ TEST(CspTest, ExactCountPinsSolution) {
 TEST(CspTest, MultipleConstraintsIntersect) {
   // 4 vars over {0,1,2}; exactly one 0, exactly one 1 => {0,1,2,2}.
   CountCsp csp(4, 3);
-  csp.AddCountConstraint({true, false, false}, 1, 1);
-  csp.AddCountConstraint({false, true, false}, 1, 1);
+  csp.AddCountConstraint(Mask({true, false, false}), 1, 1);
+  csp.AddCountConstraint(Mask({false, true, false}), 1, 1);
   CspStats stats;
   auto sols = csp.Enumerate(10, 100000, &stats);
   ASSERT_EQ(sols.size(), 1u);
@@ -48,7 +61,8 @@ TEST(CspTest, MultipleConstraintsIntersect) {
 
 TEST(CspTest, InfeasibleHasNoSolutions) {
   CountCsp csp(2, 2);
-  csp.AddCountConstraint({false, true}, 3, 3);  // need three 1s from two
+  // Three 1s from two variables.
+  csp.AddCountConstraint(Mask({false, true}), 3, 3);
   CspStats stats;
   auto sols = csp.Enumerate(10, 100000, &stats);
   EXPECT_TRUE(sols.empty());
@@ -57,9 +71,9 @@ TEST(CspTest, InfeasibleHasNoSolutions) {
 
 TEST(CspTest, IntervalConstraintsWidenSolutionSpace) {
   CountCsp exact(3, 2);
-  exact.AddCountConstraint({false, true}, 1, 1);
+  exact.AddCountConstraint(Mask({false, true}), 1, 1);
   CountCsp slack(3, 2);
-  slack.AddCountConstraint({false, true}, 0, 2);
+  slack.AddCountConstraint(Mask({false, true}), 0, 2);
   CspStats s1;
   CspStats s2;
   auto e = exact.Enumerate(100, 100000, &s1);
@@ -88,7 +102,7 @@ TEST(CspTest, PruningCutsSearch) {
   // to the full tree.
   CountCsp csp(4, 10);
   csp.AddCountConstraint(
-      {true, true, true, true, true, true, true, true, true, true}, 0,
+      Mask({true, true, true, true, true, true, true, true, true, true}), 0,
       0);  // impossible
   CspStats stats;
   auto sols = csp.Enumerate(10, 1000000, &stats);
@@ -98,7 +112,7 @@ TEST(CspTest, PruningCutsSearch) {
 
 TEST(CspTest, SingleVariable) {
   CountCsp csp(1, 5);
-  csp.AddCountConstraint({false, false, false, true, false}, 1, 1);
+  csp.AddCountConstraint(Mask({false, false, false, true, false}), 1, 1);
   CspStats stats;
   auto sols = csp.Enumerate(10, 1000, &stats);
   ASSERT_EQ(sols.size(), 1u);
@@ -108,8 +122,8 @@ TEST(CspTest, SingleVariable) {
 TEST(CspTest, IsSolutionChecksEveryWindow) {
   // 3 vars over {0,1,2}: one or two 1s, and no 2s.
   CountCsp csp(3, 3);
-  csp.AddCountConstraint({false, true, false}, 1, 2);
-  csp.AddCountConstraint({false, false, true}, 0, 0);
+  csp.AddCountConstraint(Mask({false, true, false}), 1, 2);
+  csp.AddCountConstraint(Mask({false, false, true}), 0, 0);
   EXPECT_EQ(csp.Candidates(), (std::vector<size_t>{0, 1}));
   EXPECT_TRUE(csp.IsSolution({1, 0, 1}));
   EXPECT_FALSE(csp.IsSolution({0, 0, 0}));  // below lo

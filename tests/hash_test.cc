@@ -40,13 +40,6 @@ TEST(UniversalHashTest, EvalInRange) {
   for (uint64_t x = 0; x < 1000; ++x) EXPECT_LT(h.Eval(x), 17u);
 }
 
-TEST(UniversalHashTest, DeterministicGivenCoefficients) {
-  UniversalHash h(123456, 654321, 100);
-  EXPECT_EQ(h.Eval(42), h.Eval(42));
-  UniversalHash h2(123456, 654321, 100);
-  EXPECT_EQ(h.Eval(42), h2.Eval(42));
-}
-
 TEST(UniversalHashTest, BucketLoadsAreBalanced) {
   Rng rng(7);
   const uint64_t kRange = 10;

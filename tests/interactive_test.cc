@@ -96,7 +96,7 @@ TEST(InteractiveGameTest, DeterministicGivenSeed) {
   PsoGame g2(u.distribution, 200, opts);
   auto r1 = g1.RunInteractive(*MakeExactCountSessionMechanism(), *adversary);
   auto r2 = g2.RunInteractive(*MakeExactCountSessionMechanism(), *adversary);
-  EXPECT_EQ(r1.pso_success.successes(), r2.pso_success.successes());
+  EXPECT_EQ(r1.pso_success.rate(), r2.pso_success.rate());
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ TEST(HierarchySetTest, CellToStringUsesTaxonomyLabels) {
 TEST(HierarchySetTest, DefaultsCoverSchema) {
   Schema s = TestSchema();
   HierarchySet hs = HierarchySet::Defaults(s);
-  EXPECT_EQ(hs.NumAttributes(), 3u);
+  EXPECT_EQ(hs.schema().NumAttributes(), 3u);
   for (size_t a = 0; a < 3; ++a) {
     EXPECT_GE(hs.hierarchy(a).NumLevels(), 2u);
   }

@@ -91,13 +91,6 @@ TEST_F(LogTest, MessageEscapesJsonMetacharacters) {
   EXPECT_NE(out.find("a\\\"b\\\\c"), std::string::npos);
 }
 
-TEST_F(LogTest, StreamedValuesFormat) {
-  PSO_LOG(WARN) << "n=" << 42 << " f=" << 1.5 << " b=" << true
-                << " z=" << size_t{7};
-  std::string out = TakeCaptured();
-  EXPECT_NE(out.find("n=42 f=1.5 b=true z=7"), std::string::npos);
-}
-
 TEST_F(LogTest, ParseLevelRoundTrips) {
   log::Level level = log::Level::kError;
   EXPECT_TRUE(log::ParseLevel("debug", &level));

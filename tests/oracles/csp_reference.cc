@@ -41,10 +41,12 @@ std::vector<std::vector<size_t>> CspEnumerateReference(const CountCsp& csp,
   // constraint order.
   std::vector<std::vector<size_t>> affected(candidates.size());
   for (size_t c = 0; c < num_constraints; ++c) {
-    constraints[c].match.ForEachSet([&](size_t v) {
+    for (size_t v = 0; v < domain_size; ++v) {
       const size_t ci = candidate_index[v];
-      if (ci != kBlocked) affected[ci].push_back(c);
-    });
+      if (ci != kBlocked && constraints[c].match.Test(v)) {
+        affected[ci].push_back(c);
+      }
+    }
   }
 
   std::vector<size_t> assignment;

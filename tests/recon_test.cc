@@ -15,7 +15,6 @@ TEST(OracleTest, ExactAnswers) {
   EXPECT_DOUBLE_EQ(oracle.Answer({1, 1, 1, 1}), 3.0);
   EXPECT_DOUBLE_EQ(oracle.Answer({1, 0, 0, 0}), 1.0);
   EXPECT_DOUBLE_EQ(oracle.Answer({0, 1, 0, 0}), 0.0);
-  EXPECT_EQ(oracle.queries_answered(), 3u);
 }
 
 TEST(OracleTest, BoundedNoiseStaysInBounds) {

@@ -36,29 +36,10 @@ TEST(AttributeTest, CategoricalDomain) {
   EXPECT_EQ(a.ValueToString(1), "M");
 }
 
-TEST(AttributeTest, ValueFromStringCategorical) {
-  Attribute a = Attribute::Categorical("sex", {"F", "M"});
-  Result<int64_t> v = a.ValueFromString("M");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, 1);
-  EXPECT_FALSE(a.ValueFromString("X").ok());
-}
-
-TEST(AttributeTest, ValueFromStringInteger) {
-  Attribute a = Attribute::Integer("age", 0, 99);
-  ASSERT_TRUE(a.ValueFromString("42").ok());
-  EXPECT_EQ(*a.ValueFromString("42"), 42);
-  EXPECT_FALSE(a.ValueFromString("200").ok());   // out of range
-  EXPECT_FALSE(a.ValueFromString("abc").ok());   // not a number
-  EXPECT_FALSE(a.ValueFromString("4x").ok());    // trailing junk
-}
-
-TEST(SchemaTest, IndexLookup) {
+TEST(SchemaTest, AttributesInOrder) {
   Schema s = TestSchema();
   EXPECT_EQ(s.NumAttributes(), 3u);
-  ASSERT_TRUE(s.IndexOf("sex").ok());
-  EXPECT_EQ(*s.IndexOf("sex"), 1u);
-  EXPECT_FALSE(s.IndexOf("zip").ok());
+  EXPECT_EQ(s.attribute(1).name(), "sex");
 }
 
 TEST(SchemaTest, RecordValidation) {

@@ -19,13 +19,20 @@ BernoulliEstimator Observed(size_t successes, size_t trials) {
   return e;
 }
 
-TEST(RunningStatsTest, MeanMinMax) {
+// `e` has the rate and interval of `successes` out of `trials`: the
+// interval pins the trial count, the rate then pins the successes.
+void ExpectCounts(const BernoulliEstimator& e, size_t successes,
+                  size_t trials) {
+  const BernoulliEstimator want = Observed(successes, trials);
+  EXPECT_EQ(e.rate(), want.rate());
+  EXPECT_EQ(e.WilsonInterval().lo, want.WilsonInterval().lo);
+  EXPECT_EQ(e.WilsonInterval().hi, want.WilsonInterval().hi);
+}
+
+TEST(RunningStatsTest, Mean) {
   RunningStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
 // Chunked accumulation (the parallel trial runner's merge step) must
@@ -49,10 +56,7 @@ TEST(RunningStatsTest, MergeMatchesSingleStream) {
     merged.Merge(chunk);
   }
   ASSERT_EQ(pos, xs.size());
-  EXPECT_EQ(merged.count(), whole.count());
   EXPECT_NEAR(merged.mean(), whole.mean(), 1e-12);
-  EXPECT_DOUBLE_EQ(merged.min(), whole.min());
-  EXPECT_DOUBLE_EQ(merged.max(), whole.max());
 }
 
 TEST(RunningStatsTest, MergeEmptyChunksIsIdentity) {
@@ -62,17 +66,17 @@ TEST(RunningStatsTest, MergeEmptyChunksIsIdentity) {
   RunningStats empty;
   RunningStats copy = s;
   copy.Merge(empty);  // s + 0 = s
-  EXPECT_EQ(copy.count(), 2u);
   EXPECT_DOUBLE_EQ(copy.mean(), s.mean());
   RunningStats other;  // 0 + s = s
   other.Merge(s);
-  EXPECT_EQ(other.count(), 2u);
   EXPECT_DOUBLE_EQ(other.mean(), s.mean());
-  EXPECT_DOUBLE_EQ(other.min(), -2.5);
-  EXPECT_DOUBLE_EQ(other.max(), 1.5);
+  // The merged count is s's: one more observation moves the mean by a
+  // third of its distance.
+  other.Add(s.mean() + 3.0);
+  EXPECT_DOUBLE_EQ(other.mean(), s.mean() + 1.0);
   RunningStats both;  // 0 + 0 = 0
   both.Merge(empty);
-  EXPECT_EQ(both.count(), 0u);
+  EXPECT_DOUBLE_EQ(both.mean(), 0.0);
 }
 
 TEST(RunningStatsTest, MergeSingleElementChunks) {
@@ -83,22 +87,17 @@ TEST(RunningStatsTest, MergeSingleElementChunks) {
     one.Add(x);
     merged.Merge(one);
   }
-  EXPECT_EQ(merged.count(), 8u);
   EXPECT_DOUBLE_EQ(merged.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(merged.min(), 2.0);
-  EXPECT_DOUBLE_EQ(merged.max(), 9.0);
 }
 
 TEST(BernoulliEstimatorTest, MergeSumsCounts) {
   BernoulliEstimator a = Observed(3, 10);
   BernoulliEstimator b = Observed(5, 6);
   a.Merge(b);
-  EXPECT_EQ(a.trials(), 16u);
-  EXPECT_EQ(a.successes(), 8u);
-  EXPECT_DOUBLE_EQ(a.rate(), 0.5);
+  ExpectCounts(a, 8, 16);
   BernoulliEstimator empty;
   a.Merge(empty);
-  EXPECT_EQ(a.trials(), 16u);
+  ExpectCounts(a, 8, 16);
 }
 
 TEST(BernoulliEstimatorTest, RateAndBatch) {
@@ -106,15 +105,15 @@ TEST(BernoulliEstimatorTest, RateAndBatch) {
   e.Add(true);
   e.Add(false);
   e.Merge(Observed(3, 8));
-  EXPECT_EQ(e.trials(), 10u);
-  EXPECT_EQ(e.successes(), 4u);
+  ExpectCounts(e, 4, 10);
   EXPECT_DOUBLE_EQ(e.rate(), 0.4);
 }
 
 TEST(BernoulliEstimatorTest, WilsonIntervalContainsRate) {
   BernoulliEstimator e = Observed(30, 100);
   Interval ci = e.WilsonInterval();
-  EXPECT_TRUE(ci.Contains(0.3));
+  EXPECT_LE(ci.lo, 0.3);
+  EXPECT_GE(ci.hi, 0.3);
   EXPECT_GT(ci.lo, 0.2);
   EXPECT_LT(ci.hi, 0.42);
 }
@@ -180,13 +179,6 @@ TEST(BaselineIsolationTest, HeavyPredicatesFailToo) {
   EXPECT_LT(heavy, 1e-15);
 }
 
-TEST(QuantileTest, MedianAndInterpolation) {
-  EXPECT_DOUBLE_EQ(Median({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(Median({1.0, 2.0, 3.0, 4.0}), 2.5);
-  EXPECT_DOUBLE_EQ(Quantile({0.0, 10.0}, 0.25), 2.5);
-  EXPECT_DOUBLE_EQ(Quantile({5.0}, 0.9), 5.0);
-}
-
 // Property sweep: Wilson interval coverage across rates.
 class WilsonCoverageTest : public ::testing::TestWithParam<double> {};
 
@@ -195,8 +187,8 @@ TEST_P(WilsonCoverageTest, IntervalBracketsTruthInExpectation) {
   // With k = round(p * n) observed, the interval must contain p.
   const size_t n = 400;
   BernoulliEstimator e = Observed(static_cast<size_t>(p * n), n);
-  EXPECT_TRUE(e.WilsonInterval().Contains(p))
-      << "p=" << p << " not in interval";
+  const Interval ci = e.WilsonInterval();
+  EXPECT_TRUE(ci.lo <= p && p <= ci.hi) << "p=" << p << " not in interval";
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, WilsonCoverageTest,

@@ -42,12 +42,5 @@ TEST(SplitJoinTest, JoinInvertsSplit) {
   }
 }
 
-TEST(TrimTest, StripsAsciiWhitespaceOnly) {
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim(" \t\r\n a b \n"), "a b");
-  EXPECT_EQ(Trim("inner  kept"), "inner  kept");
-}
-
 }  // namespace
 }  // namespace pso
