@@ -133,13 +133,11 @@ void BM_LpSolveCold(benchmark::State& state) {
 }
 BENCHMARK(BM_LpSolveCold)->Arg(24)->Arg(48);
 
-// The census search alone: one iteration enumerates every nonempty block
-// of a fixed population (200 blocks of 2..9 persons, seed 1) under E9's
-// caps, from the exact tables (Arg 0) or the eps = 2 DP tables (Arg 1),
-// as the census benchmark workload's two legs do. The blocks are encoded
-// before timing starts; items are search nodes.
-void BM_CspEnumerate(benchmark::State& state) {
-  const bool dp = state.range(0) == 1;
+// The census benchmark blocks: every nonempty block of a fixed
+// population (200 blocks of 2..9 persons, seed 1), tabulated exactly
+// (dp false) or with eps = 2 DP noise, as the census benchmark
+// workload's two legs do.
+std::vector<census::BlockTables> CensusBenchTables(bool dp) {
   census::PopulationOptions options;
   options.num_blocks = 200;
   options.min_block_size = 2;
@@ -147,11 +145,42 @@ void BM_CspEnumerate(benchmark::State& state) {
   Rng rng(1);
   const census::Population pop = census::GeneratePopulation(options, rng);
   Rng dp_rng = Rng::StreamAt(1, 2);
-  std::vector<CountCsp> csps;
+  std::vector<census::BlockTables> out;
   for (const census::Block& b : pop.blocks) {
-    const census::BlockTables tables =
+    census::BlockTables tables =
         dp ? census::TabulateDp(b, /*eps=*/2.0, dp_rng) : census::Tabulate(b);
-    if (tables.total > 0) csps.push_back(census::EncodeBlockCsp(tables));
+    if (tables.total > 0) out.push_back(std::move(tables));
+  }
+  return out;
+}
+
+// The census encode layer alone: one iteration turns the tables of every
+// census benchmark block into its CountCsp, exact (Arg 0) or DP (Arg 1).
+// Items are blocks.
+void BM_CensusEncode(benchmark::State& state) {
+  const bool dp = state.range(0) == 1;
+  const std::vector<census::BlockTables> blocks = CensusBenchTables(dp);
+  for (auto _ : state) {
+    for (const census::BlockTables& tables : blocks) {
+      CountCsp csp = census::EncodeBlockCsp(tables);
+      benchmark::DoNotOptimize(csp);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(blocks.size()));
+  state.SetLabel(dp ? "dp eps=2" : "exact");
+}
+BENCHMARK(BM_CensusEncode)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The census search alone: one iteration enumerates every census
+// benchmark block under E9's caps, from the exact tables (Arg 0) or the
+// DP tables (Arg 1). The blocks are encoded before timing starts; items
+// are search nodes.
+void BM_CspEnumerate(benchmark::State& state) {
+  const bool dp = state.range(0) == 1;
+  std::vector<CountCsp> csps;
+  for (const census::BlockTables& tables : CensusBenchTables(dp)) {
+    csps.push_back(census::EncodeBlockCsp(tables));
   }
   const size_t max_solutions = dp ? 16 : 64;
   const size_t max_nodes = dp ? 150000 : 500000;

@@ -5,7 +5,9 @@
 // a constraint over the person domain. The predicates P depend only on
 // the cell, never on the block, so their masks over the kPersonDomain
 // person values (indexed by EncodePerson) are computed once per process,
-// in one pass over the domain, and shared by every block and encoder.
+// in one pass over the domain, and shared by every block and encoder:
+// EncodeBlockCsp's constraints point at these masks, so encoding a block
+// copies none of them.
 
 #ifndef PSO_CENSUS_CELLS_H_
 #define PSO_CENSUS_CELLS_H_
@@ -41,7 +43,8 @@ struct CellMasks {
   std::vector<BitVector> age_at_least;
 };
 
-/// The process-wide cell table, built on first use (thread-safe).
+/// The process-wide cell table, built on first use (thread-safe). It
+/// lives until the process exits, so a CountCsp may borrow its masks.
 const CellMasks& CensusCells();
 
 }  // namespace pso::census

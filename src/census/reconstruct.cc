@@ -17,11 +17,12 @@ namespace {
 
 // One constraint per cell of a count family: "count of persons matching
 // cells[i] lies in [counts[i] - slack, counts[i] + slack]" (clamped at 0).
+// The constraint borrows the process-wide mask; nothing is copied.
 void AddTableFamily(CountCsp& csp, const std::vector<BitVector>& cells,
                     const std::vector<int64_t>& counts, int64_t slack) {
   PSO_CHECK(counts.size() == cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
-    csp.AddCountConstraint(cells[i], std::max<int64_t>(0, counts[i] - slack),
+    csp.AddCountConstraint(&cells[i], std::max<int64_t>(0, counts[i] - slack),
                            counts[i] + slack);
   }
 }
@@ -52,11 +53,11 @@ CountCsp EncodeBlockCsp(const BlockTables& tables) {
     const int64_t m = *tables.median_age;
     int64_t at_most =
         std::max<int64_t>(0, static_cast<int64_t>((n + 1) / 2) - slack);
-    csp.AddCountConstraint(cells.AgeAtMost(m), at_most,
+    csp.AddCountConstraint(&cells.AgeAtMost(m), at_most,
                            static_cast<int64_t>(n));
     int64_t at_least =
         std::max<int64_t>(0, static_cast<int64_t>(n / 2 + 1) - slack);
-    csp.AddCountConstraint(cells.AgeAtLeast(m), at_least,
+    csp.AddCountConstraint(&cells.AgeAtLeast(m), at_least,
                            static_cast<int64_t>(n));
   }
   return csp;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "common/check.h"
 #include "common/metrics.h"
 #include "common/str_util.h"
 #include "common/trace.h"
@@ -16,7 +17,7 @@ CountCsp::CountCsp(size_t num_vars, size_t domain_size)
   }
 }
 
-void CountCsp::AddCountConstraint(BitVector match, int64_t lo, int64_t hi) {
+bool CountCsp::Admit(const BitVector& match, int64_t lo, int64_t hi) {
   // Poison instead of abort: callers probing with untrusted instances
   // (fuzzers, decoded tables) observe the error through build_status().
   if (build_status_.ok()) {
@@ -30,8 +31,19 @@ void CountCsp::AddCountConstraint(BitVector match, int64_t lo, int64_t hi) {
           constraints_.size(), (long long)lo, (long long)hi));
     }
   }
-  if (!build_status_.ok()) return;
-  constraints_.push_back(Constraint{std::move(match), lo, hi});
+  return build_status_.ok();
+}
+
+void CountCsp::AddCountConstraint(BitVector match, int64_t lo, int64_t hi) {
+  if (!Admit(match, lo, hi)) return;
+  owned_.push_back(std::make_unique<BitVector>(std::move(match)));
+  constraints_.push_back(Constraint{owned_.back().get(), lo, hi});
+}
+
+void CountCsp::AddCountConstraint(const BitVector* match, int64_t lo,
+                                  int64_t hi) {
+  PSO_CHECK(match != nullptr);
+  if (Admit(*match, lo, hi)) constraints_.push_back(Constraint{match, lo, hi});
 }
 
 std::vector<size_t> CountCsp::Candidates(BitVector* blocked) const {
@@ -39,7 +51,7 @@ std::vector<size_t> CountCsp::Candidates(BitVector* blocked) const {
   // shrinks the domain by orders of magnitude.
   BitVector ruled_out(domain_size_);
   for (const Constraint& c : constraints_) {
-    if (c.hi == 0) ruled_out |= c.match;
+    if (c.hi == 0) ruled_out |= c.match();
   }
   std::vector<size_t> candidates;
   for (size_t v = 0; v < domain_size_; ++v) {
@@ -56,7 +68,7 @@ bool CountCsp::IsSolution(const std::vector<size_t>& values) const {
   }
   for (const Constraint& c : constraints_) {
     int64_t matched = 0;
-    for (size_t v : values) matched += c.match.Test(v) ? 1 : 0;
+    for (size_t v : values) matched += c.match().Test(v) ? 1 : 0;
     if (matched < c.lo || matched > c.hi) return false;
   }
   return true;
@@ -68,9 +80,12 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
   PSO_TRACE_SPAN("csp.enumerate");
   CspStats local;
   std::vector<std::vector<size_t>> solutions;
+  static metrics::Counter& enumerations =
+      metrics::GetCounter("csp.enumerations");
+  static metrics::Counter& nodes = metrics::GetCounter("csp.nodes");
   const auto finish = [&] {
-    metrics::GetCounter("csp.enumerations").Add(1);
-    metrics::GetCounter("csp.nodes").Add(local.nodes);
+    enumerations.Add(1);
+    nodes.Add(local.nodes);
     if (stats != nullptr) *stats = local;
   };
   // A poisoned instance has no meaningful answer: report an incomplete,
@@ -113,18 +128,20 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
   // array: row ci is cols[row_begin[ci], row_begin[ci + 1]), holding first
   // the lo > 0 constraints (up to lo_end[ci]) and then those with lo == 0
   // and hi < num_vars, each part in increasing constraint order. A
-  // constraint with lo == 0 and hi >= num_vars can never prune, so no row
-  // lists it. The rows are the transpose of the constraint x value
-  // incidence, built by walking the unblocked set bits of each mask
-  // twice: once to size the rows, once to fill them.
+  // constraint with lo == 0 and hi >= num_vars can never prune, and every
+  // value a hi == 0 constraint matches is blocked, so no row lists either
+  // kind; their tallies are never read. The rows are the transpose of the
+  // constraint x value incidence, built by walking the unblocked set bits
+  // of each remaining mask twice: once to size the rows, once to fill
+  // them.
   const auto tracked = [&](const Constraint& c) {
-    return c.lo > 0 || c.hi < num_vars;
+    return c.hi > 0 && (c.lo > 0 || c.hi < num_vars);
   };
   std::vector<size_t> row_begin(candidates.size() + 1, 0);
   std::vector<size_t> lo_end(candidates.size(), 0);
   for (const Constraint& c : constraints_) {
     if (!tracked(c)) continue;
-    c.match.ForEachSetExcept(blocked, [&](size_t v) {
+    c.match().ForEachSetExcept(blocked, [&](size_t v) {
       const size_t ci = candidate_index[v];
       ++row_begin[ci + 1];
       if (c.lo > 0) ++lo_end[ci];
@@ -142,7 +159,7 @@ std::vector<std::vector<size_t>> CountCsp::Enumerate(size_t max_solutions,
       if (!tracked(constraints_[c])) continue;
       std::vector<size_t>& next =
           constraints_[c].lo > 0 ? next_lo : next_rest;
-      constraints_[c].match.ForEachSetExcept(blocked, [&](size_t v) {
+      constraints_[c].match().ForEachSetExcept(blocked, [&](size_t v) {
         cols[next[candidate_index[v]]++] = static_cast<uint32_t>(c);
       });
     }

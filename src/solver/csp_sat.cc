@@ -47,7 +47,7 @@ CspCnf EncodeCspCnf(const CountCsp& csp) {
     if (k.hi == 0) continue;
     std::vector<size_t> hits;
     for (size_t c = 0; c < m; ++c) {
-      if (k.match.Test(cnf.candidates[c])) hits.push_back(c);
+      if (k.match().Test(cnf.candidates[c])) hits.push_back(c);
     }
     if (k.lo > num_vars || (hits.empty() && k.lo > 0)) {
       solver.AddClause({});

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "census/cells.h"
 #include "census/reidentify.h"
 #include "common/metrics.h"
 
@@ -181,6 +184,34 @@ TEST(ReconstructTest, OutOfRangeMedianIsClamped) {
     } else {
       EXPECT_EQ(loose.solutions_found, 0u);
       EXPECT_TRUE(loose.reconstructed.empty());
+    }
+  }
+}
+
+TEST(ReconstructTest, EncodedBlocksBorrowTheSharedCellMasks) {
+  // Every constraint of an encoded block, exact or DP, median in range or
+  // clamped, points at a mask of CensusCells(): encoding copies none.
+  const CellMasks& cells = CensusCells();
+  std::set<const BitVector*> shared;
+  for (const std::vector<BitVector>* family :
+       {&cells.by_age, &cells.by_sex_age_bucket, &cells.by_race,
+        &cells.by_hispanic, &cells.by_race_sex_age_bucket,
+        &cells.by_hispanic_sex_age_bucket, &cells.age_at_most,
+        &cells.age_at_least}) {
+    for (const BitVector& mask : *family) shared.insert(&mask);
+  }
+  Population pop = SmallPopulation(3);
+  Rng rng(4);
+  for (const Block& b : pop.blocks) {
+    BlockTables clamped = Tabulate(b);
+    clamped.median_age = -1;
+    for (const BlockTables& t :
+         {Tabulate(b), TabulateDp(b, /*eps=*/2.0, rng), clamped}) {
+      const CountCsp csp = EncodeBlockCsp(t);
+      ASSERT_FALSE(csp.constraints().empty());
+      for (const CountCsp::Constraint& c : csp.constraints()) {
+        EXPECT_EQ(shared.count(&c.match()), 1u);
+      }
     }
   }
 }

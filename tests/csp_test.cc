@@ -133,6 +133,36 @@ TEST(CspTest, IsSolutionChecksEveryWindow) {
   EXPECT_FALSE(csp.IsSolution({1, 0, 3}));  // outside the domain
 }
 
+// Masks handed over by value belong to the CSP. Moving it into a vector
+// that reallocates, then dropping the original, must leave each mask at
+// its address and the search unchanged (ASan catches a dangling read).
+TEST(CspTest, OwnedMasksSurviveMoves) {
+  std::vector<CountCsp> csps;
+  csps.reserve(1);
+  std::vector<std::vector<std::vector<size_t>>> want;
+  std::vector<const BitVector*> first_mask;
+  for (size_t i = 0; i < 6; ++i) {
+    CountCsp csp(3, 4);
+    BitVector low(4);
+    low.Set(i % 2);
+    csp.AddCountConstraint(std::move(low), 1, 2);
+    csp.AddCountConstraint(Mask({false, false, false, true}), 0, 0);
+    CspStats stats;
+    want.push_back(csp.Enumerate(100, 100000, &stats));
+    ASSERT_TRUE(stats.complete);
+    first_mask.push_back(&csp.constraints()[0].match());
+    csps.push_back(std::move(csp));
+  }
+  EXPECT_GT(csps.capacity(), 1u);
+  for (size_t i = 0; i < csps.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(&csps[i].constraints()[0].match(), first_mask[i]);
+    CspStats stats;
+    EXPECT_EQ(csps[i].Enumerate(100, 100000, &stats), want[i]);
+    EXPECT_EQ(csps[i].Candidates(), (std::vector<size_t>{0, 1, 2}));
+  }
+}
+
 // Property: solutions returned always satisfy every constraint.
 class CspVerifyTest : public ::testing::TestWithParam<int> {};
 

@@ -27,7 +27,7 @@ std::vector<std::vector<size_t>> CspEnumerateReference(const CountCsp& csp,
   // used.
   BitVector blocked(domain_size);
   for (const CountCsp::Constraint& c : constraints) {
-    if (c.hi == 0) blocked |= c.match;
+    if (c.hi == 0) blocked |= c.match();
   }
   constexpr size_t kBlocked = std::numeric_limits<size_t>::max();
   std::vector<size_t> candidates;
@@ -43,7 +43,7 @@ std::vector<std::vector<size_t>> CspEnumerateReference(const CountCsp& csp,
   for (size_t c = 0; c < num_constraints; ++c) {
     for (size_t v = 0; v < domain_size; ++v) {
       const size_t ci = candidate_index[v];
-      if (ci != kBlocked && constraints[c].match.Test(v)) {
+      if (ci != kBlocked && constraints[c].match().Test(v)) {
         affected[ci].push_back(c);
       }
     }
