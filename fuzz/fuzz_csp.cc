@@ -74,20 +74,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   size_t num_vars = r.Below(6);
   // 0 is a legal-to-request, poisoned domain.
   size_t domain = kDomains[r.Below(std::size(kDomains))];
-  pso::CountCsp csp(num_vars, domain);
-
   size_t num_constraints = r.Below(5);
+  // The CSP borrows its masks; reserved, so none moves while it lives.
+  std::vector<pso::BitVector> masks;
+  masks.reserve(num_constraints);
+  pso::CountCsp csp(num_vars, domain);
   for (size_t c = 0; c < num_constraints; ++c) {
     // Mask length intentionally independent of the domain size so arity
     // mismatches get exercised.
     size_t mask_len = r.Bool() ? domain : r.Below(7);
-    pso::BitVector mask(mask_len);
+    pso::BitVector& mask = masks.emplace_back(mask_len);
     for (size_t i = 0; i < mask_len; ++i) {
       if (r.Bool()) mask.Set(i);
     }
     int64_t lo = r.Range(-2, 6);
     int64_t hi = r.Range(-2, 6);
-    csp.AddCountConstraint(std::move(mask), lo, hi);
+    csp.AddCountConstraint(&mask, lo, hi);
   }
 
   pso::CspStats stats;

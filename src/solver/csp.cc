@@ -17,33 +17,24 @@ CountCsp::CountCsp(size_t num_vars, size_t domain_size)
   }
 }
 
-bool CountCsp::Admit(const BitVector& match, int64_t lo, int64_t hi) {
+void CountCsp::AddCountConstraint(const BitVector* match, int64_t lo,
+                                  int64_t hi) {
+  PSO_CHECK(match != nullptr);
   // Poison instead of abort: callers probing with untrusted instances
   // (fuzzers, decoded tables) observe the error through build_status().
   if (build_status_.ok()) {
-    if (match.size() != domain_size_) {
+    if (match->size() != domain_size_) {
       build_status_ = Status::InvalidArgument(
           StrFormat("constraint %zu: mask has %zu entries, domain has %zu",
-                    constraints_.size(), match.size(), domain_size_));
+                    constraints_.size(), match->size(), domain_size_));
     } else if (lo < 0 || lo > hi) {
       build_status_ = Status::InvalidArgument(StrFormat(
           "constraint %zu: malformed count window [%lld, %lld]",
           constraints_.size(), (long long)lo, (long long)hi));
     }
   }
-  return build_status_.ok();
-}
-
-void CountCsp::AddCountConstraint(BitVector match, int64_t lo, int64_t hi) {
-  if (!Admit(match, lo, hi)) return;
-  owned_.push_back(std::make_unique<BitVector>(std::move(match)));
-  constraints_.push_back(Constraint{owned_.back().get(), lo, hi});
-}
-
-void CountCsp::AddCountConstraint(const BitVector* match, int64_t lo,
-                                  int64_t hi) {
-  PSO_CHECK(match != nullptr);
-  if (Admit(*match, lo, hi)) constraints_.push_back(Constraint{match, lo, hi});
+  if (!build_status_.ok()) return;
+  constraints_.push_back(Constraint{match, lo, hi});
 }
 
 std::vector<size_t> CountCsp::Candidates(BitVector* blocked) const {

@@ -17,10 +17,10 @@
 // Variables being interchangeable, the solver breaks permutation symmetry
 // by enumerating non-decreasing value sequences; solutions are multisets.
 //
-// A constraint refers to its mask rather than owning it. Census blocks
-// borrow the process-wide cell masks (census/cells.h), so encoding a
-// block copies no mask; a mask handed over by value is kept by the CSP
-// itself, at an address that survives moving the CSP. A CSP is move-only.
+// A constraint refers to its mask rather than owning it, and the caller
+// keeps the mask alive for as long as the CSP. Census blocks borrow the
+// process-wide cell masks (census/cells.h), so encoding a block copies
+// no mask, and copying or moving a CSP copies only pointers.
 //
 // The search tracks, per constraint, its deficit (lo minus the matches
 // so far) and its room (hi minus them), and counts the constraints at
@@ -39,7 +39,6 @@
 #define PSO_SOLVER_CSP_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bit_vector.h"
@@ -69,13 +68,6 @@ class CountCsp {
   /// (must be positive; zero poisons build_status()).
   CountCsp(size_t num_vars, size_t domain_size);
 
-  /// Move-only: constraints point into the CSP's own masks, which a move
-  /// carries along and a copy would not.
-  CountCsp(const CountCsp&) = delete;
-  CountCsp& operator=(const CountCsp&) = delete;
-  CountCsp(CountCsp&&) noexcept = default;
-  CountCsp& operator=(CountCsp&&) noexcept = default;
-
   size_t num_vars() const { return num_vars_; }
   size_t domain_size() const { return domain_size_; }
 
@@ -83,15 +75,11 @@ class CountCsp {
   /// malformed instance; then the first violation, as InvalidArgument.
   const Status& build_status() const { return build_status_; }
 
-  /// Requires: #{ vars assigned value v : match.Test(v) } in [lo, hi].
-  /// `match` must have domain_size bits and 0 <= lo <= hi; violations
-  /// poison build_status(). The CSP keeps `match` for as long as it (or
-  /// the CSP it is moved into) lives.
-  void AddCountConstraint(BitVector match, int64_t lo, int64_t hi);
-
-  /// The same constraint over a borrowed mask: only the pointer is kept,
-  /// so `*match` must outlive the CSP. Census blocks pass the
-  /// process-wide cell masks this way.
+  /// Requires: #{ vars assigned value v : match->Test(v) } in [lo, hi].
+  /// `*match` must have domain_size bits and 0 <= lo <= hi; violations
+  /// poison build_status(). Only the pointer is kept, so `*match` must
+  /// outlive the CSP and every copy of it. Census blocks pass the
+  /// process-wide cell masks.
   void AddCountConstraint(const BitVector* match, int64_t lo, int64_t hi);
 
   /// The values no `hi == 0` constraint matches, in increasing order: the
@@ -115,8 +103,7 @@ class CountCsp {
                                              CspStats* stats) const;
 
   /// One count constraint as added: `lo <= #{matching vars} <= hi`.
-  /// `mask` is the borrowed mask or the CSP's own copy; it is valid for
-  /// as long as the CSP is.
+  /// `mask` is the caller's mask, borrowed by AddCountConstraint.
   struct Constraint {
     const BitVector* mask = nullptr;
     int64_t lo = 0;
@@ -130,17 +117,10 @@ class CountCsp {
   const std::vector<Constraint>& constraints() const { return constraints_; }
 
  private:
-  /// True while build_status() is OK and (match, lo, hi) is well formed;
-  /// otherwise records the first violation in build_status().
-  bool Admit(const BitVector& match, int64_t lo, int64_t hi);
-
   size_t num_vars_;
   size_t domain_size_;
   Status build_status_;
   std::vector<Constraint> constraints_;
-  /// The masks added by value. Each sits in its own allocation, so its
-  /// address survives growth of this vector and moves of the CSP.
-  std::vector<std::unique_ptr<BitVector>> owned_;
 };
 
 }  // namespace pso

@@ -116,7 +116,7 @@ CspCase GenCase(Rng& rng, size_t scale) {
 CountCsp Build(const CspCase& c) {
   CountCsp csp(c.num_vars, c.domain);
   for (const CspCase::Count& count : c.counts) {
-    csp.AddCountConstraint(count.match, count.lo, count.hi);
+    csp.AddCountConstraint(&count.match, count.lo, count.hi);
   }
   return csp;
 }
@@ -158,7 +158,8 @@ TEST(CspReferenceTest, RandomInstancesMatchReference) {
 
 TEST(CspReferenceTest, PoisonedInstanceMatchesReference) {
   CountCsp csp(2, 3);
-  csp.AddCountConstraint(BitVector(3), 2, 1);
+  const BitVector none(3);
+  csp.AddCountConstraint(&none, 2, 1);
   ASSERT_FALSE(csp.build_status().ok());
   EXPECT_EQ(Diff(RunEnumerate(csp, 10, 100), RunReference(csp, 10, 100)),
             "");

@@ -370,7 +370,7 @@ TEST(CspDifferentialTest, CspMatchesSatCrossEncodingAndBruteForce) {
       cfg, GenCsp, [](const CspCase& c) -> std::string {
         CountCsp csp(c.num_vars, c.domain);
         for (const CspCase::Count& count : c.counts) {
-          csp.AddCountConstraint(count.match, count.lo, count.hi);
+          csp.AddCountConstraint(&count.match, count.lo, count.hi);
         }
         if (!csp.build_status().ok()) {
           return "CSP build error: " + csp.build_status().ToString();

@@ -88,10 +88,6 @@ ALLOWED = {
     "pso::SatSolver::build_status(": _ORACLE,
     "pso::SatSolver::instance(": _ORACLE,
     "pso::CountCsp::domain_size(": _ORACLE,
-    "pso::CountCsp::AddCountConstraint(pso::BitVector,":
-        "the owning path for masks nobody else keeps: fuzz_csp decodes "
-        "untrusted instances with it, and csp_test, csp_reference_test and "
-        "proptest_solver_test build theirs; census blocks borrow instead",
 }
 
 # The fixture's allow-list: one stale entry.
